@@ -43,6 +43,18 @@ class CategoryData:
     twists: dict[str, complex] = field(default_factory=dict)
     tol: float = DEFAULT_TOL
 
+    _adjacency: dict[tuple[str, str], tuple[tuple[str, int], ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        # the fusion index behind `fuse`; `fusion` is fixed from here on
+        order = {l: i for i, l in enumerate(self.labels)}
+        adj: dict[tuple[str, str], list[tuple[str, int]]] = {}
+        for (a, b, c), m in sorted(self.fusion.items(), key=lambda kv: order[kv[0][2]]):
+            adj.setdefault((a, b), []).append((c, m))
+        self._adjacency = {ab: tuple(cs) for ab, cs in adj.items()}
+
     @property
     def unit(self) -> str:
         return self.labels[0]
@@ -54,30 +66,30 @@ class CategoryData:
         if a not in self.dual:
             raise UnknownLabelError(f"unknown label {a!r}")
 
-    def fuse(self, a: str, b: str) -> list[tuple[str, int]]:
-        """Simple sectors of a x b with multiplicities, in label order."""
-        out = []
-        for c in self.labels:
-            m = self.n(a, b, c)
-            if m:
-                out.append((c, m))
-        return out
+    def fuse(self, a: str, b: str) -> tuple[tuple[str, int], ...]:
+        """Simple sectors of a x b with multiplicities, in label order.
+
+        Built once from `fusion`, this is the one fusion adjacency that the
+        F-symbol bases (`f_rows`, `f_cols`), the Deligne product and the
+        pentagon/hexagon checks walk.
+        """
+        return self._adjacency.get((a, b), ())
 
     def f_rows(self, a: str, b: str, c: str, d: str) -> list[tuple[str, int, int]]:
-        rows = []
-        for e in self.labels:
-            for alpha in range(self.n(a, b, e)):
-                for beta in range(self.n(e, c, d)):
-                    rows.append((e, alpha, beta))
-        return rows
+        return [
+            (e, alpha, beta)
+            for e, n_abe in self.fuse(a, b)
+            for alpha in range(n_abe)
+            for beta in range(self.n(e, c, d))
+        ]
 
     def f_cols(self, a: str, b: str, c: str, d: str) -> list[tuple[str, int, int]]:
-        cols = []
-        for f in self.labels:
-            for mu in range(self.n(b, c, f)):
-                for nu in range(self.n(a, f, d)):
-                    cols.append((f, mu, nu))
-        return cols
+        return [
+            (f, mu, nu)
+            for f, n_bcf in self.fuse(b, c)
+            for mu in range(n_bcf)
+            for nu in range(self.n(a, f, d))
+        ]
 
     def fmat(self, a: str, b: str, c: str, d: str) -> np.ndarray:
         """F^{abc}_d in the canonical row/column ordering."""
@@ -156,25 +168,45 @@ class ValidationReport:
 
 
 def _complex_array(entry: dict, nrow: int, ncol: int, what: str) -> np.ndarray:
-    re = np.asarray(entry.get("re"), dtype=float)
-    im = np.asarray(entry.get("im"), dtype=float)
+    try:
+        re = np.asarray(entry["re"], dtype=float)
+        im = np.asarray(entry["im"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{what}: bad re/im entries: {exc}") from exc
     if re.shape != im.shape:
         raise ParseError(f"{what}: re/im shape mismatch")
-    mat = re + 1j * im
-    mat = mat.reshape(nrow, ncol)
-    return mat
+    if re.size != nrow * ncol:
+        raise ParseError(f"{what}: {re.size} entries, expected {nrow} x {ncol}")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise ParseError(f"{what}: non-finite entries")
+    return (re + 1j * im).reshape(nrow, ncol)
+
+
+def _reorder(basis: list, given, what: str) -> list[int]:
+    """Position in `given` of each canonical basis vector; `given` must be a permutation of `basis`."""
+    try:
+        pos = {tuple(t): i for i, t in enumerate(given)}
+    except TypeError as exc:
+        raise ParseError(f"{what}: bad basis listing: {exc}") from exc
+    if len(pos) != len(basis) or any(t not in pos for t in basis):
+        raise ParseError(f"{what}: basis listing is not a permutation of {basis}")
+    return [pos[t] for t in basis]
 
 
 def build_category(data: dict) -> CategoryData:
     """Build CategoryData from a parsed category file dict."""
     try:
         labels = list(data["labels"])
-        dual = dict(data["dual"])
+        dual = data["dual"]
         fusion_list = data["fusion"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"category file missing key: {exc}") from exc
     if not labels:
         raise ParseError("empty label list")
+    if not all(isinstance(l, str) for l in labels):
+        raise ParseError("labels must be strings")
+    if not isinstance(dual, dict):
+        raise ParseError("dual must be an object mapping each label to its dual")
     if len(set(labels)) != len(labels):
         raise ParseError("duplicate labels")
     unit = labels[0]
@@ -185,13 +217,17 @@ def build_category(data: dict) -> CategoryData:
             raise ParseError(f"bad dual entry for {a!r}")
     fusion: dict[tuple[str, str, str], int] = {}
     for item in fusion_list:
-        a, b, c, nn = item
+        try:
+            a, b, c, nn = item
+            nn = int(nn)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad fusion rule {item!r}: expected [a, b, c, N_ab^c]") from exc
         if a not in labels or b not in labels or c not in labels:
             raise ParseError(f"fusion rule references unknown label: {item}")
-        if int(nn) < 0:
+        if nn < 0:
             raise ParseError(f"negative fusion multiplicity: {item}")
-        if int(nn):
-            fusion[(a, b, c)] = int(nn)
+        if nn:
+            fusion[(a, b, c)] = nn
     cat = CategoryData(
         labels=labels,
         dual=dual,
@@ -207,13 +243,12 @@ def build_category(data: dict) -> CategoryData:
             raise ParseError(f"bad F entry: {exc}") from exc
         rows = cat.f_rows(a, b, c, d)
         cols = cat.f_cols(a, b, c, d)
-        mat = _complex_array(entry, len(rows), len(cols), f"F{(a, b, c, d)}")
+        what = f"F{(a, b, c, d)}"
+        mat = _complex_array(entry, len(rows), len(cols), what)
         if "rows" in entry:
-            perm = [rows.index(tuple(r)) for r in entry["rows"]]
-            mat = mat[np.argsort(perm)]
+            mat = mat[_reorder(rows, entry["rows"], what)]
         if "cols" in entry:
-            perm = [cols.index(tuple(c_)) for c_ in entry["cols"]]
-            mat = mat[:, np.argsort(perm)]
+            mat = mat[:, _reorder(cols, entry["cols"], what)]
         cat.f_symbols[(a, b, c, d)] = mat
     for entry in data.get("R", []):
         try:
@@ -263,8 +298,8 @@ def _check_schema(cat: CategoryData) -> None:
         for b in cat.labels:
             for c in cat.labels:
                 for d in cat.labels:
-                    lhs = sum(cat.n(a, b, e) * cat.n(e, c, d) for e in cat.labels)
-                    rhs = sum(cat.n(b, c, f) * cat.n(a, f, d) for f in cat.labels)
+                    lhs = sum(m * cat.n(e, c, d) for e, m in cat.fuse(a, b))
+                    rhs = sum(m * cat.n(a, f, d) for f, m in cat.fuse(b, c))
                     if lhs != rhs:
                         raise DataError(f"fusion not associative at ({a},{b},{c};{d})")
     # every F/R demanded by the fusion rules must be resolvable
@@ -284,16 +319,15 @@ def _derive(cat: CategoryData) -> None:
     for a in cat.labels:
         mat = np.zeros((len(cat.labels), len(cat.labels)))
         for b in cat.labels:
-            for c in cat.labels:
-                mat[idx[c], idx[b]] = cat.n(a, b, c)
+            for c, m in cat.fuse(a, b):
+                mat[idx[c], idx[b]] = m
         dims[a] = float(np.max(np.abs(np.linalg.eigvals(mat))))
     cat.dims = dims
     twists = {}
     for a in cat.labels:
         acc = 0.0 + 0.0j
-        for c in cat.labels:
-            if cat.n(a, a, c):
-                acc += dims[c] * np.trace(cat.rmat(a, a, c))
+        for c, _ in cat.fuse(a, a):
+            acc += dims[c] * np.trace(cat.rmat(a, a, c))
         twists[a] = complex(acc / dims[a])
     cat.twists = twists
 
@@ -308,214 +342,150 @@ def _unitarity_residual(mat: np.ndarray) -> float:
 
 def _pentagon_residual(cat: CategoryData, a: str, b: str, c: str, d: str) -> float:
     """Compare the two F-move paths ((ab)c)d -> a(b(cd)), summed over sectors."""
+    fuse, n = cat.fuse, cat.n
+    moves: dict[tuple[str, str, str, str], tuple] = {}
+
+    def fmove(*key: str) -> tuple[np.ndarray, dict, list]:
+        """F^{key}, the index of each of its rows, and its columns."""
+        if key not in moves:
+            rows = cat.f_rows(*key)
+            moves[key] = (cat.fmat(*key), {t: i for i, t in enumerate(rows)}, cat.f_cols(*key))
+        return moves[key]
+
+    reached = {e for f, _ in fuse(a, b) for g, _ in fuse(f, c) for e, _ in fuse(g, d)}
     worst = 0.0
     for e in cat.labels:
+        if e not in reached:
+            continue
         b1 = [
             (f, al, g, be, ga)
-            for f in cat.labels
-            for al in range(cat.n(a, b, f))
-            for g in cat.labels
-            for be in range(cat.n(f, c, g))
-            for ga in range(cat.n(g, d, e))
+            for f, n_abf in fuse(a, b)
+            for al in range(n_abf)
+            for g, n_fcg in fuse(f, c)
+            for be in range(n_fcg)
+            for ga in range(n(g, d, e))
         ]
-        if not b1:
-            continue
         b2 = [
             (h, mu, g, nu, ga)
-            for h in cat.labels
-            for mu in range(cat.n(b, c, h))
-            for g in cat.labels
-            for nu in range(cat.n(a, h, g))
-            for ga in range(cat.n(g, d, e))
+            for h, n_bch in fuse(b, c)
+            for mu in range(n_bch)
+            for g, n_ahg in fuse(a, h)
+            for nu in range(n_ahg)
+            for ga in range(n(g, d, e))
         ]
         b3 = [
             (h, mu, l, si, ta)
-            for h in cat.labels
-            for mu in range(cat.n(b, c, h))
-            for l in cat.labels
-            for si in range(cat.n(h, d, l))
-            for ta in range(cat.n(a, l, e))
+            for h, n_bch in fuse(b, c)
+            for mu in range(n_bch)
+            for l, n_hdl in fuse(h, d)
+            for si in range(n_hdl)
+            for ta in range(n(a, l, e))
         ]
         b4 = [
             (k, ka, l, lam, ta)
-            for k in cat.labels
-            for ka in range(cat.n(c, d, k))
-            for l in cat.labels
-            for lam in range(cat.n(b, k, l))
-            for ta in range(cat.n(a, l, e))
+            for k, n_cdk in fuse(c, d)
+            for ka in range(n_cdk)
+            for l, n_bkl in fuse(b, k)
+            for lam in range(n_bkl)
+            for ta in range(n(a, l, e))
         ]
         b5 = [
             (f, al, k, ka, ta)
-            for f in cat.labels
-            for al in range(cat.n(a, b, f))
-            for k in cat.labels
-            for ka in range(cat.n(c, d, k))
-            for ta in range(cat.n(f, k, e))
+            for f, n_abf in fuse(a, b)
+            for al in range(n_abf)
+            for k, n_cdk in fuse(c, d)
+            for ka in range(n_cdk)
+            for ta in range(n(f, k, e))
         ]
-        i1 = {t: i for i, t in enumerate(b1)}
         i2 = {t: i for i, t in enumerate(b2)}
         i3 = {t: i for i, t in enumerate(b3)}
         i4 = {t: i for i, t in enumerate(b4)}
         i5 = {t: i for i, t in enumerate(b5)}
 
         m12 = np.zeros((len(b2), len(b1)), dtype=complex)
-        for (f, al, g, be, ga) in b1:
-            fm = cat.fmat(a, b, c, g)
-            rows = cat.f_rows(a, b, c, g)
-            cols = cat.f_cols(a, b, c, g)
-            ri = rows.index((f, al, be))
+        for j, (f, al, g, be, ga) in enumerate(b1):
+            fm, ri, cols = fmove(a, b, c, g)
+            row = fm[ri[(f, al, be)]]
             for ci, (h, mu, nu) in enumerate(cols):
-                v = fm[ri, ci]
-                if v:
-                    m12[i2[(h, mu, g, nu, ga)], i1[(f, al, g, be, ga)]] += v
+                if row[ci]:
+                    m12[i2[(h, mu, g, nu, ga)], j] += row[ci]
         m23 = np.zeros((len(b3), len(b2)), dtype=complex)
-        for (h, mu, g, nu, ga) in b2:
-            fm = cat.fmat(a, h, d, e)
-            rows = cat.f_rows(a, h, d, e)
-            cols = cat.f_cols(a, h, d, e)
-            ri = rows.index((g, nu, ga))
+        for j, (h, mu, g, nu, ga) in enumerate(b2):
+            fm, ri, cols = fmove(a, h, d, e)
+            row = fm[ri[(g, nu, ga)]]
             for ci, (l, si, ta) in enumerate(cols):
-                v = fm[ri, ci]
-                if v:
-                    m23[i3[(h, mu, l, si, ta)], i2[(h, mu, g, nu, ga)]] += v
+                if row[ci]:
+                    m23[i3[(h, mu, l, si, ta)], j] += row[ci]
         m34 = np.zeros((len(b4), len(b3)), dtype=complex)
-        for (h, mu, l, si, ta) in b3:
-            fm = cat.fmat(b, c, d, l)
-            rows = cat.f_rows(b, c, d, l)
-            cols = cat.f_cols(b, c, d, l)
-            ri = rows.index((h, mu, si))
+        for j, (h, mu, l, si, ta) in enumerate(b3):
+            fm, ri, cols = fmove(b, c, d, l)
+            row = fm[ri[(h, mu, si)]]
             for ci, (k, ka, lam) in enumerate(cols):
-                v = fm[ri, ci]
-                if v:
-                    m34[i4[(k, ka, l, lam, ta)], i3[(h, mu, l, si, ta)]] += v
+                if row[ci]:
+                    m34[i4[(k, ka, l, lam, ta)], j] += row[ci]
         m15 = np.zeros((len(b5), len(b1)), dtype=complex)
-        for (f, al, g, be, ga) in b1:
-            fm = cat.fmat(f, c, d, e)
-            rows = cat.f_rows(f, c, d, e)
-            cols = cat.f_cols(f, c, d, e)
-            ri = rows.index((g, be, ga))
+        for j, (f, al, g, be, ga) in enumerate(b1):
+            fm, ri, cols = fmove(f, c, d, e)
+            row = fm[ri[(g, be, ga)]]
             for ci, (k, ka, ta) in enumerate(cols):
-                v = fm[ri, ci]
-                if v:
-                    m15[i5[(f, al, k, ka, ta)], i1[(f, al, g, be, ga)]] += v
+                if row[ci]:
+                    m15[i5[(f, al, k, ka, ta)], j] += row[ci]
         m54 = np.zeros((len(b4), len(b5)), dtype=complex)
-        for (f, al, k, ka, ta) in b5:
-            fm = cat.fmat(a, b, k, e)
-            rows = cat.f_rows(a, b, k, e)
-            cols = cat.f_cols(a, b, k, e)
-            ri = rows.index((f, al, ta))
+        for j, (f, al, k, ka, ta) in enumerate(b5):
+            fm, ri, cols = fmove(a, b, k, e)
+            row = fm[ri[(f, al, ta)]]
             for ci, (l, lam, nu) in enumerate(cols):
-                v = fm[ri, ci]
-                if v:
-                    m54[i4[(k, ka, l, lam, nu)], i5[(f, al, k, ka, ta)]] += v
+                if row[ci]:
+                    m54[i4[(k, ka, l, lam, nu)], j] += row[ci]
         res = np.max(np.abs(m34 @ m23 @ m12 - m54 @ m15)) if b4 else 0.0
         worst = max(worst, float(res))
     return worst
 
 
 def _hexagon_residual(cat: CategoryData, c: str, a: str, b: str, d: str, sign: str) -> float:
-    """Residual of the hexagon identity for braiding c over a then b, total d."""
+    """Residual of the hexagon identity for braiding c over a then b, total d.
+
+    Every basis on the two paths is the row or column basis of one of
+    F^{cab}_d, F^{acb}_d, F^{abc}_d, so each F-move is its F-matrix transposed.
+    """
 
     def rb(x: str, y: str, z: str) -> np.ndarray:
         if sign == "+":
             return cat.rmat(x, y, z)
         return cat.rmat(y, x, z).conj().T
 
-    start = [
-        (e, al, be)
-        for e in cat.labels
-        for al in range(cat.n(c, a, e))
-        for be in range(cat.n(e, b, d))
-    ]
-    end = [
-        (g, mu, nu)
-        for g in cat.labels
-        for mu in range(cat.n(b, c, g))
-        for nu in range(cat.n(a, g, d))
-    ]
+    start = cat.f_rows(c, a, b, d)
+    end = cat.f_cols(a, b, c, d)
     if not start or not end:
         return 0.0
-    mid1 = [
-        (e, al, be)
-        for e in cat.labels
-        for al in range(cat.n(a, c, e))
-        for be in range(cat.n(e, b, d))
-    ]
-    mid2 = [
-        (g, mu, nu)
-        for g in cat.labels
-        for mu in range(cat.n(c, b, g))
-        for nu in range(cat.n(a, g, d))
-    ]
-    mid3 = [
-        (f, mu, nu)
-        for f in cat.labels
-        for mu in range(cat.n(a, b, f))
-        for nu in range(cat.n(c, f, d))
-    ]
-    mid4 = [
-        (f, mu, nu)
-        for f in cat.labels
-        for mu in range(cat.n(a, b, f))
-        for nu in range(cat.n(f, c, d))
-    ]
-    i_start = {t: i for i, t in enumerate(start)}
-    i_end = {t: i for i, t in enumerate(end)}
-    i_m1 = {t: i for i, t in enumerate(mid1)}
-    i_m2 = {t: i for i, t in enumerate(mid2)}
-    i_m3 = {t: i for i, t in enumerate(mid3)}
-    i_m4 = {t: i for i, t in enumerate(mid4)}
+    mid1 = cat.f_rows(a, c, b, d)
+    mid2 = cat.f_cols(a, c, b, d)
+    mid3 = cat.f_cols(c, a, b, d)
+    mid4 = cat.f_rows(a, b, c, d)
+
+    def braid_first(src: list, dst: list, x: str, y: str) -> np.ndarray:
+        """R^{xy}_e on the first vertex of each (e, alpha, beta) in src."""
+        i_dst = {t: i for i, t in enumerate(dst)}
+        out = np.zeros((len(dst), len(src)), dtype=complex)
+        for j, (e, al, be) in enumerate(src):
+            rm = rb(x, y, e)
+            for alp in range(rm.shape[0]):
+                if rm[alp, al]:
+                    out[i_dst[(e, alp, be)], j] += rm[alp, al]
+        return out
 
     # path 1: R^{ca}_e, then F^{acb}_d, then R^{cb}_g
-    r1 = np.zeros((len(mid1), len(start)), dtype=complex)
-    for (e, al, be) in start:
-        rm = rb(c, a, e)
-        for alp in range(rm.shape[0]):
-            if rm[alp, al]:
-                r1[i_m1[(e, alp, be)], i_start[(e, al, be)]] += rm[alp, al]
-    f1 = np.zeros((len(mid2), len(mid1)), dtype=complex)
-    for (e, al, be) in mid1:
-        fm = cat.fmat(a, c, b, d)
-        rows = cat.f_rows(a, c, b, d)
-        cols = cat.f_cols(a, c, b, d)
-        ri = rows.index((e, al, be))
-        for ci, (g, mu, nu) in enumerate(cols):
-            if fm[ri, ci]:
-                f1[i_m2[(g, mu, nu)], i_m1[(e, al, be)]] += fm[ri, ci]
-    r2 = np.zeros((len(end), len(mid2)), dtype=complex)
-    for (g, mu, nu) in mid2:
-        rm = rb(c, b, g)
-        for mup in range(rm.shape[0]):
-            if rm[mup, mu]:
-                r2[i_end[(g, mup, nu)], i_m2[(g, mu, nu)]] += rm[mup, mu]
-    lhs = r2 @ f1 @ r1
+    lhs = braid_first(mid2, end, c, b) @ cat.fmat(a, c, b, d).T @ braid_first(start, mid1, c, a)
 
     # path 2: F^{cab}_d, then R^{cf}_d, then F^{abc}_d
-    f2 = np.zeros((len(mid3), len(start)), dtype=complex)
-    for (e, al, be) in start:
-        fm = cat.fmat(c, a, b, d)
-        rows = cat.f_rows(c, a, b, d)
-        cols = cat.f_cols(c, a, b, d)
-        ri = rows.index((e, al, be))
-        for ci, (f, mu, nu) in enumerate(cols):
-            if fm[ri, ci]:
-                f2[i_m3[(f, mu, nu)], i_start[(e, al, be)]] += fm[ri, ci]
+    i_m4 = {t: i for i, t in enumerate(mid4)}
     r3 = np.zeros((len(mid4), len(mid3)), dtype=complex)
-    for (f, mu, nu) in mid3:
+    for j, (f, mu, nu) in enumerate(mid3):
         rm = rb(c, f, d)
         for nup in range(rm.shape[0]):
             if rm[nup, nu]:
-                r3[i_m4[(f, mu, nup)], i_m3[(f, mu, nu)]] += rm[nup, nu]
-    f3 = np.zeros((len(end), len(mid4)), dtype=complex)
-    for (f, mu, nu) in mid4:
-        fm = cat.fmat(a, b, c, d)
-        rows = cat.f_rows(a, b, c, d)
-        cols = cat.f_cols(a, b, c, d)
-        ri = rows.index((f, mu, nu))
-        for ci, (g, mup, nup) in enumerate(cols):
-            if fm[ri, ci]:
-                f3[i_end[(g, mup, nup)], i_m4[(f, mu, nu)]] += fm[ri, ci]
-    rhs = f3 @ r3 @ f2
+                r3[i_m4[(f, mu, nup)], j] += rm[nup, nu]
+    rhs = cat.fmat(a, b, c, d).T @ r3 @ cat.fmat(c, a, b, d).T
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -542,17 +512,20 @@ def validate_category(cat: CategoryData) -> ValidationReport:
     for c in cat.labels:
         for a in cat.labels:
             for b in cat.labels:
+                reached = {d for e, _ in cat.fuse(c, a) for d, _ in cat.fuse(e, b)}
                 for d in cat.labels:
+                    if d not in reached:
+                        continue
                     rp = _hexagon_residual(cat, c, a, b, d, "+")
                     rm = _hexagon_residual(cat, c, a, b, d, "-")
-                    if rp > hexp:
-                        hexp = rp
+                    if max(rp, rm) > max(hexp, hexm):
                         worst_h = (c, a, b, d)
+                    hexp = max(hexp, rp)
                     hexm = max(hexm, rm)
     dim_res = 0.0
     for a in cat.labels:
         for b in cat.labels:
-            tgt = sum(cat.n(a, b, c) * cat.dims[c] for c in cat.labels)
+            tgt = sum(m * cat.dims[c] for c, m in cat.fuse(a, b))
             dim_res = max(dim_res, abs(cat.dims[a] * cat.dims[b] - tgt))
     ok = (
         f_res < cat.tol
@@ -579,6 +552,7 @@ def validate_category(cat: CategoryData) -> ValidationReport:
 def modular_data(cat: CategoryData, require_modular: bool = False) -> ModularData:
     labels = cat.labels
     n = len(labels)
+    idx = {a: i for i, a in enumerate(labels)}
     d = np.array([cat.dims[a] for a in labels])
     kappa = np.array([cat.twists[a] for a in labels])
     big_d = float(np.sqrt(cat.global_dim))
@@ -587,14 +561,13 @@ def modular_data(cat: CategoryData, require_modular: bool = False) -> ModularDat
         for j, b in enumerate(labels):
             acc = 0.0 + 0.0j
             abar = cat.dual[a]
-            for k, c in enumerate(labels):
-                m = cat.n(abar, b, c)
-                if m:
-                    acc += m * d[k] * kappa[k] / (kappa[i] * kappa[j])
+            for c, m in cat.fuse(abar, b):
+                k = idx[c]
+                acc += m * d[k] * kappa[k] / (kappa[i] * kappa[j])
             s[i, j] = acc / big_d
     conj_perm = np.zeros((n, n))
     for i, a in enumerate(labels):
-        conj_perm[labels.index(cat.dual[a]), i] = 1.0
+        conj_perm[idx[cat.dual[a]], i] = 1.0
     gauss = complex(np.sum(d * d / kappa) / big_d)
     omega = gauss ** (1.0 / 3.0)
     t = omega * np.diag(kappa)
@@ -623,11 +596,42 @@ def split_label(l: str) -> tuple[str, str]:
     return a, b
 
 
+def _factor_positions(
+    basis: list[tuple[str, int, int]],
+    basis_l: list[tuple[str, int, int]],
+    basis_r: list[tuple[str, int, int]],
+    n_inner_r,
+    n_outer_r,
+) -> tuple[list[int], list[int]]:
+    """Positions in the factor bases of each product basis vector (x, i, j).
+
+    A product multiplicity index is i = i_l * n_r + i_r, with n_r the right
+    factor's multiplicity at that vertex (`n_inner_r(x_r)` for i,
+    `n_outer_r(x_r)` for j), as in `np.kron`.
+    """
+    idx_l = {t: k for k, t in enumerate(basis_l)}
+    idx_r = {t: k for k, t in enumerate(basis_r)}
+    pos_l, pos_r = [], []
+    for x, i, j in basis:
+        x_l, x_r = split_label(x)
+        i_l, i_r = divmod(i, n_inner_r(x_r))
+        j_l, j_r = divmod(j, n_outer_r(x_r))
+        pos_l.append(idx_l[(x_l, i_l, j_l)])
+        pos_r.append(idx_r[(x_r, i_r, j_r)])
+    return pos_l, pos_r
+
+
 def deligne_product(cat_l: CategoryData, cat_r: CategoryData, reverse_right: bool = False) -> CategoryData:
-    """C x D (Deligne product); with reverse_right, D carries the opposite braiding."""
+    """C x D (Deligne product); with reverse_right, D carries the opposite braiding.
+
+    Every F-symbol is built eagerly, so `validate_category` sees all of them.
+    Only admissible label tuples (those with a fusion channel) are visited,
+    so the cost scales with their number, not with rank^4.
+    """
     labels = [pair_label(a, b) for a in cat_l.labels for b in cat_r.labels]
     unit = pair_label(cat_l.unit, cat_r.unit)
     labels = tuple([unit] + sorted(l for l in labels if l != unit))
+    order = {l: i for i, l in enumerate(labels)}
     dual = {}
     fusion = {}
     for l in labels:
@@ -637,11 +641,9 @@ def deligne_product(cat_l: CategoryData, cat_r: CategoryData, reverse_right: boo
         a1, b1 = split_label(l1)
         for l2 in labels:
             a2, b2 = split_label(l2)
-            for l3 in labels:
-                a3, b3 = split_label(l3)
-                m = cat_l.n(a1, a2, a3) * cat_r.n(b1, b2, b3)
-                if m:
-                    fusion[(l1, l2, l3)] = m
+            for a3, m_l in cat_l.fuse(a1, a2):
+                for b3, m_r in cat_r.fuse(b1, b2):
+                    fusion[(l1, l2, pair_label(a3, b3))] = m_l * m_r
     prod = CategoryData(
         labels=labels,
         dual=dual,
@@ -654,50 +656,42 @@ def deligne_product(cat_l: CategoryData, cat_r: CategoryData, reverse_right: boo
         a1, a2 = split_label(la)
         for lb in labels:
             b1, b2 = split_label(lb)
+            fuse_ab = prod.fuse(la, lb)
             for lc in labels:
+                if unit in (la, lb, lc):
+                    continue
                 c1, c2 = split_label(lc)
-                for ld in labels:
+                lds = sorted({ld for le, _ in fuse_ab for ld, _ in prod.fuse(le, lc)}, key=order.__getitem__)
+                for ld in lds:
                     d1, d2 = split_label(ld)
-                    rows = prod.f_rows(la, lb, lc, ld)
-                    cols = prod.f_cols(la, lb, lc, ld)
-                    if not rows or not cols:
-                        continue
-                    if prod.unit in (la, lb, lc):
-                        continue
+                    rows_l, rows_r = _factor_positions(
+                        prod.f_rows(la, lb, lc, ld),
+                        cat_l.f_rows(a1, b1, c1, d1),
+                        cat_r.f_rows(a2, b2, c2, d2),
+                        lambda e2: cat_r.n(a2, b2, e2),
+                        lambda e2: cat_r.n(e2, c2, d2),
+                    )
+                    cols_l, cols_r = _factor_positions(
+                        prod.f_cols(la, lb, lc, ld),
+                        cat_l.f_cols(a1, b1, c1, d1),
+                        cat_r.f_cols(a2, b2, c2, d2),
+                        lambda f2: cat_r.n(b2, c2, f2),
+                        lambda f2: cat_r.n(a2, f2, d2),
+                    )
                     f1 = cat_l.fmat(a1, b1, c1, d1)
                     f2 = cat_r.fmat(a2, b2, c2, d2)
-                    r1 = {t: i for i, t in enumerate(cat_l.f_rows(a1, b1, c1, d1))}
-                    c1i = {t: i for i, t in enumerate(cat_l.f_cols(a1, b1, c1, d1))}
-                    r2 = {t: i for i, t in enumerate(cat_r.f_rows(a2, b2, c2, d2))}
-                    c2i = {t: i for i, t in enumerate(cat_r.f_cols(a2, b2, c2, d2))}
-                    mat = np.zeros((len(rows), len(cols)), dtype=complex)
-                    for ri, (e, al, be) in enumerate(rows):
-                        e1, e2 = split_label(e)
-                        ne2 = cat_r.n(a2, b2, e2)
-                        nbe2 = cat_r.n(e2, c2, d2)
-                        al1, al2 = divmod(al, ne2)
-                        be1, be2 = divmod(be, nbe2)
-                        for ci, (f, mu, nu) in enumerate(cols):
-                            f1l, f2l = split_label(f)
-                            nmu2 = cat_r.n(b2, c2, f2l)
-                            nnu2 = cat_r.n(a2, f2l, d2)
-                            mu1, mu2 = divmod(mu, nmu2)
-                            nu1, nu2 = divmod(nu, nnu2)
-                            mat[ri, ci] = (
-                                f1[r1[(e1, al1, be1)], c1i[(f1l, mu1, nu1)]]
-                                * f2[r2[(e2, al2, be2)], c2i[(f2l, mu2, nu2)]]
-                            )
-                    prod.f_symbols[(la, lb, lc, ld)] = mat
+                    # one gather per factor: F1[rows_l, cols_l] * F2[rows_r, cols_r]
+                    prod.f_symbols[(la, lb, lc, ld)] = (
+                        f1.take(rows_l, 0).take(cols_l, 1) * f2.take(rows_r, 0).take(cols_r, 1)
+                    )
     for la in labels:
         a1, a2 = split_label(la)
         for lb in labels:
             b1, b2 = split_label(lb)
-            for lc in labels:
+            if unit in (la, lb):
+                continue
+            for lc, _ in prod.fuse(la, lb):
                 c1, c2 = split_label(lc)
-                if not prod.n(la, lb, lc):
-                    continue
-                if prod.unit in (la, lb):
-                    continue
                 m1 = cat_l.rmat(a1, b1, c1)
                 if reverse_right:
                     m2 = cat_r.rmat(b2, a2, c2).conj().T
@@ -706,14 +700,3 @@ def deligne_product(cat_l: CategoryData, cat_r: CategoryData, reverse_right: boo
                 prod.r_symbols[(la, lb, lc)] = np.kron(m1, m2)
     _derive(prod)
     return prod
-
-
-def killing_check(cat_product: CategoryData, rho: str):
-    """Evaluate the encircling of a simple sector by the canonical object.
-
-    Implemented in braided_ops (needs the canonical Q-system); re-exported
-    here for discoverability.
-    """
-    from .braided import killing_check as _kc
-
-    return _kc(cat_product, rho)

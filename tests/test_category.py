@@ -1,11 +1,13 @@
 from __future__ import annotations
 
-import json
+import cmath
+import itertools
 
 import numpy as np
 import pytest
 
 from qcat.category import (
+    _hexagon_residual,
     build_category,
     deligne_product,
     load_category,
@@ -52,6 +54,20 @@ def test_schema_errors():
         load_category("{not json")
 
 
+def test_f_entry_in_listed_row_and_column_order(ising):
+    data = ising_category()
+    key = ("sig", "sig", "sig", "sig")
+    (entry,) = [e for e in data["F"] if tuple(e["abc_d"]) == key]
+    entry["re"] = [row[::-1] for row in entry["re"][::-1]]
+    entry["im"] = [row[::-1] for row in entry["im"][::-1]]
+    entry["rows"] = [["eps", 0, 0], ["1", 0, 0]]
+    entry["cols"] = [["eps", 0, 0], ["1", 0, 0]]
+    assert np.array_equal(build_category(data).f_symbols[key], ising.f_symbols[key])
+    entry["rows"] = [["eps", 0, 0], ["eps", 0, 0]]
+    with pytest.raises(ParseError):
+        build_category(data)
+
+
 def test_ising_dims_and_global_dim(ising):
     md = modular_data(ising)
     assert np.allclose(sorted(md.dims), [1.0, 1.0, np.sqrt(2.0)], atol=1e-9)
@@ -91,12 +107,153 @@ def test_z2_not_modular(z2):
     assert not md.is_modular
 
 
+def zn_data(n: int, gauge=lambda a, b: 1.0) -> dict:
+    """Z_n pointed category: trivial F, R^{ab} = exp(2 pi i ab / n), in a vertex gauge.
+
+    The vertex (a, b -> a + b) is rescaled by gauge(a, b) (1 on unit legs),
+    so F^{abc}_d = u(a,b) u(a+b,c) / (u(b,c) u(a,b+c)) and
+    R^{ab} = exp(2 pi i ab / n) u(a,b) / u(b,a).  Labels a and -a are dual,
+    so only "0" is self-dual for odd n.
+    """
+
+    def u(a, b):
+        return 1.0 if 0 in (a, b) else gauge(a, b)
+
+    def entry(key_name, key, z):
+        return {key_name: [str(x) for x in key], "re": [[z.real]], "im": [[z.imag]]}
+
+    f_entries = [
+        entry(
+            "abc_d",
+            (a, b, c, (a + b + c) % n),
+            complex(u(a, b) * u((a + b) % n, c) / (u(b, c) * u(a, (b + c) % n))),
+        )
+        for a, b, c in itertools.product(range(1, n), repeat=3)
+    ]
+    r_entries = [
+        entry("ab_c", (a, b, (a + b) % n), cmath.exp(2j * cmath.pi * a * b / n) * u(a, b) / u(b, a))
+        for a, b in itertools.product(range(1, n), repeat=2)
+    ]
+    return {
+        "labels": [str(a) for a in range(n)],
+        "dual": {str(a): str(-a % n) for a in range(n)},
+        "fusion": [[str(a), str(b), str((a + b) % n), 1] for a in range(n) for b in range(n)],
+        "F": f_entries,
+        "R": r_entries,
+    }
+
+
+def gauged_z3():
+    rng = np.random.default_rng(5)
+    phase = {(a, b): cmath.exp(2j * cmath.pi * rng.random()) for a in range(1, 3) for b in range(1, 3)}
+    return build_category(zn_data(3, lambda a, b: phase[(a, b)]))
+
+
+def scan_rows(cat, x, y, z, w):
+    """Rows (e, alpha, beta) of F^{xyz}_w, scanning every label."""
+    return [(e, i, j) for e in cat.labels for i in range(cat.n(x, y, e)) for j in range(cat.n(e, z, w))]
+
+
+def scan_cols(cat, x, y, z, w):
+    """Columns (f, mu, nu) of F^{xyz}_w, scanning every label."""
+    return [(f, i, j) for f in cat.labels for i in range(cat.n(y, z, f)) for j in range(cat.n(x, f, w))]
+
+
+def reference_product_f(cat_l, cat_r, labels):
+    """F-symbols of C x D entry by entry:
+    F[(e,al,be),(f,mu,nu)] = F1[(e1,al1,be1),(f1,mu1,nu1)] * F2[(e2,al2,be2),(f2,mu2,nu2)],
+    with a product multiplicity index al = al1 * n2 + al2 as in np.kron."""
+
+    def n(x, y, z):
+        (x1, x2), (y1, y2), (z1, z2) = split_label(x), split_label(y), split_label(z)
+        return cat_l.n(x1, y1, z1) * cat_r.n(x2, y2, z2)
+
+    def split_vector(vec, n_inner_r, n_outer_r):
+        x, i, j = vec
+        x1, x2 = split_label(x)
+        i1, i2 = divmod(i, n_inner_r(x2))
+        j1, j2 = divmod(j, n_outer_r(x2))
+        return (x1, i1, j1), (x2, i2, j2)
+
+    out = {}
+    for la, lb, lc, ld in itertools.product(labels, repeat=4):
+        if labels[0] in (la, lb, lc):
+            continue
+        rows = [(e, i, j) for e in labels for i in range(n(la, lb, e)) for j in range(n(e, lc, ld))]
+        cols = [(f, i, j) for f in labels for i in range(n(lb, lc, f)) for j in range(n(la, f, ld))]
+        if not rows or not cols:
+            continue
+        (a1, a2), (b1, b2), (c1, c2), (d1, d2) = map(split_label, (la, lb, lc, ld))
+        f1 = cat_l.fmat(a1, b1, c1, d1)
+        f2 = cat_r.fmat(a2, b2, c2, d2)
+        rows1, cols1 = scan_rows(cat_l, a1, b1, c1, d1), scan_cols(cat_l, a1, b1, c1, d1)
+        rows2, cols2 = scan_rows(cat_r, a2, b2, c2, d2), scan_cols(cat_r, a2, b2, c2, d2)
+        mat = np.zeros((len(rows), len(cols)), dtype=complex)
+        for ri, row in enumerate(rows):
+            r1, r2 = split_vector(row, lambda e2: cat_r.n(a2, b2, e2), lambda e2: cat_r.n(e2, c2, d2))
+            for ci, col in enumerate(cols):
+                k1, k2 = split_vector(col, lambda f2: cat_r.n(b2, c2, f2), lambda f2: cat_r.n(a2, f2, d2))
+                mat[ri, ci] = f1[rows1.index(r1), cols1.index(k1)] * f2[rows2.index(r2), cols2.index(k2)]
+        out[(la, lb, lc, ld)] = mat
+    return out
+
+
+@pytest.mark.parametrize("factor", ["ising", "gauged_z3"])
+def test_deligne_product_f_symbols_match_reference(factor, ising):
+    cat = ising if factor == "ising" else gauged_z3()
+    prod = deligne_product(cat, cat, reverse_right=True)
+    assert set(prod.labels) == {pair_label(a, b) for a in cat.labels for b in cat.labels}
+    ref = reference_product_f(cat, cat, prod.labels)
+    # same keys, in the same (label) order
+    assert list(prod.f_symbols) == list(ref)
+    for key, mat in ref.items():
+        # one complex product per entry: agreement to a few ulp
+        assert prod.f_symbols[key].shape == mat.shape
+        assert np.max(np.abs(prod.f_symbols[key] - mat)) < 1e-14, key
+
+
 def test_deligne_product_validates(ising):
     prod = deligne_product(ising, ising, reverse_right=True)
     assert len(prod.labels) == 9
     assert abs(prod.global_dim - 16.0) < 1e-9
     a, b = split_label(pair_label("sig", "eps"))
     assert (a, b) == ("sig", "eps")
+    rep = validate_category(prod)
+    assert rep.ok, rep.as_dict()
+    z3 = gauged_z3()
+    assert validate_category(z3).ok
+    assert validate_category(deligne_product(z3, z3, reverse_right=True)).ok
+
+
+def test_rank25_product_has_one_f_symbol_per_admissible_tuple():
+    z5 = build_category(zn_data(5))
+    prod = deligne_product(z5, z5, reverse_right=True)
+    assert len(prod.labels) == 25
+    admissible = [
+        t
+        for t in itertools.product(z5.labels, repeat=4)
+        if any(z5.n(t[0], t[1], e) and z5.n(e, t[2], t[3]) for e in z5.labels)
+    ]
+    # a product leg is the unit exactly when both factor legs are
+    expected = sum(
+        1
+        for t1 in admissible
+        for t2 in admissible
+        if not any(x1 == z5.unit and x2 == z5.unit for x1, x2 in zip(t1[:3], t2[:3]))
+    )
+    assert expected == 24**3
+    assert len(prod.f_symbols) == expected
+
+
+def test_worst_hexagon_follows_the_minus_hexagon():
+    # a non-unitary vertex gauge keeps the + hexagon (gauge covariant) but
+    # breaks the - hexagon, which uses R^dagger in place of R^{-1}
+    cat = build_category(zn_data(3, lambda a, b: 2.0 if (a, b) == (1, 2) else 1.0))
+    rep = validate_category(cat)
+    assert rep.hexagon_plus < 1e-9
+    assert rep.hexagon_minus > 1.0
+    worst = max(itertools.product(cat.labels, repeat=4), key=lambda t: _hexagon_residual(cat, *t, "-"))
+    assert rep.worst_hexagon == worst
 
 
 def test_product_braiding_reversed_on_right(ising):

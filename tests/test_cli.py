@@ -33,6 +33,36 @@ def test_parse_error_exit_two(tmp_path):
     assert run(["emit-fixture", "nope", "--dir", str(tmp_path)]) == 2
 
 
+def _drop_a_row(data):
+    for entry in data["F"]:
+        if entry["abc_d"] == ["sig", "sig", "sig", "sig"]:
+            entry["re"], entry["im"] = entry["re"][:1], entry["im"][:1]
+
+
+def _short_fusion_row(data):
+    data["fusion"][0] = data["fusion"][0][:3]
+
+
+def _dual_as_list(data):
+    data["dual"] = list(data["dual"])
+
+
+def _nan_r_symbol(data):
+    data["R"][0]["re"] = [[float("nan")]]
+
+
+@pytest.mark.parametrize("damage", [_drop_a_row, _short_fusion_row, _dual_as_list, _nan_r_symbol])
+def test_malformed_category_exit_two(tmp_path, capsys, damage):
+    from qcat.fixtures import ising_category
+
+    data = ising_category()
+    damage(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["validate", str(path)]) == 2
+    assert "ParseError" in capsys.readouterr().err
+
+
 def test_axiom_failure_exit_three(tmp_path, capsys):
     import numpy as np
 
