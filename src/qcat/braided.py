@@ -13,13 +13,12 @@ from .errors import (
     RoundingError,
 )
 from .decompose import ReducedQSystem, check_intermediate
-from .frobenius import QSystem, check_commutative
+from .frobenius import QSystem
 from .morphisms import (
     Morphism,
     ObjectExpr,
     braiding,
     compose,
-    engine,
     hom_basis,
     identity,
     inclusion,

@@ -12,7 +12,7 @@ nu < N_{af}^d.  F-symbols with a unit leg are the identity (canonical gauge).
 """
 from __future__ import annotations
 
-import cmath
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -21,10 +21,8 @@ import numpy as np
 from .errors import (
     DataError,
     DegenerateError,
-    NotModularError,
     ParseError,
     SchemaError,
-    UnknownLabelError,
 )
 
 DEFAULT_TOL = 1e-9
@@ -61,10 +59,6 @@ class CategoryData:
 
     def n(self, a: str, b: str, c: str) -> int:
         return self.fusion.get((a, b, c), 0)
-
-    def check_label(self, a: str) -> None:
-        if a not in self.dual:
-            raise UnknownLabelError(f"unknown label {a!r}")
 
     def fuse(self, a: str, b: str) -> tuple[tuple[str, int], ...]:
         """Simple sectors of a x b with multiplicities, in label order.
@@ -117,9 +111,6 @@ class CategoryData:
         if self.unit in (a, b):
             return np.eye(n_ba, dtype=complex)
         raise SchemaError(f"missing R-symbol for {key}")
-
-    def dim_of(self, a: str) -> float:
-        return self.dims[a]
 
     @property
     def global_dim(self) -> float:
@@ -489,44 +480,29 @@ def _hexagon_residual(cat: CategoryData, c: str, a: str, b: str, d: str, sign: s
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def _worst(residuals) -> float:
+    """The largest of the residuals, 0 if there are none; NaN if any is NaN."""
+    return float(np.max(np.fromiter(residuals, dtype=float), initial=0.0))
+
+
 def validate_category(cat: CategoryData) -> ValidationReport:
-    f_res = 0.0
-    for mat in cat.f_symbols.values():
-        f_res = max(f_res, _unitarity_residual(mat))
-    r_res = 0.0
-    for mat in cat.r_symbols.values():
-        r_res = max(r_res, _unitarity_residual(mat))
-    pent = 0.0
-    worst_p = None
-    for a in cat.labels:
-        for b in cat.labels:
-            for c in cat.labels:
-                for d in cat.labels:
-                    res = _pentagon_residual(cat, a, b, c, d)
-                    if res > pent:
-                        pent = res
-                        worst_p = (a, b, c, d)
-    hexp = 0.0
-    hexm = 0.0
-    worst_h = None
-    for c in cat.labels:
-        for a in cat.labels:
-            for b in cat.labels:
-                reached = {d for e, _ in cat.fuse(c, a) for d, _ in cat.fuse(e, b)}
-                for d in cat.labels:
-                    if d not in reached:
-                        continue
-                    rp = _hexagon_residual(cat, c, a, b, d, "+")
-                    rm = _hexagon_residual(cat, c, a, b, d, "-")
-                    if max(rp, rm) > max(hexp, hexm):
-                        worst_h = (c, a, b, d)
-                    hexp = max(hexp, rp)
-                    hexm = max(hexm, rm)
-    dim_res = 0.0
-    for a in cat.labels:
-        for b in cat.labels:
-            tgt = sum(m * cat.dims[c] for c, m in cat.fuse(a, b))
-            dim_res = max(dim_res, abs(cat.dims[a] * cat.dims[b] - tgt))
+    labels = cat.labels
+    f_res = _worst(_unitarity_residual(mat) for mat in cat.f_symbols.values())
+    r_res = _worst(_unitarity_residual(mat) for mat in cat.r_symbols.values())
+    quads = list(itertools.product(labels, repeat=4))
+    pent_all = [_pentagon_residual(cat, *q) for q in quads]
+    pent = _worst(pent_all)
+    hex_keys = []
+    for c, a, b in itertools.product(labels, repeat=3):
+        reached = {d for e, _ in cat.fuse(c, a) for d, _ in cat.fuse(e, b)}
+        hex_keys += [(c, a, b, d) for d in labels if d in reached]
+    hex_p = [_hexagon_residual(cat, *key, "+") for key in hex_keys]
+    hex_m = [_hexagon_residual(cat, *key, "-") for key in hex_keys]
+    hexp, hexm = _worst(hex_p), _worst(hex_m)
+    dim_res = _worst(
+        abs(cat.dims[a] * cat.dims[b] - sum(m * cat.dims[c] for c, m in cat.fuse(a, b)))
+        for a, b in itertools.product(labels, repeat=2)
+    )
     ok = (
         f_res < cat.tol
         and r_res < cat.tol
@@ -535,6 +511,9 @@ def validate_category(cat: CategoryData) -> ValidationReport:
         and hexm < cat.tol
         and dim_res < cat.tol * 100
     )
+    # a NaN residual is never below tol, and argmax finds the first NaN
+    worst_p = None if pent < cat.tol else quads[int(np.argmax(pent_all))]
+    worst_h = None if np.maximum(hexp, hexm) < cat.tol else hex_keys[int(np.argmax(np.maximum(hex_p, hex_m)))]
     return ValidationReport(
         ok=ok,
         fusion_ok=True,
@@ -544,8 +523,8 @@ def validate_category(cat: CategoryData) -> ValidationReport:
         hexagon_plus=hexp,
         hexagon_minus=hexm,
         dim_residual=dim_res,
-        worst_pentagon=worst_p if pent >= cat.tol else None,
-        worst_hexagon=worst_h if max(hexp, hexm) >= cat.tol else None,
+        worst_pentagon=worst_p,
+        worst_hexagon=worst_h,
     )
 
 

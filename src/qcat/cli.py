@@ -154,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="RNG seed for idempotent searches")
     p.add_argument("--sign", choices=["+", "-"], default="+", help="braiding chirality")
     p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--jobs", type=int, default=1, help="parallelism opt-in (1 = serial)")
     p.add_argument("--side", choices=["left", "right"], default="left")
     p.add_argument("--mode", choices=["central", "irreducible"], default="central")
     p.add_argument("--dir", default=".", help="output directory for emit-fixture")
@@ -202,7 +201,13 @@ def _diff(a, b, tol: float, path: str, out: list) -> None:
 def _dispatch(args) -> int:
     tol = args.tol
     if tol is None and os.environ.get("QCAT_TOL"):
-        tol = float(os.environ["QCAT_TOL"])
+        try:
+            tol = float(os.environ["QCAT_TOL"])
+        except ValueError:
+            tol = float("nan")
+    if tol is not None and not 0.0 < tol < float("inf"):
+        print("qcat: error: the tolerance (--tol or QCAT_TOL) must be a finite number > 0", file=sys.stderr)
+        return 1
     fmt = args.format
 
     if args.verb == "emit-fixture":

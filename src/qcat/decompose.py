@@ -16,13 +16,11 @@ from .errors import (
 )
 from .frobenius import (
     QSystem,
-    check_qsystem,
     hom0_algebra,
     left_endo_algebra,
 )
 from .morphisms import (
     Morphism,
-    ObjectExpr,
     compose,
     endo_power,
     identity,

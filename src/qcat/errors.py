@@ -80,10 +80,6 @@ class NotModularError(AxiomError):
     pass
 
 
-class NotRationalError(AxiomError):
-    pass
-
-
 class DegenerateError(AxiomError):
     pass
 

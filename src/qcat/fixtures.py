@@ -119,19 +119,6 @@ def z2_category() -> dict:
     }
 
 
-def ising_qsystem() -> dict:
-    """The irreducible Ising Q-system (theta = sig^2, d = sqrt 2).
-
-    w = 2^{1/4} r with r the canonical isometry in Hom(1, sig^2); x is the
-    fusion-tree realization of 2^{-1/4}(r + t), obtained as 1 x r_sig x 1.
-    """
-    return {"category_ref": "ising", "builder": "ising_q"}
-
-
-def trivial_qsystem(category_ref: str = "trivial") -> dict:
-    return {"category_ref": category_ref, "builder": "trivial_q"}
-
-
 FIXTURE_CATEGORIES = {
     "ising": ising_category,
     "trivial": trivial_category,

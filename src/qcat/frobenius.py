@@ -17,7 +17,6 @@ from .morphisms import (
     ObjectExpr,
     braiding,
     compose,
-    conj_object,
     endo_power,
     engine,
     hom_basis,
@@ -78,7 +77,7 @@ class AxiomReport:
 
     @property
     def standard_ok(self) -> bool:
-        return max(self.standard_w, self.standard_x) < self.tol
+        return self.standard_w < self.tol and self.standard_x < self.tol
 
     @property
     def ok(self) -> bool:
@@ -129,9 +128,9 @@ def check_qsystem(cat: CategoryData, q: QSystem, tol: float | None = None) -> Ax
     standard_w = abs(complex(compose(w.adjoint(), w).scalar()) - d)
     standard_x = (n - d * idt).max_abs()
     return AxiomReport(
-        unit=max(unit_l, unit_r),
+        unit=float(np.maximum(unit_l, unit_r)),
         associativity=asso,
-        frobenius=max(frob_l, frob_r),
+        frobenius=float(np.maximum(frob_l, frob_r)),
         special=special,
         standard_w=standard_w,
         standard_x=standard_x,
@@ -141,11 +140,7 @@ def check_qsystem(cat: CategoryData, q: QSystem, tol: float | None = None) -> Ax
 
 
 def _mean_eigen(f: Morphism) -> complex:
-    num = 0.0 + 0.0j
-    den = 0
-    for b in f.blocks.values():
-        num += np.trace(b)
-        den += b.shape[0]
+    num = sum((np.trace(b) for b in f.blocks.values()), 0.0 + 0.0j)
     eng = engine(f.cat)
     total = sum(eng.obj_sector_dim(f.dom, c) for c in f.cat.labels)
     return num / total if total else 0.0
@@ -205,16 +200,13 @@ def iterate_specialize(
     def step(g: Morphism) -> Morphism:
         return compose(q.x.adjoint(), compose(tensor(g, g), q.x))
 
-    def hs_norm(g: Morphism) -> float:
-        return float(np.sqrt(sum(np.sum(np.abs(b) ** 2) for b in g.blocks.values())))
-
     # the scalar direction of the quadratic map is unstable, so iterate the
     # normalized direction and put the scale back at the end
-    m = (1.0 / hs_norm(m)) * m
+    m = (1.0 / m.hs_norm()) * m
     it = 0
     for it in range(max_iter):
         m_next = step(m)
-        nn = hs_norm(m_next)
+        nn = m_next.hs_norm()
         if nn < 1e-300:
             return Diverged(spectrum=[], iterations=it + 1)
         m_next = (1.0 / nn) * m_next
@@ -224,7 +216,7 @@ def iterate_specialize(
             break
     fm = step(m)
     c = sum(np.vdot(m.block(ch), fm.block(ch)) for ch in cat.labels if m.blocks.get(ch) is not None)
-    c = np.real(c) / max(hs_norm(m) ** 2, 1e-300)
+    c = np.real(c) / max(m.hs_norm() ** 2, 1e-300)
     if abs(c) < 1e3 * tol:
         return Diverged(spectrum=[], iterations=it + 1)
     m = (1.0 / c) * m

@@ -14,7 +14,7 @@ from .errors import (
     NotModularError,
     ShapeError,
 )
-from .braided import braided_product, canonical_qsystem, embed_left, full_centre
+from .braided import _embed_morphism, _embed_obj, braided_product, canonical_qsystem, embed_left, full_centre
 from .decompose import ReducedQSystem
 from .frobenius import AlgebraPresentation, QSystem
 from .morphisms import (
@@ -155,22 +155,27 @@ def free_module(cat: CategoryData, q, rho: ObjectExpr, side: str = "left", label
     raise ShapeError(f"unknown module side {side!r}")
 
 
+def _action_slot(mod: Module):
+    """k -> 1 (x) k, k (x) 1 or 1 (x) k (x) 1: k in the module leg of the
+    action of mod's Q-systems, by side."""
+    cat = mod.cat
+    if mod.side == "left":
+        idt = identity(cat, mod.parents[0].theta)
+        return lambda k: tensor(idt, k)
+    if mod.side == "right":
+        idt = identity(cat, mod.parents[0].theta)
+        return lambda k: tensor(k, idt)
+    if mod.side == "bi":
+        id_a, id_b = (identity(cat, q.theta) for q in mod.parents)
+        return lambda k: tensor(tensor(id_a, k), id_b)
+    raise ShapeError(f"unknown module side {mod.side!r}")
+
+
 def _intertwiner_condition(mod1: Module, mod2: Module):
-    cat = mod1.cat
     if mod1.side != mod2.side or len(mod1.parents) != len(mod2.parents):
         raise MismatchError("modules must share side and parents")
-    if mod1.side == "left":
-        q = mod1.parents[0]
-        idt = identity(cat, q.theta)
-        return [lambda t: compose(tensor(idt, t), mod1.m) - compose(mod2.m, t)]
-    if mod1.side == "right":
-        q = mod1.parents[0]
-        idt = identity(cat, q.theta)
-        return [lambda t: compose(tensor(t, idt), mod1.m) - compose(mod2.m, t)]
-    qa, qb = mod1.parents
-    ida = identity(cat, qa.theta)
-    idb = identity(cat, qb.theta)
-    return [lambda t: compose(tensor(tensor(ida, t), idb), mod1.m) - compose(mod2.m, t)]
+    slot = _action_slot(mod1)
+    return [lambda t: compose(slot(t), mod1.m) - compose(mod2.m, t)]
 
 
 def morphism_space(mod1: Module, mod2: Module, tol: float | None = None) -> list[Morphism]:
@@ -194,19 +199,7 @@ def module_end_algebra(mod: Module, tol: float | None = None) -> AlgebraPresenta
 
 
 def _cut_module(mod: Module, iso: Morphism, beta_i: ObjectExpr) -> Module:
-    cat = mod.cat
-    if mod.side == "left":
-        q = mod.parents[0]
-        m = compose(tensor(identity(cat, q.theta), iso.adjoint()), compose(mod.m, iso))
-    elif mod.side == "right":
-        q = mod.parents[0]
-        m = compose(tensor(iso.adjoint(), identity(cat, q.theta)), compose(mod.m, iso))
-    else:
-        qa, qb = mod.parents
-        m = compose(
-            tensor(tensor(identity(cat, qa.theta), iso.adjoint()), identity(cat, qb.theta)),
-            compose(mod.m, iso),
-        )
+    m = compose(_action_slot(mod)(iso.adjoint()), compose(mod.m, iso))
     return Module(mod.side, beta_i, m, mod.parents, mod.label)
 
 
@@ -224,33 +217,22 @@ def standardize_module(mod: Module, tol: float | None = None) -> Module:
     if (g - d * idb).max_abs() < 1e2 * tol:
         return mod
 
-    def wrap(k: Morphism) -> Morphism:
-        if mod.side == "left":
-            q = mod.parents[0]
-            return tensor(identity(cat, q.theta), k)
-        if mod.side == "right":
-            q = mod.parents[0]
-            return tensor(k, identity(cat, q.theta))
-        qa, qb = mod.parents
-        return tensor(tensor(identity(cat, qa.theta), k), identity(cat, qb.theta))
+    slot = _action_slot(mod)
 
     def phi(k: Morphism) -> Morphism:
-        return (1.0 / d) * compose(mod.m.adjoint(), compose(wrap(k), mod.m))
+        return (1.0 / d) * compose(mod.m.adjoint(), compose(slot(k), mod.m))
 
-    def hs(k: Morphism) -> float:
-        return float(np.sqrt(sum(np.sum(np.abs(b) ** 2) for b in k.blocks.values())))
-
-    k = (1.0 / hs(idb)) * idb
+    k = (1.0 / idb.hs_norm()) * idb
     for _ in range(400):
         k2 = phi(k)
-        k2 = (1.0 / hs(k2)) * k2
+        k2 = (1.0 / k2.hs_norm()) * k2
         delta = (k2 - k).max_abs()
         k = k2
         if delta < tol:
             break
     n = endo_power(k, 0.5)
     n_inv = endo_power(k, -0.5)
-    m2 = compose(wrap(n), compose(mod.m, n_inv))
+    m2 = compose(slot(n), compose(mod.m, n_inv))
     out = Module(mod.side, mod.beta, m2, mod.parents, mod.label)
     g2 = compose(m2.adjoint(), m2)
     lam = np.real(sum(np.trace(b) for b in g2.blocks.values())) / max(
@@ -280,8 +262,8 @@ def _equivalent_modules(mod1: Module, mod2: Module, tol: float | None = None) ->
 
 
 def enumerate_modules(cat: CategoryData, q, side: str = "left", tol: float | None = None) -> list[Module]:
-    """Irreducible (left/right) modules up to equivalence, from decomposing the
-    free modules over every simple object."""
+    """Irreducible left, right or bi (q = (qa, qb)) modules up to equivalence,
+    from decomposing the free modules over every simple object."""
     reps: list[Module] = []
     for a in cat.labels:
         free = free_module(cat, q, ObjectExpr.word(a), side, label=f"free[{a}]")
@@ -293,14 +275,7 @@ def enumerate_modules(cat: CategoryData, q, side: str = "left", tol: float | Non
 
 
 def enumerate_bimodules(cat: CategoryData, qa: QSystem, qb: QSystem, tol: float | None = None) -> list[Module]:
-    reps: list[Module] = []
-    for a in cat.labels:
-        free = free_module(cat, (qa, qb), ObjectExpr.word(a), "bi", label=f"free[{a}]")
-        for summand in decompose_module(free, tol):
-            if not any(_equivalent_modules(summand, r, tol) for r in reps):
-                summand.label = f"m{len(reps)}[{a}]"
-                reps.append(summand)
-    return reps
+    return enumerate_modules(cat, (qa, qb), "bi", tol)
 
 
 def bimodule_tensor(mod1: Module, mod2: Module, tol: float | None = None) -> Module:
@@ -365,12 +340,6 @@ def trivial_bimodule(cat: CategoryData, q: QSystem) -> Module:
 # ---- the boundary machinery ------------------------------------------
 
 
-def _embed_module_map(cat: CategoryData, prod: CategoryData, f: Morphism) -> Morphism:
-    from .braided import _embed_morphism
-
-    return _embed_morphism(cat, prod, f)
-
-
 def r_lift(
     cat: CategoryData,
     mod: Module,
@@ -380,14 +349,12 @@ def r_lift(
     """The R[m] bimodule over the braided products R[A], R[B]: carry an A-B
     bimodule along the canonical commutative Q-system, routing the spectator
     legs around it by the braiding."""
-    from .braided import _embed_obj
-
     c1, c2 = chirality
     prod, qr = canonical_qsystem(cat)
     qa, qb = mod.parents
     ra = braided_product(prod, embed_left(cat, prod, qa), qr, "+")
     rb = braided_product(prod, embed_left(cat, prod, qb), qr, "+")
-    m_e = _embed_module_map(cat, prod, mod.m)
+    m_e = _embed_morphism(cat, prod, mod.m)
     beta_e = _embed_obj(cat, prod, mod.beta)
     theta_a = _embed_obj(cat, prod, qa.theta)
     theta_b = _embed_obj(cat, prod, qb.theta)

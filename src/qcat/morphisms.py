@@ -3,8 +3,14 @@
 An ObjectExpr is a formal direct sum of tensor words of simple labels.  A
 Morphism stores, for every simple sector c, the matrix of the intertwiner
 between the canonical fusion-tree bases (left-nested coupling paths) of its
-domain and codomain.  Composition is per-sector matrix product; the monoidal
-product is computed through cached F-recoupling unitaries.
+domain and codomain.  Composition is per-sector matrix product.
+
+The monoidal product has one kernel.  A tree of x (x) y at sector e is
+recoupled by F-moves (`Engine.split`) into a split basis: a tree of x at c,
+a tree of y at d and a vertex mu of c x d -> e.  Grouped by fusion channel
+(c, d, mu), that basis carries f (x) g as one Kronecker block per channel:
+
+    (f (x) g)_e = S_cod^dagger . blockdiag_(c,d,mu) kron(f_c, g_d) . S_dom
 """
 from __future__ import annotations
 
@@ -12,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .category import CategoryData
-from .errors import ConjugacyError, ShapeError, UnknownLabelError
+from .category import CategoryData, _complex_array
+from .errors import ConjugacyError, ParseError, ShapeError, UnknownLabelError
 
 Word = tuple[str, ...]
 
@@ -33,10 +39,6 @@ class ObjectExpr:
     @staticmethod
     def unit() -> "ObjectExpr":
         return ObjectExpr(((),))
-
-    @staticmethod
-    def zero() -> "ObjectExpr":
-        return ObjectExpr(())
 
     @property
     def is_zero(self) -> bool:
@@ -91,10 +93,6 @@ class Morphism:
     def adjoint(self) -> "Morphism":
         return Morphism(self.cat, self.cod, self.dom, {c: b.conj().T for c, b in self.blocks.items()})
 
-    @property
-    def H(self) -> "Morphism":
-        return self.adjoint()
-
     def __matmul__(self, other: "Morphism") -> "Morphism":
         return compose(self, other)
 
@@ -115,19 +113,19 @@ class Morphism:
     __rmul__ = __mul__
 
     def norm(self) -> float:
-        """Largest operator norm over sectors."""
-        out = 0.0
-        for b in self.blocks.values():
-            if b.size:
-                out = max(out, float(np.linalg.norm(b, 2)))
-        return out
+        """Largest operator norm over sectors; NaN if any entry is not finite."""
+        blocks = [b for b in self.blocks.values() if b.size]
+        if not all(np.isfinite(b).all() for b in blocks):
+            return float("nan")
+        return float(np.max([np.linalg.norm(b, 2) for b in blocks], initial=0.0))
 
     def max_abs(self) -> float:
-        out = 0.0
-        for b in self.blocks.values():
-            if b.size:
-                out = max(out, float(np.max(np.abs(b))))
-        return out
+        """Largest entry modulus; NaN if any entry is NaN."""
+        return float(np.max([np.max(np.abs(b)) for b in self.blocks.values() if b.size], initial=0.0))
+
+    def hs_norm(self) -> float:
+        """Hilbert-Schmidt norm over all sectors."""
+        return float(np.sqrt(sum(np.sum(np.abs(b) ** 2) for b in self.blocks.values())))
 
     def scalar(self) -> complex:
         """The coefficient of a morphism 1 -> 1."""
@@ -156,12 +154,13 @@ class Morphism:
 
 
 def morphism_from_json(cat: CategoryData, data: dict) -> Morphism:
-    dom = ObjectExpr.from_words(data["dom"])
-    cod = ObjectExpr.from_words(data["cod"])
-    blocks = {}
-    for entry in data["blocks"]:
-        mat = np.asarray(entry["re"], dtype=float) + 1j * np.asarray(entry["im"], dtype=float)
-        blocks[entry["sector"]] = mat.reshape(entry["rows"], entry["cols"])
+    try:
+        dom = ObjectExpr.from_words(data["dom"])
+        cod = ObjectExpr.from_words(data["cod"])
+        shapes = [(e["sector"], int(e["rows"]), int(e["cols"]), e) for e in data["blocks"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad morphism: {exc!r}") from exc
+    blocks = {c: _complex_array(e, nr, nc, f"block {c!r}") for c, nr, nc, e in shapes}
     return Morphism(cat, dom, cod, blocks)
 
 
@@ -175,6 +174,7 @@ class Engine:
         self._split: dict[tuple[Word, Word], dict] = {}
         self._word_braid: dict[tuple[Word, Word, str], Morphism] = {}
         self._word_pair: dict[Word, tuple[Morphism, Morphism]] = {}
+        self._pair_index: dict[tuple[ObjectExpr, ObjectExpr], dict[str, _SectorIndex]] = {}
 
     # ---- fusion trees -------------------------------------------------
 
@@ -211,9 +211,6 @@ class Engine:
             self._tree_index[key] = got
         return got
 
-    def obj_basis(self, x: ObjectExpr, c: str) -> list:
-        return [(i, t) for i, w in enumerate(x.summands) for t in self.trees(w, c)]
-
     def obj_sector_dim(self, x: ObjectExpr, c: str) -> int:
         return sum(len(self.trees(w, c)) for w in x.summands)
 
@@ -222,9 +219,6 @@ class Engine:
         for w in x.summands:
             offs.append(offs[-1] + len(self.trees(w, c)))
         return offs
-
-    def sectors(self, x: ObjectExpr) -> list[str]:
-        return [c for c in self.cat.labels if self.obj_sector_dim(x, c)]
 
     # ---- recoupling ---------------------------------------------------
 
@@ -308,23 +302,94 @@ class Engine:
 
     def _enumerate_split(self, w1: Word, w2: Word, e: str) -> list:
         cat = self.cat
+        n1 = {c: len(self.trees(w1, c)) for c in cat.labels}
+        n2 = {d: len(self.trees(w2, d)) for d in cat.labels}
         out = []
         for c in cat.labels:
-            n1 = len(self.trees(w1, c))
-            if not n1:
-                continue
             for d in cat.labels:
-                n2 = len(self.trees(w2, d))
-                if not n2:
-                    continue
-                m = cat.n(c, d, e)
-                if not m:
-                    continue
-                for i1 in range(n1):
-                    for i2 in range(n2):
-                        for mu in range(m):
-                            out.append((c, i1, d, i2, mu))
+                m = cat.n(c, d, e) if n1[c] and n2[d] else 0
+                if m:
+                    out += [(c, i1, d, i2, mu) for i1 in range(n1[c]) for i2 in range(n2[d]) for mu in range(m)]
         return out
+
+    def pair_index(self, x: ObjectExpr, y: ObjectExpr) -> dict[str, _SectorIndex]:
+        """Per sector e of x (x) y: its split basis grouped by fusion channel."""
+        key = (x, y)
+        got = self._pair_index.get(key)
+        if got is not None:
+            return got
+        cat = self.cat
+        offs_x = {c: self.obj_offsets(x, c) for c in cat.labels}
+        offs_y = {d: self.obj_offsets(y, d) for d in cat.labels}
+        groups: dict[str, dict[tuple[str, str, int], int]] = {}
+        size: dict[str, int] = {}
+        for c in cat.labels:
+            for d in cat.labels:
+                n = offs_x[c][-1] * offs_y[d][-1]
+                if not n:
+                    continue
+                for e, m in cat.fuse(c, d):
+                    start = size.get(e, 0)
+                    for mu in range(m):
+                        groups.setdefault(e, {})[(c, d, mu)] = start + mu * n
+                    size[e] = start + m * n
+        order: dict[str, list[int]] = {e: [] for e in groups}
+        bounds: dict[str, list[int]] = {e: [0] for e in groups}
+        recouplings: dict[str, list[np.ndarray]] = {e: [] for e in groups}
+        for i, w1 in enumerate(x.summands):
+            for j, w2 in enumerate(y.summands):
+                for e, (s, split_list) in self.split(w1, w2).items():
+                    g = groups[e]
+                    order[e] += [
+                        g[(c, d, mu)] + (offs_x[c][i] + i1) * offs_y[d][-1] + offs_y[d][j] + i2
+                        for c, i1, d, i2, mu in split_list
+                    ]
+                    bounds[e].append(len(order[e]))
+                    recouplings[e].append(s)
+        out = {
+            e: _SectorIndex(
+                size[e], groups[e], np.array(order[e], dtype=np.intp), tuple(bounds[e]), tuple(recouplings[e])
+            )
+            for e in cat.labels
+            if e in groups
+        }
+        self._pair_index[key] = out
+        return out
+
+
+@dataclass(frozen=True, slots=True)
+class _SectorIndex:
+    """Sector e of an object pair x (x) y, in its split and canonical bases.
+
+    The split basis is grouped by fusion channel (c, d, mu); `groups` gives
+    the first row of each group.  Inside a group, row ix * ny + iy holds tree
+    ix of x at c and tree iy of y at d, which is the row order of
+    kron(f_c, g_d).  The summand pairs (w1, w2) of x (x) y own consecutive
+    spans of canonical trees, between successive `bounds`, and the S of
+    `Engine.split(w1, w2)` at e recouples a span (`recouplings`).  Entry s of
+    the split list of the pair whose span starts at a is row order[a + s] of
+    the grouped split basis.
+    """
+
+    dim: int
+    groups: dict[tuple[str, str, int], int]
+    order: np.ndarray
+    bounds: tuple[int, ...]
+    recouplings: tuple[np.ndarray, ...]
+
+    def cols_to_canonical(self, m: np.ndarray) -> np.ndarray:
+        """m . S: the columns of m from the split to the canonical basis."""
+        m = m[:, self.order]
+        for a, b, s in zip(self.bounds, self.bounds[1:], self.recouplings):
+            m[:, a:b] = m[:, a:b] @ s
+        return m
+
+    def rows_to_canonical(self, m: np.ndarray) -> np.ndarray:
+        """S^dagger . m: the rows of m from the split to the canonical basis."""
+        m = m[self.order]
+        for a, b, s in zip(self.bounds, self.bounds[1:], self.recouplings):
+            m[a:b] = s.conj().T @ m[a:b]
+        return m
 
 
 def engine(cat: CategoryData) -> Engine:
@@ -420,87 +485,36 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 
 
 def tensor(f: Morphism, g: Morphism) -> Morphism:
-    cat = f.cat
-    eng = engine(cat)
-    dom = f.dom @ g.dom
-    cod = f.cod @ g.cod
-    nd2 = len(g.dom.summands)
-    nc2 = len(g.cod.summands)
+    """The monoidal product f (x) g, one Kronecker block per fusion channel.
+
+    In each sector e,
+
+        (f (x) g)_e = S_cod^dagger . blockdiag_(c,d,mu) kron(f_c, g_d) . S_dom
+
+    where f_c, g_d are whole sector blocks, the block of channel (c, d, mu)
+    sits on that channel's group of the split bases of f.cod (x) g.cod and
+    f.dom (x) g.dom (`Engine.pair_index`), and S recouples a split basis to
+    the canonical one.
+    """
+    eng = engine(f.cat)
+    dom_index = eng.pair_index(f.dom, g.dom)
+    cod_index = eng.pair_index(f.cod, g.cod)
     blocks: dict[str, np.ndarray] = {}
-    for e in cat.labels:
-        nrow = eng.obj_sector_dim(cod, e)
-        ncol = eng.obj_sector_dim(dom, e)
-        if not nrow or not ncol:
+    for e, cod_e in cod_index.items():
+        dom_e = dom_index.get(e)
+        if dom_e is None:
             continue
-        out = np.zeros((nrow, ncol), dtype=complex)
-        cod_offs = eng.obj_offsets(cod, e)
-        dom_offs = eng.obj_offsets(dom, e)
-        for i, w1d in enumerate(f.dom.summands):
-            for j, w2d in enumerate(g.dom.summands):
-                di = i * nd2 + j
-                if dom_offs[di + 1] == dom_offs[di]:
-                    continue
-                sp_d = eng.split(w1d, w2d)
-                if e not in sp_d:
-                    continue
-                s_dom, dom_list = sp_d[e]
-                for k, w1c in enumerate(f.cod.summands):
-                    for l, w2c in enumerate(g.cod.summands):
-                        ci = k * nc2 + l
-                        if cod_offs[ci + 1] == cod_offs[ci]:
-                            continue
-                        sp_c = eng.split(w1c, w2c)
-                        if e not in sp_c:
-                            continue
-                        s_cod, cod_list = sp_c[e]
-                        m = _split_block(eng, f, g, i, j, k, l, dom_list, cod_list)
-                        if m is None:
-                            continue
-                        sub = s_cod.conj().T @ m @ s_dom
-                        out[
-                            cod_offs[ci] : cod_offs[ci + 1],
-                            dom_offs[di] : dom_offs[di + 1],
-                        ] += sub
-        blocks[e] = out
-    return Morphism(cat, dom, cod, blocks)
-
-
-def _summand_block(eng: Engine, f: Morphism, i_dom: int, i_cod: int, c: str) -> np.ndarray:
-    """The sub-block of f between summand i_dom of dom and i_cod of cod at sector c."""
-    b = f.block(c)
-    do = eng.obj_offsets(f.dom, c)
-    co = eng.obj_offsets(f.cod, c)
-    return b[co[i_cod] : co[i_cod + 1], do[i_dom] : do[i_dom + 1]]
-
-
-def _split_block(eng, f, g, i, j, k, l, dom_list, cod_list):
-    """Matrix of f (x) g between split bases, for fixed summand pairs."""
-    cat = f.cat
-    fsubs = {}
-    gsubs = {}
-    m = np.zeros((len(cod_list), len(dom_list)), dtype=complex)
-    any_nz = False
-    dom_groups: dict[tuple, list] = {}
-    for idx, (c, i1, d, i2, mu) in enumerate(dom_list):
-        dom_groups.setdefault((c, d, mu), []).append((idx, i1, i2))
-    for idx2, (c, i1p, d, i2p, mu) in enumerate(cod_list):
-        grp = dom_groups.get((c, d, mu))
-        if not grp:
-            continue
-        if c not in fsubs:
-            fsubs[c] = _summand_block(eng, f, i, k, c)
-        if d not in gsubs:
-            gsubs[d] = _summand_block(eng, g, j, l, d)
-        fb = fsubs[c]
-        gb = gsubs[d]
-        if fb.size == 0 or gb.size == 0:
-            continue
-        for idx, i1, i2 in grp:
-            v = fb[i1p, i1] * gb[i2p, i2]
-            if v:
-                m[idx2, idx] = v
-                any_nz = True
-    return m if any_nz else None
+        mid = np.zeros((cod_e.dim, dom_e.dim), dtype=complex)
+        for (c, d, mu), r in cod_e.groups.items():
+            k = dom_e.groups.get((c, d, mu))
+            fc = f.blocks.get(c)
+            gd = g.blocks.get(d)
+            if k is not None and fc is not None and gd is not None:
+                nr, nc = fc.shape[0] * gd.shape[0], fc.shape[1] * gd.shape[1]
+                # kron(fc, gd), without np.kron's overhead on small blocks
+                mid[r : r + nr, k : k + nc] = (fc[:, None, :, None] * gd[None, :, None, :]).reshape(nr, nc)
+        blocks[e] = cod_e.rows_to_canonical(dom_e.cols_to_canonical(mid))
+    return Morphism(f.cat, f.dom @ g.dom, f.cod @ g.cod, blocks)
 
 
 # ---- braiding --------------------------------------------------------
@@ -671,37 +685,6 @@ def trace(cat: CategoryData, f: Morphism) -> complex:
         raise ShapeError("trace requires an endomorphism")
     u = ObjectExpr.unit()
     return left_trace(cat, f, f.dom, u, u).scalar()
-
-
-def frobenius_rotate(
-    f: Morphism,
-    pair: StandardPair,
-    side: str,
-    direction: str,
-    rest_dom: ObjectExpr,
-    rest_cod: ObjectExpr,
-) -> Morphism:
-    """The four Frobenius conjugation maps w.r.t. a (standard) pair.
-
-    left/down:  Hom(g2, obj g1)   -> Hom(conj g2, g1)
-    left/up:    Hom(conj g2, g1)  -> Hom(g2, obj g1)
-    right/down: Hom(g2, g1 obj)   -> Hom(g2 conj, g1)
-    right/up:   Hom(g2 conj, g1)  -> Hom(g2, g1 obj)
-
-    Here g2 = rest_dom and g1 = rest_cod of the *input* map f.
-    """
-    cat = f.cat
-    id1 = identity(cat, rest_cod)
-    id2 = identity(cat, rest_dom)
-    if side == "left" and direction == "down":
-        return compose(tensor(pair.r.adjoint(), id1), tensor(identity(cat, pair.conj), f))
-    if side == "left" and direction == "up":
-        return compose(tensor(identity(cat, pair.obj), f), tensor(pair.rbar, id2))
-    if side == "right" and direction == "down":
-        return compose(tensor(id1, pair.rbar.adjoint()), tensor(f, identity(cat, pair.conj)))
-    if side == "right" and direction == "up":
-        return compose(tensor(f, identity(cat, pair.obj)), tensor(id2, pair.r))
-    raise ShapeError(f"unknown rotation {side}/{direction}")
 
 
 # ---- numeric helpers on endomorphisms --------------------------------

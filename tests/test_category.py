@@ -264,3 +264,25 @@ def test_product_braiding_reversed_on_right(ising):
     tw = dict(zip(md.labels, md.twists))
     assert abs(tw[pair_label("sig", "1")] - np.exp(1j * np.pi / 8)) < 1e-9
     assert abs(tw[pair_label("1", "sig")] - np.exp(-1j * np.pi / 8)) < 1e-9
+
+
+def test_nan_r_symbol_in_memory_fails_validation(ising):
+    """Loading rejects non-finite entries, but a NaN that arises in memory
+    must still make the report not ok."""
+    from qcat.category import CategoryData
+
+    r_symbols = dict(ising.r_symbols)
+    r_symbols[("sig", "sig", "eps")] = np.full((1, 1), np.nan, dtype=complex)
+    cat = CategoryData(
+        labels=ising.labels,
+        dual=ising.dual,
+        fusion=ising.fusion,
+        f_symbols=ising.f_symbols,
+        r_symbols=r_symbols,
+        dims=ising.dims,
+        twists=ising.twists,
+    )
+    rep = validate_category(cat)
+    assert rep.ok is False
+    assert np.isnan(rep.r_unitarity)
+    assert rep.worst_hexagon is not None

@@ -196,3 +196,42 @@ def test_decompose_and_centre_verbs(capsys):
     assert run(["centre", "ising", "ising_q", "--sign", "-"]) == 0
     rep = _capture(capsys)
     assert abs(rep["d"] - 1.0) < 1e-9
+
+
+def _ising_q_file(tmp_path, damage):
+    from qcat.category import build_category
+    from qcat.fixtures import ising_category
+    from qcat.frobenius import ising_q, qsystem_as_json
+
+    data = qsystem_as_json(ising_q(build_category(ising_category())))
+    damage(data)
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _nan_x_blocks(data):
+    for block in data["x"]["blocks"]:
+        block["re"] = [[float("nan")] * block["cols"] for _ in range(block["rows"])]
+
+
+def _wrong_rows(data):
+    data["x"]["blocks"][0]["rows"] += 1
+
+
+@pytest.mark.parametrize("damage", [_nan_x_blocks, _wrong_rows])
+def test_malformed_qsystem_exit_two(tmp_path, capsys, damage):
+    assert run(["check-qsystem", "ising", _ising_q_file(tmp_path, damage)]) == 2
+    assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_tol_is_a_usage_error(capsys, tol):
+    assert run(["validate", "ising", "--tol", tol]) == 1
+    assert "tolerance" in capsys.readouterr().err
+
+
+def test_bad_tol_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("QCAT_TOL", "abc")
+    assert run(["validate", "ising"]) == 1
+    assert "tolerance" in capsys.readouterr().err

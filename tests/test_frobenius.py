@@ -151,3 +151,10 @@ def test_json_round_trip(ising, iq):
     assert (back.x - iq.x).max_abs() < 1e-12
     builder = qsystem_from_json(ising, {"builder": "ising_q"})
     assert (builder.w - iq.w).max_abs() < 1e-12
+
+
+def test_nan_block_fails_qsystem_check(ising, iq):
+    x = Morphism(ising, iq.x.dom, iq.x.cod, dict(iq.x.blocks))
+    x.blocks[ising.unit] = np.full_like(x.blocks[ising.unit], np.nan)
+    rep = check_qsystem(ising, QSystem(ising, iq.theta, iq.w, x))
+    assert rep.ok is False

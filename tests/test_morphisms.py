@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from qcat.category import build_category, load_category
+from qcat.errors import ParseError
+from qcat.fixtures import ising_category
 from qcat.morphisms import (
+    Morphism,
     ObjectExpr,
     braiding,
     compose,
@@ -22,6 +28,7 @@ from qcat.morphisms import (
     standard_pair,
     tensor,
     trace,
+    zero_morphism,
 )
 
 SIG2 = ObjectExpr.word("sig", "sig")
@@ -164,3 +171,167 @@ def test_sector_isometry_orthonormal(ising):
                     val.blocks.get(c, np.zeros((1, 1)))[0, 0] if val.blocks else 0.0
                 )
                 assert abs(got - want) < 1e-10
+
+
+# ---- the tensor kernel on multi-summand objects ----------------------
+
+
+def _multiplicity_two_category(seed: int):
+    """Labels 1, x with x x = 1 + 2x, and seeded random unitary F and R.
+
+    The F-symbols satisfy no pentagon, and `tensor` does not need one: it
+    recouples with single F-moves only, so every identity below that holds
+    for any unitary F is checked here with fusion multiplicity 2.
+    """
+    rng = np.random.default_rng(seed)
+
+    def entry(field, key, n):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return {field: list(key), "re": q.real.tolist(), "im": q.imag.tolist()}
+
+    return load_category(
+        {
+            "labels": ["1", "x"],
+            "dual": {"1": "1", "x": "x"},
+            "fusion": [["1", "1", "1", 1], ["1", "x", "x", 1], ["x", "1", "x", 1], ["x", "x", "1", 1], ["x", "x", "x", 2]],
+            "F": [entry("abc_d", ("x", "x", "x", "1"), 2), entry("abc_d", ("x", "x", "x", "x"), 5)],
+            "R": [entry("ab_c", ("x", "x", "1"), 1), entry("ab_c", ("x", "x", "x"), 2)],
+        }
+    )
+
+
+MULT2 = _multiplicity_two_category(17)
+
+# (category, objects): multi-summand, with the empty word and words of
+# different lengths.  The Ising objects have two or more trees in most
+# sectors, but each of their words has at most one tree per sector, so the
+# single-word tensors they split into pin the order inside each channel.
+KERNEL_CASES = {
+    "ising": (
+        build_category(ising_category()),
+        [
+            ObjectExpr.from_words([("sig",), (), ("eps", "sig"), ("sig", "sig")]),
+            ObjectExpr.from_words([("sig", "sig"), ("eps",), ("sig",), ("eps", "eps")]),
+            ObjectExpr.from_words([(), ("sig", "eps", "sig"), ("sig",)]),
+        ],
+    ),
+    "mult2": (
+        MULT2,
+        [
+            ObjectExpr.from_words([("x",), (), ("x", "x")]),
+            ObjectExpr.from_words([("x", "x"), ("x",)]),
+            ObjectExpr.from_words([(), ("x", "x", "x")]),
+        ],
+    ),
+}
+
+
+def _sliced(cat, f, i, k):
+    """The part of f from summand i of its domain to summand k of its codomain."""
+    return compose(inclusion(cat, f.cod, k).adjoint(), compose(f, inclusion(cat, f.dom, i)))
+
+
+def _reference_tensor(f, g):
+    """f (x) g entry by entry: between each summand pair of the domain and of
+    the codomain, f_c[i1', i1] g_d[i2', i2] joins split basis entries of the
+    same channel (c, d, mu), and the S of `Engine.split` recouples it."""
+    cat = f.cat
+    eng = engine(cat)
+    dom, cod = f.dom @ g.dom, f.cod @ g.cod
+    blocks = {}
+    for e in cat.labels:
+        if not eng.obj_sector_dim(cod, e) or not eng.obj_sector_dim(dom, e):
+            continue
+        out = np.zeros((eng.obj_sector_dim(cod, e), eng.obj_sector_dim(dom, e)), dtype=complex)
+        dom_offs, cod_offs = eng.obj_offsets(dom, e), eng.obj_offsets(cod, e)
+        dom_pairs = list(itertools.product(enumerate(f.dom.summands), enumerate(g.dom.summands)))
+        cod_pairs = list(itertools.product(enumerate(f.cod.summands), enumerate(g.cod.summands)))
+        for (di, ((i, u1), (j, u2))), (ci, ((k, v1), (l, v2))) in itertools.product(
+            enumerate(dom_pairs), enumerate(cod_pairs)
+        ):
+            if e not in eng.split(u1, u2) or e not in eng.split(v1, v2):
+                continue
+            s_dom, dom_list = eng.split(u1, u2)[e]
+            s_cod, cod_list = eng.split(v1, v2)[e]
+            m = np.zeros((len(cod_list), len(dom_list)), dtype=complex)
+            for r, (c, i1p, d, i2p, mu) in enumerate(cod_list):
+                for q, (c2, i1, d2, i2, mu2) in enumerate(dom_list):
+                    if (c, d, mu) == (c2, d2, mu2):
+                        fv = f.block(c)[eng.obj_offsets(f.cod, c)[k] + i1p, eng.obj_offsets(f.dom, c)[i] + i1]
+                        gv = g.block(d)[eng.obj_offsets(g.cod, d)[l] + i2p, eng.obj_offsets(g.dom, d)[j] + i2]
+                        m[r, q] = fv * gv
+            out[cod_offs[ci] : cod_offs[ci + 1], dom_offs[di] : dom_offs[di + 1]] += s_cod.conj().T @ m @ s_dom
+        blocks[e] = out
+    return Morphism(cat, dom, cod, blocks)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_tensor_matches_entrywise_reference(name):
+    cat, objs = KERNEL_CASES[name]
+    rng = np.random.default_rng(20)
+    for x, y, z, w in itertools.product(objs, repeat=4):
+        f, g = random_morphism(cat, x, y, rng), random_morphism(cat, z, w, rng)
+        got, want = tensor(f, g), _reference_tensor(f, g)
+        assert set(got.blocks) == set(want.blocks)
+        assert (got - want).max_abs() < 1e-12 * max(1.0, want.max_abs())
+    assert want.norm() > 1.0
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_tensor_is_the_sum_of_single_word_tensors(name):
+    cat, (x, y, z) = KERNEL_CASES[name]
+    rng = np.random.default_rng(21)
+    f = random_morphism(cat, x, y, rng)
+    g = random_morphism(cat, z, x, rng)
+    fg = tensor(f, g)
+    want = zero_morphism(cat, x @ z, y @ x)
+    ranges = [range(len(o.summands)) for o in (x, z, y, x)]
+    for i, j, k, l in itertools.product(*ranges):
+        inc_dom = tensor(inclusion(cat, x, i), inclusion(cat, z, j))
+        inc_cod = tensor(inclusion(cat, y, k), inclusion(cat, x, l))
+        part = tensor(_sliced(cat, f, i, k), _sliced(cat, g, j, l))
+        want = want + compose(inc_cod, compose(part, inc_dom.adjoint()))
+    assert fg.norm() > 1.0
+    assert (fg - want).max_abs() < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_tensor_of_identities_and_functoriality(name):
+    cat, (x, y, z) = KERNEL_CASES[name]
+    assert (tensor(identity(cat, x), identity(cat, z)) - identity(cat, x @ z)).max_abs() < 1e-14
+    rng = np.random.default_rng(22)
+    a, b = random_morphism(cat, y, z, rng), random_morphism(cat, x, y, rng)
+    c, d = random_morphism(cat, x, y, rng), random_morphism(cat, z, x, rng)
+    lhs = compose(tensor(a, c), tensor(b, d))
+    assert lhs.norm() > 1.0
+    assert (lhs - tensor(compose(a, b), compose(c, d))).max_abs() < 1e-11
+
+
+def test_tensor_strictly_associative():
+    """Associativity of the left-nested canonical bases rests on the
+    pentagon, so it is checked on Ising, not on the random-F ring."""
+    cat, (x, y, z) = KERNEL_CASES["ising"]
+    rng = np.random.default_rng(23)
+    f, g, h = random_morphism(cat, x, y, rng), random_morphism(cat, y, z, rng), random_morphism(cat, z, x, rng)
+    lhs = tensor(tensor(f, g), h)
+    assert lhs.norm() > 1.0
+    assert (lhs - tensor(f, tensor(g, h))).max_abs() < 1e-13
+
+
+def test_morphism_json_rejects_bad_blocks(ising):
+    y = KERNEL_CASES["ising"][1][1]
+    data = random_morphism(ising, SIG2, y, np.random.default_rng(5)).as_json()
+    data["blocks"][0]["re"][0][0] = float("nan")
+    with pytest.raises(ParseError):
+        morphism_from_json(ising, data)
+    data = random_morphism(ising, SIG2, y, np.random.default_rng(5)).as_json()
+    data["blocks"][0]["rows"] += 1
+    with pytest.raises(ParseError):
+        morphism_from_json(ising, data)
+
+
+def test_nan_block_fails_max_abs_and_norm(ising):
+    f = random_morphism(ising, SIG2, KERNEL_CASES["ising"][1][1], np.random.default_rng(6))
+    f.blocks[ising.unit] = np.full_like(f.blocks[ising.unit], np.nan)
+    assert np.isnan(f.max_abs())
+    assert np.isnan(f.norm())
