@@ -22,6 +22,7 @@ from .morphisms import (
     hom_basis,
     identity,
     inclusion,
+    morphism_vector,
     right_trace,
     standard_pair,
     tensor,
@@ -108,23 +109,21 @@ def opposite_product_category(cat: CategoryData) -> CategoryData:
 
 def _conj_hom_matrix(cat: CategoryData, rho: str, sigma: str, tau: str, sign: str = "-") -> np.ndarray:
     """Matrix of the antiunitary map Hom(tau, rho sigma) -> Hom(taubar, rhobar sigmabar)
-    realized by entrywise conjugation followed by Frobenius rotation, unitarized."""
-    rb, sb, tb = cat.dual[rho], cat.dual[sigma], cat.dual[tau]
+    realized by entrywise conjugation followed by Frobenius rotation, unitarized.
+    Column mu holds the `morphism_vector` coordinates of the image of
+    hom_basis(tau, rho sigma)[mu]."""
+    rb, sb = cat.dual[rho], cat.dual[sigma]
     dom = ObjectExpr.word(tau)
     cod = ObjectExpr.word(rho, sigma)
-    dom_c = ObjectExpr.word(tb)
-    cod_c = ObjectExpr.word(rb, sb)
     basis = hom_basis(cat, dom, cod)
-    basis_c = hom_basis(cat, dom_c, cod_c)
-    n = len(basis)
-    if n == 0:
+    if not basis:
         return np.zeros((0, 0))
     pair_w = standard_pair(cat, cod)          # conj = (sigmabar rhobar)
     pair_t = standard_pair(cat, dom)          # conj = taubar
     id_c = identity(cat, pair_w.conj)
     eps = braiding(cat, ObjectExpr.word(sb), ObjectExpr.word(rb), sign)
-    mat = np.zeros((len(basis_c), n), dtype=complex)
-    for mu, t in enumerate(basis):
+    cols = []
+    for t in basis:
         tc = Morphism(cat, t.dom, t.cod, {c: np.conj(b) for c, b in t.blocks.items()})
         g = compose(tensor(id_c, tc.adjoint()), pair_w.r)      # Hom(1, sb rb tau)
         rot0 = compose(
@@ -132,14 +131,8 @@ def _conj_hom_matrix(cat: CategoryData, rho: str, sigma: str, tau: str, sign: st
             tensor(g, identity(cat, pair_t.conj)),
         )                                                       # Hom(taubar, sb rb)
         rot = compose(eps, rot0)                                # Hom(taubar, rb sb)
-        for nu, b in enumerate(basis_c):
-            num = 0.0 + 0.0j
-            den = 0.0
-            for c in rot.blocks:
-                num += np.vdot(b.block(c), rot.block(c))
-                den += np.sum(np.abs(b.block(c)) ** 2)
-            mat[nu, mu] = num / den if den else 0.0
-    u, _, vh = np.linalg.svd(mat)
+        cols.append(morphism_vector(rot))
+    u, _, vh = np.linalg.svd(np.stack(cols, axis=1))
     return u @ vh
 
 

@@ -264,8 +264,11 @@ def load_category(source) -> CategoryData:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     if "{" not in text:
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(text, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read {text}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -110,11 +110,7 @@ def central_decomposition(
     """Split a Q-system into factor Q-systems along the minimal projections of
     its two-sided centre algebra."""
     alg = hom0_algebra(cat, q, tol)
-    kwargs = {} if seed is None else {"seed": seed}
-    out = []
-    for p in alg.minimal_idempotents(**kwargs):
-        out.append((p, reduced_qsystem(cat, q, p, tol)))
-    return out
+    return [(p, reduced_qsystem(cat, q, p, tol)) for p in alg.minimal_idempotents(seed)]
 
 
 def _pbar_candidates(q: QSystem, p: Morphism) -> list[Morphism]:
@@ -141,9 +137,8 @@ def irreducible_decomposition(
     if h0.dim != 1:
         raise NotSimpleError(f"Q-system is not simple: centre dimension {h0.dim}")
     alg = left_endo_algebra(cat, q, tol)
-    kwargs = {} if seed is None else {"seed": seed}
     out = []
-    for p in alg.minimal_idempotents(**kwargs):
+    for p in alg.minimal_idempotents(seed):
         pbar = None
         for cand in _pbar_candidates(q, p):
             comm = (compose(cand, p) - compose(p, cand)).max_abs()

@@ -10,6 +10,7 @@ from .category import CategoryData
 from .errors import (
     NonStandardizableError,
     NotFrobeniusError,
+    ParseError,
     ShapeError,
 )
 from .morphisms import (
@@ -22,10 +23,11 @@ from .morphisms import (
     hom_basis,
     identity,
     morphism_from_json,
+    morphism_from_vector,
+    morphism_vector,
     obj_dim,
     random_morphism,
     tensor,
-    zero_morphism,
 )
 
 DEFAULT_SEED = 0xC0FFEE
@@ -181,6 +183,26 @@ class Diverged:
     iterations: int
 
 
+def _power_iterate(step, start: Morphism, max_iter: int, tol: float) -> tuple[Morphism | None, int]:
+    """Iterate g -> step(g) / |step(g)| (Hilbert-Schmidt norm) from the
+    normalized start until two iterates agree within tol or max_iter steps
+    are taken.  Returns the last iterate, or None if step(g) vanishes, and
+    the number of steps."""
+    g = (1.0 / start.hs_norm()) * start
+    it = 0
+    for it in range(max_iter):
+        g_next = step(g)
+        nn = g_next.hs_norm()
+        if nn < 1e-300:
+            return None, it + 1
+        g_next = (1.0 / nn) * g_next
+        delta = (g_next - g).max_abs()
+        g = g_next
+        if delta < tol:
+            break
+    return g, it + 1
+
+
 def iterate_specialize(
     cat: CategoryData,
     q: QSystem,
@@ -195,36 +217,26 @@ def iterate_specialize(
     """
     tol = cat.tol if tol is None else tol
     idt = identity(cat, q.theta)
-    m = (scale if scale is not None else 1.0 / q.d) * idt
 
     def step(g: Morphism) -> Morphism:
         return compose(q.x.adjoint(), compose(tensor(g, g), q.x))
 
     # the scalar direction of the quadratic map is unstable, so iterate the
     # normalized direction and put the scale back at the end
-    m = (1.0 / m.hs_norm()) * m
-    it = 0
-    for it in range(max_iter):
-        m_next = step(m)
-        nn = m_next.hs_norm()
-        if nn < 1e-300:
-            return Diverged(spectrum=[], iterations=it + 1)
-        m_next = (1.0 / nn) * m_next
-        delta = (m_next - m).max_abs()
-        m = m_next
-        if delta < tol:
-            break
+    m, steps = _power_iterate(step, (scale if scale is not None else 1.0 / q.d) * idt, max_iter, tol)
+    if m is None:
+        return Diverged(spectrum=[], iterations=steps)
     fm = step(m)
     c = sum(np.vdot(m.block(ch), fm.block(ch)) for ch in cat.labels if m.blocks.get(ch) is not None)
     c = np.real(c) / max(m.hs_norm() ** 2, 1e-300)
     if abs(c) < 1e3 * tol:
-        return Diverged(spectrum=[], iterations=it + 1)
+        return Diverged(spectrum=[], iterations=steps)
     m = (1.0 / c) * m
     eigs: list[float] = []
     for b in m.blocks.values():
         eigs.extend(np.linalg.eigvalsh((b + b.conj().T) / 2.0).tolist())
     if not eigs or min(eigs) < 1e3 * tol:
-        return Diverged(spectrum=sorted(eigs), iterations=it + 1)
+        return Diverged(spectrum=sorted(eigs), iterations=steps)
     n = endo_power(m, 0.5)
     n_inv = endo_power(m, -0.5)
     w1 = compose(n_inv, q.w)
@@ -244,17 +256,25 @@ def iterate_specialize(
 # ---- linear solving of morphism spaces -------------------------------
 
 
-def morphism_vector(f: Morphism) -> np.ndarray:
-    eng = engine(f.cat)
-    parts = []
-    for c in f.cat.labels:
-        nr = eng.obj_sector_dim(f.cod, c)
-        nc = eng.obj_sector_dim(f.dom, c)
-        if nr and nc:
-            parts.append(f.block(c).reshape(-1))
-    if not parts:
-        return np.zeros(0, dtype=complex)
-    return np.concatenate(parts)
+def _condition_matrix(basis: list[Morphism], conditions) -> np.ndarray:
+    """Column j stacks the coordinates (`morphism_vector`) of cond(basis[j])
+    over the conditions; one zero row if the conditions have no coordinates."""
+    cols = []
+    for b in basis:
+        parts = [morphism_vector(cond(b)) for cond in conditions]
+        cols.append(np.concatenate(parts) if parts else np.zeros(0, dtype=complex))
+    if not cols[0].size:
+        return np.zeros((1, len(basis)), dtype=complex)
+    return np.stack(cols, axis=1)
+
+
+def _null_space(a: np.ndarray, floor: float) -> np.ndarray:
+    """Orthonormal columns spanning the null space of a: singular values at
+    most max(floor, 1e-10 s_max) count as zero."""
+    _, s, vh = np.linalg.svd(a)
+    thresh = max(floor, (s[0] * 1e-10 if s.size else 0.0))
+    rank = int(np.sum(s > thresh))
+    return vh[rank:].conj().T
 
 
 def solve_morphism_space(
@@ -267,30 +287,14 @@ def solve_morphism_space(
     """Orthonormal basis of {t in Hom(dom, cod): cond(t) = 0 for all conditions}.
 
     Each condition maps a Morphism linearly to a Morphism; solved by SVD
-    thresholding.
+    thresholding in the coordinates of `hom_basis`.
     """
     tol = cat.tol if tol is None else tol
     basis = hom_basis(cat, dom, cod)
     if not basis:
         return []
-    cols = []
-    for b in basis:
-        out = [morphism_vector(cond(b)) for cond in conditions]
-        cols.append(np.concatenate(out) if out else np.zeros(0, dtype=complex))
-    a = np.stack(cols, axis=1) if cols[0].size else np.zeros((1, len(basis)), dtype=complex)
-    u, s, vh = np.linalg.svd(a)
-    thresh = max(tol, (s[0] * 1e-10 if s.size else 0.0))
-    rank = int(np.sum(s > thresh))
-    null = vh[rank:].conj().T
-    out = []
-    for k in range(null.shape[1]):
-        f = zero_morphism(cat, dom, cod)
-        for i, b in enumerate(basis):
-            coef = null[i, k]
-            if abs(coef) > 1e-14:
-                f = f + coef * b
-        out.append(f)
-    return out
+    null = _null_space(_condition_matrix(basis, conditions), tol)
+    return [morphism_from_vector(cat, dom, cod, v) for v in null.T]
 
 
 # ---- finite dimensional algebras -------------------------------------
@@ -299,29 +303,33 @@ def solve_morphism_space(
 @dataclass
 class AlgebraPresentation:
     """A finite dimensional *-algebra given by a concrete basis, a bilinear
-    product, an antilinear star, and its unit element."""
+    product, an antilinear star, and its unit element.  The product and star
+    default to composition and the adjoint."""
 
     cat: CategoryData
     basis: list
-    product: object
-    star: object
     unit_element: Morphism
-    central_flags: list[bool] | None = None
+    product: object = compose
+    star: object = Morphism.adjoint
     _mult: np.ndarray | None = field(default=None, repr=False)
     _star: np.ndarray | None = field(default=None, repr=False)
-    _gram_pinv: np.ndarray | None = field(default=None, repr=False)
     _vecs: np.ndarray | None = field(default=None, repr=False)
+    _vecs_pinv: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    def _ensure_coordinates(self) -> None:
+        """The basis as the columns of its coordinate matrix, and the
+        pseudo-inverse of that matrix."""
+        if self._vecs is None:
+            self._vecs = np.stack([morphism_vector(b) for b in self.basis], axis=1)
+            self._vecs_pinv = np.linalg.pinv(self._vecs)
+
     def _ensure_tables(self) -> None:
         if self._mult is not None:
             return
-        vecs = np.stack([morphism_vector(b) for b in self.basis], axis=1)
-        self._vecs = vecs
-        self._gram_pinv = np.linalg.pinv(vecs)
         n = self.dim
         mult = np.zeros((n, n, n), dtype=complex)
         star = np.zeros((n, n), dtype=complex)
@@ -333,18 +341,13 @@ class AlgebraPresentation:
         self._star = star
 
     def coeffs(self, f: Morphism) -> np.ndarray:
-        if self._gram_pinv is None:
-            vecs = np.stack([morphism_vector(b) for b in self.basis], axis=1)
-            self._vecs = vecs
-            self._gram_pinv = np.linalg.pinv(vecs)
-        return self._gram_pinv @ morphism_vector(f)
+        self._ensure_coordinates()
+        return self._vecs_pinv @ morphism_vector(f)
 
     def element(self, coeffs: np.ndarray) -> Morphism:
-        f = zero_morphism(self.cat, self.basis[0].dom, self.basis[0].cod)
-        for i, b in enumerate(self.basis):
-            if abs(coeffs[i]) > 1e-14:
-                f = f + coeffs[i] * b
-        return f
+        self._ensure_coordinates()
+        b0 = self.basis[0]
+        return morphism_from_vector(self.cat, b0.dom, b0.cod, self._vecs @ coeffs)
 
     def multiply(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         self._ensure_tables()
@@ -363,16 +366,9 @@ class AlgebraPresentation:
 
     def centre_coeff_basis(self) -> list[np.ndarray]:
         self._ensure_tables()
-        n = self.dim
-        rows = []
-        for j in range(n):
-            # [z, b_j] = 0 as a linear condition on the coefficients of z
-            rows.append(self._mult[:, :, j] - self._mult[:, j, :])
-        a = np.concatenate(rows, axis=0)
-        u, s, vh = np.linalg.svd(a)
-        thresh = max(1e-9, (s[0] * 1e-10 if s.size else 0.0))
-        rank = int(np.sum(s > thresh))
-        return [vh[k].conj() for k in range(rank, vh.shape[0])]
+        # [z, b_j] = 0 as a linear condition on the coefficients of z
+        rows = [self._mult[:, :, j] - self._mult[:, j, :] for j in range(self.dim)]
+        return list(_null_space(np.concatenate(rows, axis=0), 1e-9).T)
 
     def random_selfadjoint(self, rng: np.random.Generator, sub_basis=None) -> np.ndarray:
         self._ensure_tables()
@@ -405,11 +401,12 @@ class AlgebraPresentation:
             out.append(p)
         return out
 
-    def minimal_idempotents(self, seed: int = DEFAULT_SEED, cluster_tol: float = 1e-6) -> list[Morphism]:
+    def minimal_idempotents(self, seed: int | None = None, cluster_tol: float = 1e-6) -> list[Morphism]:
         """Minimal idempotents, via a seeded random central element followed by
-        a seeded random corner split.  Self-adjoint for a C* star."""
+        a seeded random corner split (seed None: DEFAULT_SEED).  Self-adjoint
+        for a C* star."""
         self._ensure_tables()
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
         centre = self.centre_coeff_basis()
         z = self.random_selfadjoint(rng, centre)
         central = [p for p in self.spectral_idempotents(z, cluster_tol) if np.linalg.norm(p) > 1e-8]
@@ -425,14 +422,6 @@ class AlgebraPresentation:
         return [self.element(p) for p in out]
 
 
-def _compose_product(a: Morphism, b: Morphism) -> Morphism:
-    return compose(a, b)
-
-
-def _adjoint_star(a: Morphism) -> Morphism:
-    return a.adjoint()
-
-
 def hom0_algebra(cat: CategoryData, q: QSystem, tol: float | None = None) -> AlgebraPresentation:
     """The algebra {t in Hom(theta,theta): (1 x t) x = x t = (t x 1) x}."""
     idt = identity(cat, q.theta)
@@ -441,13 +430,7 @@ def hom0_algebra(cat: CategoryData, q: QSystem, tol: float | None = None) -> Alg
         lambda t: compose(tensor(t, idt), q.x) - compose(q.x, t),
     ]
     basis = solve_morphism_space(cat, q.theta, q.theta, conds, tol)
-    return AlgebraPresentation(
-        cat=cat,
-        basis=basis,
-        product=_compose_product,
-        star=_adjoint_star,
-        unit_element=idt,
-    )
+    return AlgebraPresentation(cat=cat, basis=basis, unit_element=idt)
 
 
 def left_endo_algebra(cat: CategoryData, q: QSystem, tol: float | None = None) -> AlgebraPresentation:
@@ -456,21 +439,13 @@ def left_endo_algebra(cat: CategoryData, q: QSystem, tol: float | None = None) -
     idt = identity(cat, q.theta)
     conds = [lambda t: compose(tensor(idt, t), q.x) - compose(q.x, t)]
     basis = solve_morphism_space(cat, q.theta, q.theta, conds, tol)
-    return AlgebraPresentation(
-        cat=cat,
-        basis=basis,
-        product=_compose_product,
-        star=_adjoint_star,
-        unit_element=idt,
-    )
+    return AlgebraPresentation(cat=cat, basis=basis, unit_element=idt)
 
 
 def relative_commutant_algebra(cat: CategoryData, q: QSystem, tol: float | None = None) -> AlgebraPresentation:
     """Hom(theta, 1) with the convolution product q1*q2 = (q1 x q2) o x and
-    the star q -> adjoint((1 x q) o x o w); flags the central elements."""
-    tol = cat.tol if tol is None else tol
-    unit_obj = ObjectExpr.unit()
-    basis = hom_basis(cat, q.theta, unit_obj)
+    the star q -> adjoint((1 x q) o x o w)."""
+    basis = hom_basis(cat, q.theta, ObjectExpr.unit())
     idt = identity(cat, q.theta)
 
     def product(q1: Morphism, q2: Morphism) -> Morphism:
@@ -479,20 +454,7 @@ def relative_commutant_algebra(cat: CategoryData, q: QSystem, tol: float | None 
     def star(qq: Morphism) -> Morphism:
         return compose(tensor(idt, qq), compose(q.x, q.w)).adjoint()
 
-    unit = q.w.adjoint()
-    flags = []
-    for b in basis:
-        lhs = compose(tensor(b, idt), q.x)
-        rhs = compose(tensor(idt, b), q.x)
-        flags.append((lhs - rhs).max_abs() < 1e2 * tol)
-    return AlgebraPresentation(
-        cat=cat,
-        basis=basis,
-        product=product,
-        star=star,
-        unit_element=unit,
-        central_flags=flags,
-    )
+    return AlgebraPresentation(cat=cat, basis=basis, unit_element=q.w.adjoint(), product=product, star=star)
 
 
 # ---- constructors ----------------------------------------------------
@@ -529,15 +491,19 @@ def qsystem_as_json(q: QSystem, category_ref: str = "") -> dict:
 
 
 def qsystem_from_json(cat: CategoryData, data: dict) -> QSystem:
+    if not isinstance(data, dict):
+        raise ParseError(f"a Q-system document must be a JSON object, not {type(data).__name__}")
     builder = data.get("builder")
     if builder == "ising_q":
         return ising_q(cat)
     if builder == "trivial_q":
         return trivial_qsystem_in(cat)
-    theta = ObjectExpr.from_words(data["theta"])
-    w = morphism_from_json(cat, data["w"])
-    x = morphism_from_json(cat, data["x"])
-    return QSystem(cat, theta, w, x)
+    try:
+        theta = ObjectExpr.from_words(data["theta"])
+        w_data, x_data = data["w"], data["x"]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"bad Q-system document: {exc!r}") from exc
+    return QSystem(cat, theta, morphism_from_json(cat, w_data), morphism_from_json(cat, x_data))
 
 
 def qsystems_equivalent(cat: CategoryData, q1: QSystem, q2: QSystem, tol: float | None = None) -> bool:
@@ -567,28 +533,15 @@ def qsystems_equivalent(cat: CategoryData, q1: QSystem, q2: QSystem, tol: float 
             residual = max((cond(u)).max_abs() for cond in conds)
             if residual < 10 * tol:
                 return True
-            cols = []
-            rhs_parts = [
-                morphism_vector(q2.w),
-                morphism_vector(compose(q2.x, u))
-                + morphism_vector(compose(tensor(u, u), q1.x)),
+            linear = [
+                lambda b: compose(b, q1.w),
+                lambda b: compose(tensor(b, u), q1.x) + compose(tensor(u, b), q1.x),
             ]
-            for b in basis:
-                vec = np.concatenate(
-                    [
-                        morphism_vector(compose(b, q1.w)),
-                        morphism_vector(compose(tensor(b, u), q1.x))
-                        + morphism_vector(compose(tensor(u, b), q1.x)),
-                    ]
-                )
-                cols.append(vec)
-            a = np.stack(cols, axis=1)
-            rhs = np.concatenate(rhs_parts)
-            sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-            new_u = zero_morphism(cat, q1.theta, q2.theta)
-            for i, b in enumerate(basis):
-                if abs(sol[i]) > 1e-14:
-                    new_u = new_u + sol[i] * b
+            rhs = np.concatenate(
+                [morphism_vector(q2.w), morphism_vector(compose(q2.x, u) + compose(tensor(u, u), q1.x))]
+            )
+            sol, *_ = np.linalg.lstsq(_condition_matrix(basis, linear), rhs, rcond=None)
+            new_u = morphism_from_vector(cat, q1.theta, q2.theta, sol)
             # damp far from a solution, take full Newton-like steps once close
             if residual > 1e-2:
                 u = _polish_unitary(0.5 * (new_u + u))

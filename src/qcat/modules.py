@@ -16,7 +16,7 @@ from .errors import (
 )
 from .braided import _embed_morphism, _embed_obj, braided_product, canonical_qsystem, embed_left, full_centre
 from .decompose import ReducedQSystem
-from .frobenius import AlgebraPresentation, QSystem
+from .frobenius import AlgebraPresentation, QSystem, _mean_eigen, _power_iterate
 from .morphisms import (
     Morphism,
     ObjectExpr,
@@ -188,13 +188,8 @@ def morphism_space(mod1: Module, mod2: Module, tol: float | None = None) -> list
 
 
 def module_end_algebra(mod: Module, tol: float | None = None) -> AlgebraPresentation:
-    basis = morphism_space(mod, mod, tol)
     return AlgebraPresentation(
-        cat=mod.cat,
-        basis=basis,
-        product=lambda a, b: compose(a, b),
-        star=lambda a: a.adjoint(),
-        unit_element=identity(mod.cat, mod.beta),
+        cat=mod.cat, basis=morphism_space(mod, mod, tol), unit_element=identity(mod.cat, mod.beta)
     )
 
 
@@ -222,22 +217,14 @@ def standardize_module(mod: Module, tol: float | None = None) -> Module:
     def phi(k: Morphism) -> Morphism:
         return (1.0 / d) * compose(mod.m.adjoint(), compose(slot(k), mod.m))
 
-    k = (1.0 / idb.hs_norm()) * idb
-    for _ in range(400):
-        k2 = phi(k)
-        k2 = (1.0 / k2.hs_norm()) * k2
-        delta = (k2 - k).max_abs()
-        k = k2
-        if delta < tol:
-            break
+    k, _ = _power_iterate(phi, idb, 400, tol)
+    if k is None:
+        raise NonStandardizableError("the module norm deformation vanishes")
     n = endo_power(k, 0.5)
     n_inv = endo_power(k, -0.5)
     m2 = compose(slot(n), compose(mod.m, n_inv))
     out = Module(mod.side, mod.beta, m2, mod.parents, mod.label)
-    g2 = compose(m2.adjoint(), m2)
-    lam = np.real(sum(np.trace(b) for b in g2.blocks.values())) / max(
-        np.real(sum(np.trace(b) for b in idb.blocks.values())), 1e-300
-    )
+    lam = _mean_eigen(compose(m2.adjoint(), m2)).real
     if abs(lam - d) > 1e3 * tol * max(1.0, d):
         raise NonStandardizableError(
             f"module norm {lam:g} cannot be brought to {d:g} by deformation"
@@ -249,9 +236,8 @@ def decompose_module(mod: Module, tol: float | None = None, seed: int | None = N
     alg = module_end_algebra(mod, tol)
     if alg.dim == 1:
         return [mod]
-    kwargs = {} if seed is None else {"seed": seed}
     out = []
-    for p in alg.minimal_idempotents(**kwargs):
+    for p in alg.minimal_idempotents(seed):
         beta_i, iso = range_isometry(mod.cat, p)
         out.append(standardize_module(_cut_module(mod, iso, beta_i), tol))
     return out
@@ -529,8 +515,7 @@ def boundary_conditions(
     res_unitary = float(np.abs(smT @ smT.conj().T - np.eye(n)).max()) if n == len(columns) else np.inf
     # generic oracle: minimal idempotents of the convolution algebra
     alg = convolution_algebra(za, zb, tol)
-    kwargs = {} if seed is None else {"seed": seed}
-    oracle = alg.minimal_idempotents(**kwargs)
+    oracle = alg.minimal_idempotents(seed)
     cross = "pass"
     if len(oracle) != n:
         cross = "fail"

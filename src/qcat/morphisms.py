@@ -460,6 +460,43 @@ def hom_basis(cat: CategoryData, dom: ObjectExpr, cod: ObjectExpr) -> list[Morph
     return out
 
 
+def morphism_vector(f: Morphism) -> np.ndarray:
+    """The coordinates of f in `hom_basis(f.dom, f.cod)`: its nonempty sector
+    blocks, flattened row-major, in sector order."""
+    eng = engine(f.cat)
+    parts = []
+    for c in f.cat.labels:
+        if eng.obj_sector_dim(f.cod, c) and eng.obj_sector_dim(f.dom, c):
+            parts.append(f.block(c).reshape(-1))
+    if not parts:
+        return np.zeros(0, dtype=complex)
+    return np.concatenate(parts)
+
+
+def morphism_from_vector(cat: CategoryData, dom: ObjectExpr, cod: ObjectExpr, v) -> Morphism:
+    """sum_i v[i] hom_basis(dom, cod)[i], the inverse of `morphism_vector`.
+
+    Coefficients with |v[i]| <= 1e-14 are dropped, and a sector whose
+    coefficients are all dropped gets no block."""
+    eng = engine(cat)
+    v = np.asarray(v, dtype=complex)
+    blocks = {}
+    pos = 0
+    for c in cat.labels:
+        nr = eng.obj_sector_dim(cod, c)
+        nc = eng.obj_sector_dim(dom, c)
+        if not (nr and nc):
+            continue
+        seg = v[pos : pos + nr * nc]
+        pos += nr * nc
+        keep = np.abs(seg) > 1e-14
+        if keep.any():
+            blocks[c] = np.where(keep, seg, 0.0).reshape(nr, nc)
+    if pos != v.size:
+        raise ShapeError(f"coordinate vector of length {v.size} for a Hom space of dimension {pos}")
+    return Morphism(cat, dom, cod, blocks)
+
+
 def random_morphism(cat: CategoryData, dom: ObjectExpr, cod: ObjectExpr, rng: np.random.Generator) -> Morphism:
     eng = engine(cat)
     blocks = {}

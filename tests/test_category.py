@@ -54,6 +54,13 @@ def test_schema_errors():
         load_category("{not json")
 
 
+def test_unreadable_path_raises_parse_error(tmp_path):
+    with pytest.raises(ParseError):
+        load_category(str(tmp_path / "missing" / "cat.json"))
+    with pytest.raises(ParseError):
+        load_category(str(tmp_path))  # a directory
+
+
 def test_f_entry_in_listed_row_and_column_order(ising):
     data = ising_category()
     key = ("sig", "sig", "sig", "sig")

@@ -225,6 +225,17 @@ def test_malformed_qsystem_exit_two(tmp_path, capsys, damage):
     assert "ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"w": {}, "x": {}}, [1, 2], "ising_q", {"theta": [["sig", "sig"]], "w": {}}, {"theta": 5, "w": {}, "x": {}}],
+)
+def test_qsystem_document_without_theta_w_x_exit_two(tmp_path, capsys, doc):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check-qsystem", "ising", str(path)]) == 2
+    assert "ParseError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_bad_tol_is_a_usage_error(capsys, tol):
     assert run(["validate", "ising", "--tol", tol]) == 1

@@ -3,8 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qcat.decompose import direct_sum_qsystems
 from qcat.errors import ShapeError
 from qcat.frobenius import (
+    DEFAULT_SEED,
+    Diverged,
     QSystem,
     check_commutative,
     check_qsystem,
@@ -16,16 +19,21 @@ from qcat.frobenius import (
     qsystem_from_json,
     qsystems_equivalent,
     relative_commutant_algebra,
+    solve_morphism_space,
     trivial_qsystem_in,
 )
+from qcat.modules import _intertwiner_condition, free_module, module_end_algebra
 from qcat.morphisms import (
     Morphism,
     ObjectExpr,
     compose,
     endo_power,
+    hom_basis,
     identity,
+    morphism_vector,
     random_morphism,
     tensor,
+    zero_morphism,
 )
 
 
@@ -158,3 +166,63 @@ def test_nan_block_fails_qsystem_check(ising, iq):
     x.blocks[ising.unit] = np.full_like(x.blocks[ising.unit], np.nan)
     rep = check_qsystem(ising, QSystem(ising, iq.theta, iq.w, x))
     assert rep.ok is False
+
+
+def _reference_solve(cat, dom, cod, conditions, tol):
+    """The solve as built before the Hom-space coordinate map: the SVD null
+    space of the condition columns, each null vector accumulated into a
+    Morphism one basis element at a time."""
+    basis = hom_basis(cat, dom, cod)
+    cols = [np.concatenate([morphism_vector(cond(b)) for cond in conditions]) for b in basis]
+    _, s, vh = np.linalg.svd(np.stack(cols, axis=1))
+    rank = int(np.sum(s > max(tol, s[0] * 1e-10)))
+    null = vh[rank:].conj().T
+    out = []
+    for k in range(null.shape[1]):
+        f = zero_morphism(cat, dom, cod)
+        for i, b in enumerate(basis):
+            if abs(null[i, k]) > 1e-14:
+                f = f + null[i, k] * b
+        out.append(f)
+    return out
+
+
+def _condition_sets(ising, iq, tq):
+    """The two-sided centre conditions of a non-simple Q-system, and the
+    intertwiner condition of a reducible free module."""
+    q = direct_sum_qsystems(ising, [tq, iq])
+    idt = identity(ising, q.theta)
+    centre = [
+        lambda t: compose(tensor(idt, t), q.x) - compose(q.x, t),
+        lambda t: compose(tensor(t, idt), q.x) - compose(q.x, t),
+    ]
+    free = free_module(ising, iq, ObjectExpr.word("sig"), "left")
+    return [(q.theta, q.theta, centre), (free.beta, free.beta, _intertwiner_condition(free, free))]
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_solve_morphism_space_matches_reference(ising, iq, tq, which):
+    dom, cod, conds = _condition_sets(ising, iq, tq)[which]
+    got = solve_morphism_space(ising, dom, cod, conds)
+    want = _reference_solve(ising, dom, cod, conds, ising.tol)
+    assert len(got) == len(want) > 1
+    for f, g in zip(got, want):
+        assert (f.dom, f.cod) == (g.dom, g.cod)
+        assert f.blocks.keys() == g.blocks.keys()
+        for c in f.blocks:
+            assert np.array_equal(f.blocks[c], g.blocks[c])
+
+
+def test_minimal_idempotents_default_seed(ising, iq):
+    alg = module_end_algebra(free_module(ising, iq, ObjectExpr.word("sig"), "left"))
+    got, want = alg.minimal_idempotents(), alg.minimal_idempotents(DEFAULT_SEED)
+    assert len(got) == len(want) == 2
+    for f, g in zip(got, want):
+        assert f.blocks.keys() == g.blocks.keys()
+        for c in f.blocks:
+            assert np.array_equal(f.blocks[c], g.blocks[c])
+
+
+def test_specialize_diverges_when_the_recursion_vanishes(ising, iq):
+    out = iterate_specialize(ising, QSystem(ising, iq.theta, iq.w, 0.0 * iq.x))
+    assert out == Diverged(spectrum=[], iterations=1)

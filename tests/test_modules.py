@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qcat.braided import centre_projections
-from qcat.errors import ShapeError
+from qcat.errors import NonStandardizableError, ShapeError
 from qcat.frobenius import matrix_qsystem
 from qcat.modules import (
     Module,
@@ -15,6 +15,7 @@ from qcat.modules import (
     enumerate_modules,
     free_module,
     morphism_space,
+    standardize_module,
     trivial_bimodule,
     validate_module,
 )
@@ -123,3 +124,9 @@ def test_module_decomposition_of_wide_bimodule(ising):
     mods = enumerate_modules(ising, q, "left")
     # (1 + sig) matrix Q-system is Morita-trivial: one module class per sector
     assert len(mods) == 3
+
+
+def test_standardize_rejects_a_vanishing_module_map(ising, iq):
+    f = free_module(ising, iq, ObjectExpr.word("sig"), "left")
+    with pytest.raises(NonStandardizableError):
+        standardize_module(Module("left", f.beta, 0.0 * f.m, f.parents))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcat.category import build_category, load_category
-from qcat.errors import ParseError
+from qcat.errors import ParseError, ShapeError
 from qcat.fixtures import ising_category
 from qcat.morphisms import (
     Morphism,
@@ -20,6 +20,8 @@ from qcat.morphisms import (
     inclusion,
     left_trace,
     morphism_from_json,
+    morphism_from_vector,
+    morphism_vector,
     obj_dim,
     random_morphism,
     range_isometry,
@@ -154,6 +156,40 @@ def test_hom_basis_and_json_round_trip(ising):
     f = random_morphism(ising, SIG2, SSS, np.random.default_rng(4))
     back = morphism_from_json(ising, f.as_json())
     assert (back - f).max_abs() < 1e-14
+
+
+# Multi-summand objects with the empty word, of different sizes per sector.
+COORD_OBJECTS = [
+    ObjectExpr(((), ("sig",), ("sig", "eps"))),
+    ObjectExpr((("sig", "sig"), ("eps",), ())),
+    ObjectExpr((("sig", "sig", "sig"),)),
+]
+
+
+@pytest.mark.parametrize("dom, cod", itertools.product(COORD_OBJECTS, repeat=2))
+def test_morphism_vector_round_trip(ising, dom, cod):
+    f = random_morphism(ising, dom, cod, np.random.default_rng(11))
+    v = morphism_vector(f)
+    basis = hom_basis(ising, dom, cod)
+    assert v.shape == (len(basis),)
+    assert np.array_equal(v, [np.vdot(b.block(c), f.block(c)) for b in basis for c in b.blocks])
+    back = morphism_from_vector(ising, dom, cod, v)
+    assert (back.dom, back.cod) == (dom, cod)
+    assert back.blocks.keys() == f.blocks.keys()
+    for c, b in f.blocks.items():
+        assert np.array_equal(back.blocks[c], b)
+
+
+def test_morphism_from_vector_drops_tiny_coefficients(ising):
+    dom = cod = ObjectExpr(((), ("sig", "sig")))  # sectors 1 (2 x 2) and eps (1 x 1)
+    assert [tuple(b.blocks) for b in hom_basis(ising, dom, cod)] == [("1",)] * 4 + [("eps",)]
+    v = np.array([1.0, 1e-14, -2e-15j, 0.5j, 1e-14 + 0j])
+    f = morphism_from_vector(ising, dom, cod, v)
+    assert list(f.blocks) == ["1"]  # the eps coefficient is cut, so it gets no block
+    assert np.array_equal(f.blocks["1"], [[1.0, 0.0], [0.0, 0.5j]])
+    assert morphism_from_vector(ising, dom, cod, np.zeros(5)).blocks == {}
+    with pytest.raises(ShapeError):
+        morphism_from_vector(ising, dom, cod, np.ones(4))
 
 
 def test_sector_isometry_orthonormal(ising):
