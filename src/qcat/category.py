@@ -254,7 +254,8 @@ def build_category(data: dict) -> CategoryData:
 
 
 def load_category(source) -> CategoryData:
-    """Load a category from a path, JSON string/bytes, file object, or dict."""
+    """Load a category from a path, JSON string/bytes, file object, or dict.
+    A string is JSON text if its first non-blank character is `{`, else a path."""
     if isinstance(source, dict):
         return build_category(source)
     if hasattr(source, "read"):
@@ -263,7 +264,7 @@ def load_category(source) -> CategoryData:
         text = source
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    if "{" not in text:
+    if not text.lstrip().startswith("{"):
         try:
             with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()

@@ -16,13 +16,13 @@ from .errors import (
 )
 from .frobenius import (
     QSystem,
+    _special_standard,
     hom0_algebra,
     left_endo_algebra,
 )
 from .morphisms import (
     Morphism,
     compose,
-    endo_power,
     identity,
     inclusion,
     obj_dim,
@@ -88,11 +88,7 @@ def reduced_qsystem(
             f"trace normalization fails: r*(PxP)r = {norm_val:g}, dim = {dim_p:g}; "
             f"n_p spectrum {np.round(spectrum, 10).tolist()}"
         )
-    n_half = endo_power(n_p, 0.5)
-    n_mhalf = endo_power(n_p, -0.5)
-    w_p = dim_p ** (-0.25) * compose(n_half, w1)
-    x_p = dim_p ** (0.25) * compose(tensor(n_mhalf, n_mhalf), compose(x1, n_half))
-    child = QSystem(cat, theta_p, w_p, x_p)
+    child = _special_standard(QSystem(cat, theta_p, w1, x1), n_p)
     return ReducedQSystem(
         parent=q,
         projection=p,

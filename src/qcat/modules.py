@@ -16,7 +16,7 @@ from .errors import (
 )
 from .braided import _embed_morphism, _embed_obj, braided_product, canonical_qsystem, embed_left, full_centre
 from .decompose import ReducedQSystem
-from .frobenius import AlgebraPresentation, QSystem, _mean_eigen, _power_iterate
+from .frobenius import AlgebraPresentation, QSystem, _mean_eigen, _power_iterate, trivial_qsystem_in
 from .morphisms import (
     Morphism,
     ObjectExpr,
@@ -38,7 +38,10 @@ from .morphisms import (
 
 @dataclass
 class Module:
-    side: str  # "left" | "right" | "bi"
+    """An A-B bimodule (beta, m), m in Hom(beta, theta_A beta theta_B), over
+    parents = (A, B).  A left A-module is an A-1 bimodule and a right
+    B-module a 1-B bimodule, 1 the trivial Q-system."""
+
     beta: ObjectExpr
     m: Morphism
     parents: tuple
@@ -63,7 +66,7 @@ class ModuleReport:
 
     @property
     def ok(self) -> bool:
-        return max(self.unit, self.representation, self.standard, self.e_projection) < self.tol
+        return all(r < self.tol for r in (self.unit, self.representation, self.standard, self.e_projection))
 
     def as_dict(self) -> dict:
         return {
@@ -75,105 +78,54 @@ class ModuleReport:
         }
 
 
-def _bi_actions(mod: Module) -> tuple[Morphism, Morphism]:
-    qa, qb = mod.parents
-    cat = mod.cat
-    ida = identity(cat, qa.theta)
-    idb = identity(cat, mod.beta)
-    m1 = compose(tensor(tensor(ida, idb), qb.w.adjoint()), mod.m)
-    m2 = compose(tensor(qa.w.adjoint(), tensor(idb, identity(cat, qb.theta))), mod.m)
-    return m1, m2
-
-
 def validate_module(cat: CategoryData, mod: Module, tol: float | None = None) -> ModuleReport:
     tol = cat.tol if tol is None else tol
-    idb = identity(cat, mod.beta)
-    if mod.side == "left":
-        (q,) = mod.parents if len(mod.parents) == 1 else (mod.parents[0],)
-        if mod.m.dom != mod.beta or mod.m.cod != q.theta @ mod.beta:
-            raise ShapeError("left module map must lie in Hom(beta, theta beta)")
-        unit = (compose(tensor(q.w.adjoint(), idb), mod.m) - idb).max_abs()
-        rep = (
-            compose(tensor(identity(cat, q.theta), mod.m), mod.m)
-            - compose(tensor(q.x, idb), mod.m)
-        ).max_abs()
-        d = q.d
-    elif mod.side == "right":
-        (q,) = mod.parents if len(mod.parents) == 1 else (mod.parents[0],)
-        if mod.m.dom != mod.beta or mod.m.cod != mod.beta @ q.theta:
-            raise ShapeError("right module map must lie in Hom(beta, beta theta)")
-        unit = (compose(tensor(idb, q.w.adjoint()), mod.m) - idb).max_abs()
-        rep = (
-            compose(tensor(mod.m, identity(cat, q.theta)), mod.m)
-            - compose(tensor(idb, q.x), mod.m)
-        ).max_abs()
-        d = q.d
-    elif mod.side == "bi":
-        qa, qb = mod.parents
-        if mod.m.dom != mod.beta or mod.m.cod != qa.theta @ mod.beta @ qb.theta:
-            raise ShapeError("bimodule map must lie in Hom(beta, thetaA beta thetaB)")
-        unit = (
-            compose(tensor(tensor(qa.w.adjoint(), idb), qb.w.adjoint()), mod.m) - idb
-        ).max_abs()
-        m1, m2 = _bi_actions(mod)
-        rep_l = (
-            compose(tensor(identity(cat, qa.theta), m1), m1)
-            - compose(tensor(qa.x, idb), m1)
-        ).max_abs()
-        rep_r = (
-            compose(tensor(m2, identity(cat, qb.theta)), m2)
-            - compose(tensor(idb, qb.x), m2)
-        ).max_abs()
-        compat = (
-            compose(tensor(identity(cat, qa.theta), m2), m1) - mod.m
-        ).max_abs()
-        compat2 = (
-            compose(tensor(m1, identity(cat, qb.theta)), m2) - mod.m
-        ).max_abs()
-        rep = max(rep_l, rep_r, compat, compat2)
-        d = qa.d * qb.d
-    else:
-        raise ShapeError(f"unknown module side {mod.side!r}")
-    standard = (compose(mod.m.adjoint(), mod.m) - d * idb).max_abs()
+    qa, qb = mod.parents
+    if mod.m.dom != mod.beta or mod.m.cod != qa.theta @ mod.beta @ qb.theta:
+        raise ShapeError("module map must lie in Hom(beta, thetaA beta thetaB)")
+    id_a, id_beta, id_b = (identity(cat, x) for x in (qa.theta, mod.beta, qb.theta))
+    unit = (compose(tensor(tensor(qa.w.adjoint(), id_beta), qb.w.adjoint()), mod.m) - id_beta).max_abs()
+    # the left and the right action alone
+    m1 = compose(tensor(tensor(id_a, id_beta), qb.w.adjoint()), mod.m)
+    m2 = compose(tensor(qa.w.adjoint(), tensor(id_beta, id_b)), mod.m)
+    rep = np.max([
+        (compose(tensor(id_a, m1), m1) - compose(tensor(qa.x, id_beta), m1)).max_abs(),
+        (compose(tensor(m2, id_b), m2) - compose(tensor(id_beta, qb.x), m2)).max_abs(),
+        (compose(tensor(id_a, m2), m1) - mod.m).max_abs(),
+        (compose(tensor(m1, id_b), m2) - mod.m).max_abs(),
+    ])
+    d = qa.d * qb.d
+    standard = (compose(mod.m.adjoint(), mod.m) - d * id_beta).max_abs()
     e = (1.0 / d) * compose(mod.m, mod.m.adjoint())
-    e_proj = max((compose(e, e) - e).max_abs(), (e - e.adjoint()).max_abs())
-    return ModuleReport(unit=unit, representation=rep, standard=standard, e_projection=e_proj, tol=1e2 * tol)
+    e_proj = float(np.max([(compose(e, e) - e).max_abs(), (e - e.adjoint()).max_abs()]))
+    return ModuleReport(unit=unit, representation=float(rep), standard=standard, e_projection=e_proj, tol=1e2 * tol)
 
 
 def free_module(cat: CategoryData, q, rho: ObjectExpr, side: str = "left", label: str = "") -> Module:
-    idr = identity(cat, rho)
+    """The free module theta_A rho theta_B with m = x_A (x) 1 (x) x_B over
+    (q, 1), (1, q) or q = (qa, qb) for side left, right or bi."""
     if side == "left":
-        beta = q.theta @ rho
-        return Module("left", beta, tensor(q.x, idr), (q,), label)
-    if side == "right":
-        beta = rho @ q.theta
-        return Module("right", beta, tensor(idr, q.x), (q,), label)
-    if side == "bi":
-        qa, qb = q
-        beta = qa.theta @ rho @ qb.theta
-        return Module("bi", beta, tensor(tensor(qa.x, idr), qb.x), (qa, qb), label)
-    raise ShapeError(f"unknown module side {side!r}")
+        parents = (q, trivial_qsystem_in(cat))
+    elif side == "right":
+        parents = (trivial_qsystem_in(cat), q)
+    elif side == "bi":
+        parents = tuple(q)
+    else:
+        raise ShapeError(f"unknown module side {side!r}")
+    qa, qb = parents
+    m = tensor(tensor(qa.x, identity(cat, rho)), qb.x)
+    return Module(qa.theta @ rho @ qb.theta, m, parents, label)
 
 
 def _action_slot(mod: Module):
-    """k -> 1 (x) k, k (x) 1 or 1 (x) k (x) 1: k in the module leg of the
-    action of mod's Q-systems, by side."""
-    cat = mod.cat
-    if mod.side == "left":
-        idt = identity(cat, mod.parents[0].theta)
-        return lambda k: tensor(idt, k)
-    if mod.side == "right":
-        idt = identity(cat, mod.parents[0].theta)
-        return lambda k: tensor(k, idt)
-    if mod.side == "bi":
-        id_a, id_b = (identity(cat, q.theta) for q in mod.parents)
-        return lambda k: tensor(tensor(id_a, k), id_b)
-    raise ShapeError(f"unknown module side {mod.side!r}")
+    """k -> 1 (x) k (x) 1: k in the module leg of the action of mod's Q-systems."""
+    id_a, id_b = (identity(mod.cat, q.theta) for q in mod.parents)
+    return lambda k: tensor(tensor(id_a, k), id_b)
 
 
 def _intertwiner_condition(mod1: Module, mod2: Module):
-    if mod1.side != mod2.side or len(mod1.parents) != len(mod2.parents):
-        raise MismatchError("modules must share side and parents")
+    if any(q1.theta != q2.theta for q1, q2 in zip(mod1.parents, mod2.parents)):
+        raise MismatchError("modules must share their parent Q-systems")
     slot = _action_slot(mod1)
     return [lambda t: compose(slot(t), mod1.m) - compose(mod2.m, t)]
 
@@ -195,7 +147,7 @@ def module_end_algebra(mod: Module, tol: float | None = None) -> AlgebraPresenta
 
 def _cut_module(mod: Module, iso: Morphism, beta_i: ObjectExpr) -> Module:
     m = compose(_action_slot(mod)(iso.adjoint()), compose(mod.m, iso))
-    return Module(mod.side, beta_i, m, mod.parents, mod.label)
+    return Module(beta_i, m, mod.parents, mod.label)
 
 
 def standardize_module(mod: Module, tol: float | None = None) -> Module:
@@ -203,10 +155,7 @@ def standardize_module(mod: Module, tol: float | None = None) -> Module:
     m* m = d * 1 while keeping unit and representation properties."""
     cat = mod.cat
     tol = cat.tol if tol is None else tol
-    if mod.side == "bi":
-        d = mod.parents[0].d * mod.parents[1].d
-    else:
-        d = mod.parents[0].d
+    d = mod.parents[0].d * mod.parents[1].d
     idb = identity(cat, mod.beta)
     g = compose(mod.m.adjoint(), mod.m)
     if (g - d * idb).max_abs() < 1e2 * tol:
@@ -223,7 +172,7 @@ def standardize_module(mod: Module, tol: float | None = None) -> Module:
     n = endo_power(k, 0.5)
     n_inv = endo_power(k, -0.5)
     m2 = compose(slot(n), compose(mod.m, n_inv))
-    out = Module(mod.side, mod.beta, m2, mod.parents, mod.label)
+    out = Module(mod.beta, m2, mod.parents, mod.label)
     lam = _mean_eigen(compose(m2.adjoint(), m2)).real
     if abs(lam - d) > 1e3 * tol * max(1.0, d):
         raise NonStandardizableError(
@@ -271,13 +220,12 @@ def bimodule_tensor(mod1: Module, mod2: Module, tol: float | None = None) -> Mod
     qb2, qc = mod2.parents
     if qb is not qb2:
         raise MismatchError("middle Q-systems must coincide")
-    r_b = compose(qb.x, qb.w)
     ida = identity(cat, qa.theta)
     idc = identity(cat, qc.theta)
     id1 = identity(cat, mod1.beta)
     id2 = identity(cat, mod2.beta)
     mhat = compose(
-        tensor(tensor(tensor(ida, id1), tensor(r_b.adjoint(), id2)), idc),
+        tensor(tensor(tensor(ida, id1), tensor(qb.r.adjoint(), id2)), idc),
         tensor(mod1.m, mod2.m),
     )
     p = (1.0 / qb.d) * compose(
@@ -285,31 +233,24 @@ def bimodule_tensor(mod1: Module, mod2: Module, tol: float | None = None) -> Mod
     )
     beta, s = range_isometry(cat, p)
     m12 = (1.0 / qb.d) * compose(tensor(tensor(ida, s.adjoint()), idc), compose(mhat, s))
-    out = Module("bi", beta, m12, (qa, qc), f"{mod1.label}(x){mod2.label}")
+    out = Module(beta, m12, (qa, qc), f"{mod1.label}(x){mod2.label}")
     return standardize_module(out, tol)
 
 
 def d_intertwiner(cat: CategoryData, mod: Module, rho: ObjectExpr | None = None) -> Morphism:
-    """The beta-traced braided intertwiner of an A-B bimodule, optionally with
-    an object threaded through the trace loop."""
+    """The beta-traced braided intertwiner of an A-B bimodule, with an object
+    rho (default the unit) threaded through the trace loop."""
+    rho = ObjectExpr.unit() if rho is None else rho
     qa, qb = mod.parents
     beta = mod.beta
-    r_b = compose(qb.x, qb.w)
     ida = identity(cat, qa.theta)
-    idb = identity(cat, beta)
-    if rho is None or rho == ObjectExpr.unit():
-        t = compose(
-            braiding(cat, qa.theta, beta, "+"),
-            compose(tensor(tensor(ida, idb), r_b.adjoint()), tensor(mod.m, identity(cat, qb.theta))),
-        )
-        return left_trace(cat, t, beta, qb.theta, qa.theta)
     idr = identity(cat, rho)
     t = compose(
         braiding(cat, qa.theta @ rho, beta, "+"),
         compose(
             tensor(ida, braiding(cat, beta, rho, "-")),
             compose(
-                tensor(tensor(tensor(ida, idb), r_b.adjoint()), idr),
+                tensor(tensor(tensor(ida, identity(cat, beta)), qb.r.adjoint()), idr),
                 tensor(tensor(mod.m, identity(cat, qb.theta)), idr),
             ),
         ),
@@ -320,7 +261,7 @@ def d_intertwiner(cat: CategoryData, mod: Module, rho: ObjectExpr | None = None)
 def trivial_bimodule(cat: CategoryData, q: QSystem) -> Module:
     """The Q-system as the trivial bimodule over itself."""
     m = compose(tensor(q.x, identity(cat, q.theta)), q.x)
-    return Module("bi", q.theta, m, (q, q), "trivial")
+    return Module(q.theta, m, (q, q), "trivial")
 
 
 # ---- the boundary machinery ------------------------------------------
@@ -357,7 +298,7 @@ def r_lift(
         tensor(braiding(prod, beta_e, th, c2), identity(prod, th @ theta_b @ th)),
     )
     m_lift = compose(step3, compose(step2, step1))
-    out = Module("bi", beta_e @ th, m_lift, (ra, rb), f"R[{mod.label}]")
+    out = Module(beta_e @ th, m_lift, (ra, rb), f"R[{mod.label}]")
     return prod, out
 
 
@@ -379,7 +320,7 @@ def restrict_bimodule(
         ),
         mod.m,
     )
-    return Module("bi", mod.beta, m2, (red_a.child, red_b.child), f"{mod.label}|Z")
+    return Module(mod.beta, m2, (red_a.child, red_b.child), f"{mod.label}|Z")
 
 
 def convolution(qa: QSystem, qb: QSystem, t1: Morphism, t2: Morphism) -> Morphism:
@@ -390,13 +331,11 @@ def convolution(qa: QSystem, qb: QSystem, t1: Morphism, t2: Morphism) -> Morphis
 def frobenius_conj(qa: QSystem, qb: QSystem, t: Morphism) -> Morphism:
     """The antilinear Frobenius conjugation on Hom(theta_B, theta_A)."""
     cat = qa.cat
-    r_a = compose(qa.x, qa.w)
-    r_b = compose(qb.x, qb.w)
     ida = identity(cat, qa.theta)
     idb = identity(cat, qb.theta)
     return compose(
-        tensor(r_b.adjoint(), ida),
-        compose(tensor(idb, tensor(t.adjoint(), ida)), tensor(idb, r_a)),
+        tensor(qb.r.adjoint(), ida),
+        compose(tensor(idb, tensor(t.adjoint(), ida)), tensor(idb, qa.r)),
     )
 
 

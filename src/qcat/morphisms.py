@@ -22,6 +22,7 @@ from .category import CategoryData, _complex_array
 from .errors import ConjugacyError, ParseError, ShapeError, UnknownLabelError
 
 Word = tuple[str, ...]
+_UNIT_WORDS: tuple[Word, ...] = ((),)
 
 
 @dataclass(frozen=True)
@@ -531,8 +532,13 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
     where f_c, g_d are whole sector blocks, the block of channel (c, d, mu)
     sits on that channel's group of the split bases of f.cod (x) g.cod and
     f.dom (x) g.dom (`Engine.pair_index`), and S recouples a split basis to
-    the canonical one.
+    the canonical one.  The unit is strict (words concatenate), so a factor
+    1 -> 1 only scales the other one.
     """
+    if g.dom.summands == _UNIT_WORDS and g.cod.summands == _UNIT_WORDS:
+        return g.scalar() * f
+    if f.dom.summands == _UNIT_WORDS and f.cod.summands == _UNIT_WORDS:
+        return f.scalar() * g
     eng = engine(f.cat)
     dom_index = eng.pair_index(f.dom, g.dom)
     cod_index = eng.pair_index(f.cod, g.cod)

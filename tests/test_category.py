@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ def test_unreadable_path_raises_parse_error(tmp_path):
         load_category(str(tmp_path / "missing" / "cat.json"))
     with pytest.raises(ParseError):
         load_category(str(tmp_path))  # a directory
+
+
+def test_path_with_a_brace_is_a_path(tmp_path, ising):
+    path = tmp_path / "a{b}.json"
+    text = json.dumps(ising_category())
+    path.write_text(text, encoding="utf-8")
+    assert load_category(str(path)).labels == ising.labels
+    # JSON text may start with blanks
+    assert load_category(" \n" + text).labels == ising.labels
 
 
 def test_f_entry_in_listed_row_and_column_order(ising):

@@ -7,6 +7,7 @@ from qcat.decompose import direct_sum_qsystems
 from qcat.errors import ShapeError
 from qcat.frobenius import (
     DEFAULT_SEED,
+    AxiomReport,
     Diverged,
     QSystem,
     check_commutative,
@@ -14,6 +15,7 @@ from qcat.frobenius import (
     hom0_algebra,
     ising_q,
     iterate_specialize,
+    make_special_standard,
     matrix_qsystem,
     qsystem_as_json,
     qsystem_from_json,
@@ -89,6 +91,26 @@ def test_scaled_qsystem_fails(ising, iq):
     bad = QSystem(ising, iq.theta, 2.0 * iq.w, iq.x)
     rep = check_qsystem(ising, bad)
     assert not rep.ok
+
+
+def test_make_special_standard_restores_a_rescaled_qsystem(ising, iq):
+    bad = QSystem(ising, iq.theta, 2.0 * iq.w, 0.5 * iq.x)
+    rep = check_qsystem(ising, bad)
+    assert not rep.ok
+    assert abs(rep.standard_w - 3.0 * np.sqrt(2.0)) < 1e-9
+    fixed = make_special_standard(ising, bad)
+    assert check_qsystem(ising, fixed).ok
+    assert qsystems_equivalent(ising, fixed, iq)
+
+
+def test_axiom_report_fails_on_a_nan_residual():
+    fields = ("unit", "associativity", "frobenius", "special", "standard_w", "standard_x")
+    good = dict.fromkeys(fields, 0.0)
+    assert AxiomReport(**good, d=1.0, tol=1e-9).ok
+    for name in fields:
+        rep = AxiomReport(**{**good, name: float("nan")}, d=1.0, tol=1e-9)
+        assert rep.ok is False
+        assert rep.as_dict()["ok"] is False
 
 
 def test_shape_mismatch_raises(ising, iq, tq):

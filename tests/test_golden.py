@@ -31,6 +31,7 @@ COMMANDS = {
     "modules-left": ["modules", "ising", "ising_q", "--side", "left"],
     "modules-right": ["modules", "ising", "ising_q", "--side", "right"],
     "bimodules": ["bimodules", "ising", "ising_q", "ising_q"],
+    "bimodules-trivial-ising_q": ["bimodules", "ising", "trivial", "ising_q"],
     "decompose-central": ["decompose", "ising", "ising_q", "--mode", "central"],
     "decompose-irreducible": ["decompose", "ising", "ising_q", "--mode", "irreducible"],
     "boundary-trivial-trivial": ["boundary", "ising", "--A", "trivial", "--B", "trivial"],

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qcat.braided import centre_projections
-from qcat.errors import NonStandardizableError, ShapeError
-from qcat.frobenius import matrix_qsystem
+from qcat.errors import MismatchError, NonStandardizableError, ShapeError
+from qcat.frobenius import matrix_qsystem, trivial_qsystem_in
 from qcat.modules import (
     Module,
     bimodule_tensor,
@@ -36,16 +36,36 @@ def test_free_modules_valid(ising, iq):
         ).ok
 
 
+def test_left_and_right_modules_are_bimodules_over_the_trivial_qsystem(ising, iq):
+    rho = ObjectExpr.word("sig")
+    one = trivial_qsystem_in(ising)
+    for side, parents in (("left", (iq, one)), ("right", (one, iq))):
+        f = free_module(ising, iq, rho, side)
+        bi = free_module(ising, parents, rho, "bi")
+        assert f.beta == bi.beta
+        assert [q.theta for q in f.parents] == [q.theta for q in parents]
+        assert (f.m - bi.m).max_abs() == 0.0
+
+
+def test_left_and_right_modules_do_not_intertwine(ising, iq):
+    rho = ObjectExpr.word("sig")
+    left = free_module(ising, iq, rho, "left")
+    right = free_module(ising, iq, rho, "right")
+    with pytest.raises(MismatchError):
+        morphism_space(left, right)
+
+
 def test_scaled_module_fails(ising, iq):
     f = free_module(ising, iq, ObjectExpr.word("1"), "left")
-    bad = Module("left", f.beta, 2.0 * f.m, f.parents)
+    bad = Module(f.beta, 2.0 * f.m, f.parents)
     assert not validate_module(ising, bad).ok
 
 
 def test_wrong_shape_raises(ising, iq):
     f = free_module(ising, iq, ObjectExpr.word("1"), "left")
+    # the left action as a right one: m lies in Hom(beta, theta beta), not Hom(beta, beta theta)
     with pytest.raises(ShapeError):
-        validate_module(ising, Module("right", f.beta, f.m, f.parents))
+        validate_module(ising, Module(f.beta, f.m, f.parents[::-1]))
 
 
 def test_free_sigma_module_splits_in_two(ising, iq):
@@ -129,4 +149,4 @@ def test_module_decomposition_of_wide_bimodule(ising):
 def test_standardize_rejects_a_vanishing_module_map(ising, iq):
     f = free_module(ising, iq, ObjectExpr.word("sig"), "left")
     with pytest.raises(NonStandardizableError):
-        standardize_module(Module("left", f.beta, 0.0 * f.m, f.parents))
+        standardize_module(Module(f.beta, 0.0 * f.m, f.parents))

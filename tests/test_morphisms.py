@@ -343,6 +343,26 @@ def test_tensor_of_identities_and_functoriality(name):
     assert (lhs - tensor(compose(a, b), compose(c, d))).max_abs() < 1e-11
 
 
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_tensor_with_a_unit_factor_matches_reference(name):
+    """A factor 1 -> 1, on either side, only scales the other factor; the
+    scalar may be zero or of modulus other than one."""
+    cat, objs = KERNEL_CASES[name]
+    rng = np.random.default_rng(24)
+    for s in (0.0, 1.0, 2.5 - 1.5j):
+        unit_map = s * identity(cat, ObjectExpr.unit())
+        for x, y in itertools.product(objs, repeat=2):
+            f = random_morphism(cat, x, y, rng)
+            for got, want in (
+                (tensor(f, unit_map), _reference_tensor(f, unit_map)),
+                (tensor(unit_map, f), _reference_tensor(unit_map, f)),
+            ):
+                assert (got.dom, got.cod) == (want.dom, want.cod) == (x, y)
+                assert set(got.blocks) == set(want.blocks)
+                assert (got - want).max_abs() < 1e-12 * max(1.0, want.max_abs())
+            assert (tensor(f, unit_map) - s * f).max_abs() == 0.0
+
+
 def test_tensor_strictly_associative():
     """Associativity of the left-nested canonical bases rests on the
     pentagon, so it is checked on Ising, not on the random-F ring."""
