@@ -133,7 +133,6 @@ class ModularData:
 @dataclass
 class ValidationReport:
     ok: bool
-    fusion_ok: bool
     f_unitarity: float
     r_unitarity: float
     pentagon: float
@@ -146,7 +145,6 @@ class ValidationReport:
     def as_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "fusion_ok": self.fusion_ok,
             "f_unitarity": self.f_unitarity,
             "r_unitarity": self.r_unitarity,
             "pentagon": self.pentagon,
@@ -520,7 +518,6 @@ def validate_category(cat: CategoryData) -> ValidationReport:
     worst_h = None if np.maximum(hexp, hexm) < cat.tol else hex_keys[int(np.argmax(np.maximum(hex_p, hex_m)))]
     return ValidationReport(
         ok=ok,
-        fusion_ok=True,
         f_unitarity=f_res,
         r_unitarity=r_res,
         pentagon=pent,

@@ -119,8 +119,7 @@ def check_qsystem(cat: CategoryData, q: QSystem, tol: float | None = None) -> Ax
 
 def _mean_eigen(f: Morphism) -> complex:
     num = sum((np.trace(b) for b in f.blocks.values()), 0.0 + 0.0j)
-    eng = engine(f.cat)
-    total = sum(eng.obj_sector_dim(f.dom, c) for c in f.cat.labels)
+    total = sum(offs[-1] for offs in engine(f.cat).sectors(f.dom).values())
     return num / total if total else 0.0
 
 
@@ -495,10 +494,9 @@ def qsystems_equivalent(cat: CategoryData, q1: QSystem, q2: QSystem, tol: float 
     10 x tol residual.
     """
     tol = cat.tol if tol is None else tol
-    eng = engine(cat)
-    for c in cat.labels:
-        if eng.obj_sector_dim(q1.theta, c) != eng.obj_sector_dim(q2.theta, c):
-            return False
+    sectors1, sectors2 = (engine(cat).sectors(q.theta) for q in (q1, q2))
+    if {c: o[-1] for c, o in sectors1.items()} != {c: o[-1] for c, o in sectors2.items()}:
+        return False
     basis = hom_basis(cat, q1.theta, q2.theta)
     if not basis:
         return q1.theta.is_zero and q2.theta.is_zero

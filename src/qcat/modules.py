@@ -214,11 +214,15 @@ def enumerate_bimodules(cat: CategoryData, qa: QSystem, qb: QSystem, tol: float 
 
 
 def bimodule_tensor(mod1: Module, mod2: Module, tol: float | None = None) -> Module:
-    """Tensor product over the middle Q-system of an A-B and a B-C bimodule."""
+    """Tensor product over the middle Q-system of an A-B and a B-C bimodule.
+
+    The two middle Q-systems must be equal: the same theta, with w and x
+    equal within tol."""
     cat = mod1.cat
+    tol = cat.tol if tol is None else tol
     qa, qb = mod1.parents
     qb2, qc = mod2.parents
-    if qb is not qb2:
+    if not (qb.theta == qb2.theta and (qb.w - qb2.w).max_abs() < tol and (qb.x - qb2.x).max_abs() < tol):
         raise MismatchError("middle Q-systems must coincide")
     ida = identity(cat, qa.theta)
     idc = identity(cat, qc.theta)
@@ -433,13 +437,12 @@ def boundary_conditions(
             pairings[i, j] = trace_pairing(prod, dvals[j], dvals[i])
     # S_{mT} against the common sector channels
     eng = engine(prod)
-    columns = []
-    for c in prod.labels:
-        na = eng.obj_sector_dim(za.theta, c)
-        nb = eng.obj_sector_dim(zb.theta, c)
-        for i in range(na):
-            for j in range(nb):
-                columns.append((c, i, j))
+    columns = [
+        (c, i, j)
+        for c, offs in eng.sectors(za.theta).items()
+        for i in range(offs[-1])
+        for j in range(eng.obj_sector_dim(zb.theta, c))
+    ]
     smT = np.zeros((n, len(columns)), dtype=complex)
     for col, (c, i, j) in enumerate(columns):
         ta = sector_isometry(prod, za.theta, c, i)

@@ -136,7 +136,6 @@ class Morphism:
         return complex(b[0, 0])
 
     def as_json(self) -> dict:
-        eng = engine(self.cat)
         blocks = []
         for c in self.cat.labels:
             b = self.blocks.get(c)
@@ -166,60 +165,80 @@ def morphism_from_json(cat: CategoryData, data: dict) -> Morphism:
 
 
 class Engine:
-    """Per-category fusion-tree machinery with recoupling caches."""
+    """Per-category fusion-tree machinery with recoupling caches.
+
+    It keeps one sector table per word (`trees`) and per object (`sectors`),
+    holding only the sectors they reach, and every walk goes over those.
+    """
 
     def __init__(self, cat: CategoryData):
         self.cat = cat
-        self._trees: dict[tuple[Word, str], list] = {}
+        self._rank = {c: i for i, c in enumerate(cat.labels)}
+        self._trees: dict[Word, dict[str, list]] = {}
         self._tree_index: dict[tuple[Word, str], dict] = {}
+        self._sectors: dict[ObjectExpr, dict[str, list[int]]] = {}
         self._split: dict[tuple[Word, Word], dict] = {}
         self._word_braid: dict[tuple[Word, Word, str], Morphism] = {}
         self._word_pair: dict[Word, tuple[Morphism, Morphism]] = {}
         self._pair_index: dict[tuple[ObjectExpr, ObjectExpr], dict[str, _SectorIndex]] = {}
 
+    def _in_label_order(self, table: dict) -> dict:
+        return {c: table[c] for c in sorted(table, key=self._rank.__getitem__)}
+
     # ---- fusion trees -------------------------------------------------
 
-    def trees(self, w: Word, c: str) -> list:
-        key = (w, c)
-        got = self._trees.get(key)
+    def trees(self, w: Word) -> dict[str, list]:
+        """The canonical trees of w in each sector c it reaches: a tree of
+        w[:-1] at b, then a vertex mu of b x w[-1] -> c, ordered by b (in
+        label order), then the sub-tree, then mu."""
+        got = self._trees.get(w)
         if got is not None:
             return got
         cat = self.cat
-        if len(w) == 0:
-            out = [()] if c == cat.unit else []
+        if not w:
+            out = {cat.unit: [()]}
+        elif w[-1] not in cat.dual:
+            raise UnknownLabelError(f"unknown label {w[-1]!r}")
         elif len(w) == 1:
-            if w[0] not in cat.dual:
-                raise UnknownLabelError(f"unknown label {w[0]!r}")
-            out = [()] if c == w[0] else []
+            out = {w[0]: [()]}
         else:
-            out = []
-            for b in cat.labels:
-                sub = self.trees(w[:-1], b)
-                if not sub:
-                    continue
-                m = cat.n(b, w[-1], c)
-                for t in sub:
-                    for mu in range(m):
-                        out.append(t + ((b, mu),))
-        self._trees[key] = out
+            grown: dict[str, list] = {}
+            for b, sub in self.trees(w[:-1]).items():
+                for c, m in cat.fuse(b, w[-1]):
+                    grown.setdefault(c, []).extend(t + ((b, mu),) for t in sub for mu in range(m))
+            out = self._in_label_order(grown)
+        self._trees[w] = out
         return out
 
     def tree_index(self, w: Word, c: str) -> dict:
         key = (w, c)
         got = self._tree_index.get(key)
         if got is None:
-            got = {t: i for i, t in enumerate(self.trees(w, c))}
+            got = {t: i for i, t in enumerate(self.trees(w)[c])}
             self._tree_index[key] = got
         return got
 
+    def sectors(self, x: ObjectExpr) -> dict[str, list[int]]:
+        """Per sector c that x reaches: the offsets of x's summands in c."""
+        got = self._sectors.get(x)
+        if got is not None:
+            return got
+        tables = [self.trees(w) for w in x.summands]
+        out = {}
+        for c in self._in_label_order({c: None for t in tables for c in t}):
+            offs = [0]
+            for t in tables:
+                offs.append(offs[-1] + len(t.get(c, ())))
+            out[c] = offs
+        self._sectors[x] = out
+        return out
+
     def obj_sector_dim(self, x: ObjectExpr, c: str) -> int:
-        return sum(len(self.trees(w, c)) for w in x.summands)
+        offs = self.sectors(x).get(c)
+        return offs[-1] if offs else 0
 
     def obj_offsets(self, x: ObjectExpr, c: str) -> list[int]:
-        offs = [0]
-        for w in x.summands:
-            offs.append(offs[-1] + len(self.trees(w, c)))
-        return offs
+        return self.sectors(x).get(c) or [0] * (len(x.summands) + 1)
 
     # ---- recoupling ---------------------------------------------------
 
@@ -237,50 +256,37 @@ class Engine:
         unit = cat.unit
         out: dict[str, tuple[np.ndarray, list]] = {}
         if len(w2) == 0:
-            for e in cat.labels:
-                n = len(self.trees(w1, e))
-                if n:
-                    out[e] = (np.eye(n, dtype=complex), [(e, i, unit, 0, 0) for i in range(n)])
+            for e, ts in self.trees(w1).items():
+                out[e] = (np.eye(len(ts), dtype=complex), [(e, i, unit, 0, 0) for i in range(len(ts))])
         elif len(w1) == 0:
-            for e in cat.labels:
-                n = len(self.trees(w2, e))
-                if n:
-                    out[e] = (np.eye(n, dtype=complex), [(unit, 0, e, i, 0) for i in range(n)])
+            for e, ts in self.trees(w2).items():
+                out[e] = (np.eye(len(ts), dtype=complex), [(unit, 0, e, i, 0) for i in range(len(ts))])
         elif len(w2) == 1:
             a = w2[0]
-            w = w1 + w2
-            for e in cat.labels:
-                can = self.trees(w, e)
-                if not can:
-                    continue
-                split_list = self._enumerate_split(w1, w2, e)
+            split_lists = self._enumerate_split(w1, w2)
+            for e, can in self.trees(w1 + w2).items():
+                split_list = split_lists[e]
                 sidx = {t: i for i, t in enumerate(split_list)}
                 s = np.zeros((len(split_list), len(can)), dtype=complex)
                 for col, tt in enumerate(can):
                     b, mu = tt[-1]
-                    t_pre = tt[:-1]
-                    i1 = self.tree_index(w1, b)[t_pre]
+                    i1 = self.tree_index(w1, b)[tt[:-1]]
                     s[sidx[(b, i1, a, 0, mu)], col] = 1.0
                 out[e] = (s, split_list)
         else:
             v, a = w2[:-1], w2[-1]
             prev = self.split(w1, v)
-            w = w1 + w2
             wv = w1 + v
-            for e in cat.labels:
-                can = self.trees(w, e)
-                if not can:
-                    continue
-                split_list = self._enumerate_split(w1, w2, e)
+            v_trees = self.trees(v)
+            split_lists = self._enumerate_split(w1, w2)
+            for e, can in self.trees(w1 + w2).items():
+                split_list = split_lists[e]
                 sidx = {t: i for i, t in enumerate(split_list)}
                 s = np.zeros((len(split_list), len(can)), dtype=complex)
                 for col, tt in enumerate(can):
                     b, mu = tt[-1]
-                    t_pre = tt[:-1]
-                    if b not in prev:
-                        continue
                     prev_s, prev_list = prev[b]
-                    t_pre_idx = self.tree_index(wv, b)[t_pre]
+                    t_pre_idx = self.tree_index(wv, b)[tt[:-1]]
                     for row_idx, (c, i1, dp, i2p, nu) in enumerate(prev_list):
                         coeff = prev_s[row_idx, t_pre_idx]
                         if abs(coeff) < 1e-15:
@@ -289,7 +295,7 @@ class Engine:
                         rows = cat.f_rows(c, dp, a, e)
                         cols = cat.f_cols(c, dp, a, e)
                         ri = rows.index((b, nu, mu))
-                        t2p = self.trees(v, dp)[i2p]
+                        t2p = v_trees[dp][i2p]
                         for ci, (dd, sig, tau) in enumerate(cols):
                             val = fm[ri, ci]
                             if abs(val) < 1e-15:
@@ -301,17 +307,18 @@ class Engine:
         self._split[key] = out
         return out
 
-    def _enumerate_split(self, w1: Word, w2: Word, e: str) -> list:
-        cat = self.cat
-        n1 = {c: len(self.trees(w1, c)) for c in cat.labels}
-        n2 = {d: len(self.trees(w2, d)) for d in cat.labels}
-        out = []
-        for c in cat.labels:
-            for d in cat.labels:
-                m = cat.n(c, d, e) if n1[c] and n2[d] else 0
-                if m:
-                    out += [(c, i1, d, i2, mu) for i1 in range(n1[c]) for i2 in range(n2[d]) for mu in range(m)]
-        return out
+    def _enumerate_split(self, w1: Word, w2: Word) -> dict[str, list]:
+        """Per sector e of w1 w2: its split basis (c, i1, d, i2, mu), ordered
+        by c, then d (in label order), then i1, i2, mu."""
+        out: dict[str, list] = {}
+        t2 = self.trees(w2)
+        for c, s1 in self.trees(w1).items():
+            for d, s2 in t2.items():
+                for e, m in self.cat.fuse(c, d):
+                    out.setdefault(e, []).extend(
+                        (c, i1, d, i2, mu) for i1 in range(len(s1)) for i2 in range(len(s2)) for mu in range(m)
+                    )
+        return self._in_label_order(out)
 
     def pair_index(self, x: ObjectExpr, y: ObjectExpr) -> dict[str, _SectorIndex]:
         """Per sector e of x (x) y: its split basis grouped by fusion channel."""
@@ -319,17 +326,13 @@ class Engine:
         got = self._pair_index.get(key)
         if got is not None:
             return got
-        cat = self.cat
-        offs_x = {c: self.obj_offsets(x, c) for c in cat.labels}
-        offs_y = {d: self.obj_offsets(y, d) for d in cat.labels}
+        offs_x, offs_y = self.sectors(x), self.sectors(y)
         groups: dict[str, dict[tuple[str, str, int], int]] = {}
         size: dict[str, int] = {}
-        for c in cat.labels:
-            for d in cat.labels:
-                n = offs_x[c][-1] * offs_y[d][-1]
-                if not n:
-                    continue
-                for e, m in cat.fuse(c, d):
+        for c, ox in offs_x.items():
+            for d, oy in offs_y.items():
+                n = ox[-1] * oy[-1]
+                for e, m in self.cat.fuse(c, d):
                     start = size.get(e, 0)
                     for mu in range(m):
                         groups.setdefault(e, {})[(c, d, mu)] = start + mu * n
@@ -348,11 +351,8 @@ class Engine:
                     bounds[e].append(len(order[e]))
                     recouplings[e].append(s)
         out = {
-            e: _SectorIndex(
-                size[e], groups[e], np.array(order[e], dtype=np.intp), tuple(bounds[e]), tuple(recouplings[e])
-            )
-            for e in cat.labels
-            if e in groups
+            e: _SectorIndex(size[e], g, np.array(order[e], dtype=np.intp), tuple(bounds[e]), tuple(recouplings[e]))
+            for e, g in self._in_label_order(groups).items()
         }
         self._pair_index[key] = out
         return out
@@ -408,28 +408,27 @@ def zero_morphism(cat: CategoryData, dom: ObjectExpr, cod: ObjectExpr) -> Morphi
     return Morphism(cat, dom, cod, {})
 
 
-def identity(cat: CategoryData, x: ObjectExpr) -> Morphism:
+def _shared_sectors(cat: CategoryData, dom: ObjectExpr, cod: ObjectExpr):
+    """(c, cod offsets, dom offsets) for each sector c that both dom and cod
+    reach, in label order."""
     eng = engine(cat)
-    blocks = {}
-    for c in cat.labels:
-        n = eng.obj_sector_dim(x, c)
-        if n:
-            blocks[c] = np.eye(n, dtype=complex)
-    return Morphism(cat, x, x, blocks)
+    dom_sectors = eng.sectors(dom)
+    for c, cod_offs in eng.sectors(cod).items():
+        dom_offs = dom_sectors.get(c)
+        if dom_offs is not None:
+            yield c, cod_offs, dom_offs
+
+
+def identity(cat: CategoryData, x: ObjectExpr) -> Morphism:
+    return Morphism(cat, x, x, {c: np.eye(offs[-1], dtype=complex) for c, offs, _ in _shared_sectors(cat, x, x)})
 
 
 def inclusion(cat: CategoryData, x: ObjectExpr, i: int) -> Morphism:
     """The isometry embedding the i-th summand word into x."""
-    eng = engine(cat)
     sub = ObjectExpr((x.summands[i],))
     blocks = {}
-    for c in cat.labels:
-        n_sub = eng.obj_sector_dim(sub, c)
-        n = eng.obj_sector_dim(x, c)
-        if not n_sub:
-            continue
-        offs = eng.obj_offsets(x, c)
-        b = np.zeros((n, n_sub), dtype=complex)
+    for c, offs, (_, n_sub) in _shared_sectors(cat, sub, x):
+        b = np.zeros((offs[-1], n_sub), dtype=complex)
         b[offs[i] : offs[i] + n_sub, :] = np.eye(n_sub)
         blocks[c] = b
     return Morphism(cat, sub, x, blocks)
@@ -448,11 +447,9 @@ def sector_isometry(cat: CategoryData, x: ObjectExpr, c: str, k: int) -> Morphis
 
 def hom_basis(cat: CategoryData, dom: ObjectExpr, cod: ObjectExpr) -> list[Morphism]:
     """Elementary-matrix basis of the full Hom space, in sector order."""
-    eng = engine(cat)
     out = []
-    for c in cat.labels:
-        nr = eng.obj_sector_dim(cod, c)
-        nc = eng.obj_sector_dim(dom, c)
+    for c, cod_offs, dom_offs in _shared_sectors(cat, dom, cod):
+        nr, nc = cod_offs[-1], dom_offs[-1]
         for i in range(nr):
             for j in range(nc):
                 b = np.zeros((nr, nc), dtype=complex)
@@ -464,11 +461,7 @@ def hom_basis(cat: CategoryData, dom: ObjectExpr, cod: ObjectExpr) -> list[Morph
 def morphism_vector(f: Morphism) -> np.ndarray:
     """The coordinates of f in `hom_basis(f.dom, f.cod)`: its nonempty sector
     blocks, flattened row-major, in sector order."""
-    eng = engine(f.cat)
-    parts = []
-    for c in f.cat.labels:
-        if eng.obj_sector_dim(f.cod, c) and eng.obj_sector_dim(f.dom, c):
-            parts.append(f.block(c).reshape(-1))
+    parts = [f.block(c).reshape(-1) for c, _, _ in _shared_sectors(f.cat, f.dom, f.cod)]
     if not parts:
         return np.zeros(0, dtype=complex)
     return np.concatenate(parts)
@@ -479,15 +472,11 @@ def morphism_from_vector(cat: CategoryData, dom: ObjectExpr, cod: ObjectExpr, v)
 
     Coefficients with |v[i]| <= 1e-14 are dropped, and a sector whose
     coefficients are all dropped gets no block."""
-    eng = engine(cat)
     v = np.asarray(v, dtype=complex)
     blocks = {}
     pos = 0
-    for c in cat.labels:
-        nr = eng.obj_sector_dim(cod, c)
-        nc = eng.obj_sector_dim(dom, c)
-        if not (nr and nc):
-            continue
+    for c, cod_offs, dom_offs in _shared_sectors(cat, dom, cod):
+        nr, nc = cod_offs[-1], dom_offs[-1]
         seg = v[pos : pos + nr * nc]
         pos += nr * nc
         keep = np.abs(seg) > 1e-14
@@ -499,13 +488,10 @@ def morphism_from_vector(cat: CategoryData, dom: ObjectExpr, cod: ObjectExpr, v)
 
 
 def random_morphism(cat: CategoryData, dom: ObjectExpr, cod: ObjectExpr, rng: np.random.Generator) -> Morphism:
-    eng = engine(cat)
     blocks = {}
-    for c in cat.labels:
-        nr = eng.obj_sector_dim(cod, c)
-        nc = eng.obj_sector_dim(dom, c)
-        if nr and nc:
-            blocks[c] = rng.standard_normal((nr, nc)) + 1j * rng.standard_normal((nr, nc))
+    for c, cod_offs, dom_offs in _shared_sectors(cat, dom, cod):
+        nr, nc = cod_offs[-1], dom_offs[-1]
+        blocks[c] = rng.standard_normal((nr, nc)) + 1j * rng.standard_normal((nr, nc))
     return Morphism(cat, dom, cod, blocks)
 
 
@@ -577,14 +563,7 @@ def word_braiding(cat: CategoryData, u: Word, v: Word, sign: str) -> Morphism:
         out = identity(cat, _word_obj(u + v))
     elif len(u) == 1 and len(v) == 1:
         a, b = u[0], v[0]
-        blocks = {}
-        for e in cat.labels:
-            if sign == "+":
-                rm = cat.rmat(a, b, e)
-            else:
-                rm = cat.rmat(b, a, e).conj().T
-            if rm.size:
-                blocks[e] = rm
+        blocks = {e: cat.rmat(a, b, e) if sign == "+" else cat.rmat(b, a, e).conj().T for e, _ in cat.fuse(a, b)}
         out = Morphism(cat, _word_obj((a, b)), _word_obj((b, a)), blocks)
     elif len(v) > 1:
         v1, b = v[:-1], (v[-1],)
@@ -602,20 +581,13 @@ def word_braiding(cat: CategoryData, u: Word, v: Word, sign: str) -> Morphism:
 
 def braiding(cat: CategoryData, x: ObjectExpr, y: ObjectExpr, sign: str = "+") -> Morphism:
     """The braiding x (x) y -> y (x) x; sign '-' gives the opposite braiding."""
-    eng = engine(cat)
     dom = x @ y
     cod = y @ x
     ny = len(y.summands)
     nx = len(x.summands)
     blocks: dict[str, np.ndarray] = {}
-    for e in cat.labels:
-        nrow = eng.obj_sector_dim(cod, e)
-        ncol = eng.obj_sector_dim(dom, e)
-        if not nrow or not ncol:
-            continue
-        out = np.zeros((nrow, ncol), dtype=complex)
-        do = eng.obj_offsets(dom, e)
-        co = eng.obj_offsets(cod, e)
+    for e, co, do in _shared_sectors(cat, dom, cod):
+        out = np.zeros((co[-1], do[-1]), dtype=complex)
         for i, u in enumerate(x.summands):
             for j, v in enumerate(y.summands):
                 di = i * ny + j
@@ -760,7 +732,6 @@ def range_isometry(cat: CategoryData, p: Morphism, cut: float = 0.5) -> tuple[Ob
     The range object is a sum of single-letter words, one per unit of rank,
     in sector label order.
     """
-    eng = engine(cat)
     words = []
     cols: dict[str, np.ndarray] = {}
     for c in cat.labels:
@@ -776,9 +747,4 @@ def range_isometry(cat: CategoryData, p: Morphism, cut: float = 0.5) -> tuple[Ob
             words.extend([(c,)] * rank)
             cols[c] = vecs[:, :rank]
     sub = ObjectExpr.from_words(words)
-    blocks = {}
-    for c in cat.labels:
-        if c in cols:
-            blocks[c] = cols[c]
-    s = Morphism(cat, sub, p.dom, blocks)
-    return sub, s
+    return sub, Morphism(cat, sub, p.dom, cols)

@@ -160,10 +160,14 @@ def zn_data(n: int, gauge=lambda a, b: 1.0) -> dict:
     }
 
 
-def gauged_z3():
+def gauged_z3_data() -> dict:
     rng = np.random.default_rng(5)
     phase = {(a, b): cmath.exp(2j * cmath.pi * rng.random()) for a in range(1, 3) for b in range(1, 3)}
-    return build_category(zn_data(3, lambda a, b: phase[(a, b)]))
+    return zn_data(3, lambda a, b: phase[(a, b)])
+
+
+def gauged_z3():
+    return build_category(gauged_z3_data())
 
 
 def scan_rows(cat, x, y, z, w):

@@ -1,9 +1,12 @@
-"""Golden CLI reports: the JSON of fixed `qcat` commands on the Ising fixture
-must match the stored reports in tests/golden/ising under `qcat diff --tol 1e-10`.
+"""Golden CLI reports: the JSON of fixed `qcat` commands must match the stored
+reports under `qcat diff --tol 1e-10`.  Two gates: the Ising fixture
+(tests/golden/ising) and a gauged Z3 with non-self-dual labels, whose category
+file is tests/golden/gauged_z3/category.json (tests/golden/gauged_z3).
 
-The stored reports are regenerated only when a change is meant to alter them:
+The stored reports are regenerated only when a change is meant to alter them,
+one gate at a time (both when no gate is named):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [ising] [gauged_z3]
 """
 from __future__ import annotations
 
@@ -17,7 +20,8 @@ import pytest
 
 from qcat.cli import _diff, run
 
-GOLDEN_DIR = Path(__file__).parent / "golden" / "ising"
+GOLDEN_ROOT = Path(__file__).parent / "golden"
+GAUGED_Z3 = str(GOLDEN_ROOT / "gauged_z3" / "category.json")
 TOL = 1e-10
 
 # The mixed boundary pairs (trivial with ising_q) are left out: their
@@ -38,28 +42,54 @@ COMMANDS = {
     "boundary-ising_q-ising_q": ["boundary", "ising", "--A", "ising_q", "--B", "ising_q"],
 }
 
+GAUGED_Z3_COMMANDS = {
+    "validate": ["validate", GAUGED_Z3],
+    "zmatrix-trivial": ["zmatrix", GAUGED_Z3, "trivial"],
+    "modules-trivial": ["modules", GAUGED_Z3, "trivial"],
+    "boundary-trivial-trivial": ["boundary", GAUGED_Z3, "--A", "trivial", "--B", "trivial"],
+}
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_cli_report_matches_golden(name, capsys):
-    assert run(COMMANDS[name]) == 0
+GATES = {"ising": COMMANDS, "gauged_z3": GAUGED_Z3_COMMANDS}
+
+
+def _check(gate: str, name: str, capsys) -> None:
+    assert run(GATES[gate][name]) == 0
     live = json.loads(capsys.readouterr().out)
-    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    golden = json.loads((GOLDEN_ROOT / gate / f"{name}.json").read_text(encoding="utf-8"))
     differences: list[str] = []
     _diff(golden, live, TOL, "", differences)
     assert differences == []
 
 
-def _write_golden() -> None:
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for name, argv in COMMANDS.items():
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = run(argv)
-        if code != 0:
-            raise SystemExit(f"{name}: qcat exited {code}")
-        (GOLDEN_DIR / f"{name}.json").write_text(buf.getvalue(), encoding="utf-8")
-        print(f"wrote {name}.json", file=sys.stderr)
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_report_matches_golden(name, capsys):
+    _check("ising", name, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(GAUGED_Z3_COMMANDS))
+def test_gauged_z3_report_matches_golden(name, capsys):
+    _check("gauged_z3", name, capsys)
+
+
+def test_gauged_z3_file_is_the_test_category():
+    from test_category import gauged_z3_data
+
+    stored = json.loads(Path(GAUGED_Z3).read_text(encoding="utf-8"))
+    assert stored == json.loads(json.dumps(gauged_z3_data()))
+
+
+def _write_golden(gates) -> None:
+    for gate in gates:
+        (GOLDEN_ROOT / gate).mkdir(parents=True, exist_ok=True)
+        for name, argv in GATES[gate].items():
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = run(argv)
+            if code != 0:
+                raise SystemExit(f"{gate}/{name}: qcat exited {code}")
+            (GOLDEN_ROOT / gate / f"{name}.json").write_text(buf.getvalue(), encoding="utf-8")
+            print(f"wrote {gate}/{name}.json", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    _write_golden()
+    _write_golden(sys.argv[1:] or list(GATES))

@@ -107,6 +107,24 @@ def test_trivial_bimodules_fuse_like_sectors(ising, tq):
     assert len(morphism_space(te, one)) == 1
 
 
+def test_left_module_tensor_right_module_over_the_trivial_middle(ising, iq):
+    # each free_module call builds its own trivial Q-system: the middles are equal, not identical
+    sig = ObjectExpr.word("sig")
+    left, right = free_module(ising, iq, sig, "left"), free_module(ising, iq, sig, "right")
+    assert left.parents[1] is not right.parents[0]
+    prod = bimodule_tensor(left, right)
+    assert prod.parents[0] is iq and prod.parents[1] is iq
+    assert validate_module(ising, prod).ok
+    assert abs(prod.dim - left.dim * right.dim) < 1e-9
+
+
+def test_bimodule_tensor_rejects_different_middles(ising, iq):
+    sig = ObjectExpr.word("sig")
+    left = free_module(ising, iq, sig, "left")
+    with pytest.raises(MismatchError):
+        bimodule_tensor(left, free_module(ising, (iq, iq), sig, "bi"))
+
+
 def test_d_of_trivial_bimodule_is_left_centre(ising, iq):
     tb = trivial_bimodule(ising, iq)
     cp = centre_projections(ising, iq)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcat.category import build_category, load_category
-from qcat.errors import ParseError, ShapeError
+from qcat.errors import ParseError, ShapeError, UnknownLabelError
 from qcat.fixtures import ising_category
 from qcat.morphisms import (
     Morphism,
@@ -32,6 +32,7 @@ from qcat.morphisms import (
     trace,
     zero_morphism,
 )
+from test_category import gauged_z3
 
 SIG2 = ObjectExpr.word("sig", "sig")
 SSS = ObjectExpr.word("sig", "sig", "sig")
@@ -363,15 +364,77 @@ def test_tensor_with_a_unit_factor_matches_reference(name):
             assert (tensor(f, unit_map) - s * f).max_abs() == 0.0
 
 
+def _reference_trees(cat, w, c):
+    """The canonical trees of w at c by a scan over every label (the engine's
+    former enumeration): b in label order, then the sub-tree, then mu."""
+    if len(w) <= 1:
+        return [()] if c == (w[0] if w else cat.unit) else []
+    return [
+        t + ((b, mu),)
+        for b in cat.labels
+        for t in _reference_trees(cat, w[:-1], b)
+        for mu in range(cat.n(b, w[-1], c))
+    ]
+
+
+def _reference_split_list(cat, w1, w2, e):
+    """The split basis of w1 w2 at e by a scan over every label pair."""
+    n1 = {c: len(_reference_trees(cat, w1, c)) for c in cat.labels}
+    n2 = {d: len(_reference_trees(cat, w2, d)) for d in cat.labels}
+    return [
+        (c, i1, d, i2, mu)
+        for c in cat.labels
+        for d in cat.labels
+        for i1 in range(n1[c])
+        for i2 in range(n2[d])
+        for mu in range(cat.n(c, d, e))
+    ]
+
+
+@pytest.mark.parametrize("name", ["ising", "mult2", "gauged_z3"])
+def test_sector_tables_match_label_scan(name):
+    cat = {"ising": KERNEL_CASES["ising"][0], "mult2": MULT2, "gauged_z3": gauged_z3()}[name]
+    eng = engine(cat)
+    words = [w for n in range(5) for w in itertools.product(cat.labels, repeat=n)]
+    for w in words:
+        want = {c: _reference_trees(cat, w, c) for c in cat.labels}
+        got = eng.trees(w)
+        assert list(got) == [c for c in cat.labels if want[c]]
+        assert got == {c: t for c, t in want.items() if t}
+    for w1, w2 in itertools.product(words, repeat=2):
+        if len(w1) + len(w2) > 4:
+            continue
+        want = {e: _reference_split_list(cat, w1, w2, e) for e in cat.labels}
+        want = {e: s for e, s in want.items() if s}
+        got = eng._enumerate_split(w1, w2)
+        assert list(got) == list(want) and got == want
+        assert {e: s for e, (_, s) in eng.split(w1, w2).items()} == want
+    for x in KERNEL_CASES.get(name, (None, []))[1]:
+        dims = {c: [len(_reference_trees(cat, w, c)) for w in x.summands] for c in cat.labels}
+        assert eng.sectors(x) == {c: list(itertools.accumulate(n, initial=0)) for c, n in dims.items() if sum(n)}
+
+
+def test_unknown_label_anywhere_in_a_word_raises(ising):
+    for w in (("zz",), ("sig", "zz"), ("zz", "sig", "eps")):
+        with pytest.raises(UnknownLabelError):
+            engine(ising).trees(w)
+
+
 def test_tensor_strictly_associative():
     """Associativity of the left-nested canonical bases rests on the
-    pentagon, so it is checked on Ising, not on the random-F ring."""
-    cat, (x, y, z) = KERNEL_CASES["ising"]
-    rng = np.random.default_rng(23)
-    f, g, h = random_morphism(cat, x, y, rng), random_morphism(cat, y, z, rng), random_morphism(cat, z, x, rng)
-    lhs = tensor(tensor(f, g), h)
-    assert lhs.norm() > 1.0
-    assert (lhs - tensor(f, tensor(g, h))).max_abs() < 1e-13
+    pentagon, so it is checked on Ising and on the gauged (non-self-dual)
+    Z3, not on the random-F ring."""
+    z3_objects = [
+        ObjectExpr.from_words([("1",), (), ("2", "1"), ("1", "1")]),
+        ObjectExpr.from_words([("2", "2"), ("1",), ("2",)]),
+        ObjectExpr.from_words([(), ("1", "2", "1"), ("2",)]),
+    ]
+    for cat, (x, y, z) in (KERNEL_CASES["ising"], (gauged_z3(), z3_objects)):
+        rng = np.random.default_rng(23)
+        f, g, h = random_morphism(cat, x, y, rng), random_morphism(cat, y, z, rng), random_morphism(cat, z, x, rng)
+        lhs = tensor(tensor(f, g), h)
+        assert lhs.norm() > 1.0
+        assert (lhs - tensor(f, tensor(g, h))).max_abs() < 1e-13
 
 
 def test_morphism_json_rejects_bad_blocks(ising):
