@@ -44,6 +44,10 @@ class CategoryData:
     _adjacency: dict[tuple[str, str], tuple[tuple[str, int], ...]] = field(
         init=False, repr=False, compare=False
     )
+    # the two factors of a Deligne product, whose F-symbols `fmat` gathers
+    _factors: tuple[CategoryData, CategoryData] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         # the fusion index behind `fuse`; `fusion` is fixed from here on
@@ -86,18 +90,24 @@ class CategoryData:
         ]
 
     def fmat(self, a: str, b: str, c: str, d: str) -> np.ndarray:
-        """F^{abc}_d in the canonical row/column ordering."""
+        """F^{abc}_d in the canonical row/column ordering.
+
+        A Deligne product computes each F-symbol from its factors on first
+        use and keeps it in `f_symbols`.
+        """
         key = (a, b, c, d)
         if key in self.f_symbols:
             return self.f_symbols[key]
-        nrow = len(self.f_rows(a, b, c, d))
-        ncol = len(self.f_cols(a, b, c, d))
-        if nrow == 0 or ncol == 0:
-            return np.zeros((nrow, ncol), dtype=complex)
+        rows, cols = self.f_rows(a, b, c, d), self.f_cols(a, b, c, d)
+        if not rows or not cols:
+            return np.zeros((len(rows), len(cols)), dtype=complex)
         if self.unit in (a, b, c):
             # canonical gauge: unit-leg F-moves are trivial
-            return np.eye(nrow, dtype=complex)
-        raise SchemaError(f"missing F-symbol for {key}")
+            return np.eye(len(rows), dtype=complex)
+        if self._factors is None:
+            raise SchemaError(f"missing F-symbol for {key}")
+        mat = self.f_symbols[key] = _product_fmat(key, rows, cols, *self._factors)
+        return mat
 
     def rmat(self, a: str, b: str, c: str) -> np.ndarray:
         """R^{ab}_c as an N_{ba}^c x N_{ab}^c matrix."""
@@ -182,14 +192,28 @@ def _reorder(basis: list, given, what: str) -> list[int]:
     return [pos[t] for t in basis]
 
 
+def _entry_key(entry, name: str, labels: tuple[str, ...], size: int) -> tuple[str, ...]:
+    """The labels an F (`abc_d`) or R (`ab_c`) entry is for; each must be known."""
+    key = entry.get(name) if isinstance(entry, dict) else None
+    if not isinstance(key, list) or len(key) != size or any(x not in labels for x in key):
+        raise ParseError(f"bad {name} {key!r}: expected a list of {size} known labels")
+    return tuple(key)
+
+
 def build_category(data: dict) -> CategoryData:
     """Build CategoryData from a parsed category file dict."""
+    if not isinstance(data, dict):
+        raise ParseError("a category document must be a JSON object")
     try:
-        labels = list(data["labels"])
-        dual = data["dual"]
-        fusion_list = data["fusion"]
-    except (KeyError, TypeError) as exc:
+        labels, dual, fusion_list = data["labels"], data["dual"], data["fusion"]
+    except KeyError as exc:
         raise ParseError(f"category file missing key: {exc}") from exc
+    for name in ("labels", "fusion", "F", "R"):
+        if not isinstance(data.get(name, []), list):
+            raise ParseError(f"{name!r} must be a list")
+    tol = data.get("tol", DEFAULT_TOL)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0.0 < tol < float("inf"):
+        raise ParseError(f"tol must be a finite number > 0, not {tol!r}")
     if not labels:
         raise ParseError("empty label list")
     if not all(isinstance(l, str) for l in labels):
@@ -204,12 +228,14 @@ def build_category(data: dict) -> CategoryData:
     for a in labels:
         if a not in dual or dual[a] not in labels:
             raise ParseError(f"bad dual entry for {a!r}")
+    if len(dual) != len(labels):
+        raise ParseError("dual maps a label that is not in labels")
     fusion: dict[tuple[str, str, str], int] = {}
     for item in fusion_list:
         try:
             a, b, c, nn = item
             nn = int(nn)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad fusion rule {item!r}: expected [a, b, c, N_ab^c]") from exc
         if a not in labels or b not in labels or c not in labels:
             raise ParseError(f"fusion rule references unknown label: {item}")
@@ -223,13 +249,10 @@ def build_category(data: dict) -> CategoryData:
         fusion=fusion,
         f_symbols={},
         r_symbols={},
-        tol=float(data.get("tol", DEFAULT_TOL)),
+        tol=float(tol),
     )
     for entry in data.get("F", []):
-        try:
-            a, b, c, d = entry["abc_d"]
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ParseError(f"bad F entry: {exc}") from exc
+        a, b, c, d = _entry_key(entry, "abc_d", labels, 4)
         rows = cat.f_rows(a, b, c, d)
         cols = cat.f_cols(a, b, c, d)
         what = f"F{(a, b, c, d)}"
@@ -240,10 +263,7 @@ def build_category(data: dict) -> CategoryData:
             mat = mat[:, _reorder(cols, entry["cols"], what)]
         cat.f_symbols[(a, b, c, d)] = mat
     for entry in data.get("R", []):
-        try:
-            a, b, c = entry["ab_c"]
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ParseError(f"bad R entry: {exc}") from exc
+        a, b, c = _entry_key(entry, "ab_c", labels, 3)
         mat = _complex_array(entry, cat.n(b, a, c), cat.n(a, b, c), f"R{(a, b, c)}")
         cat.r_symbols[(a, b, c)] = mat
     _check_schema(cat)
@@ -252,27 +272,21 @@ def build_category(data: dict) -> CategoryData:
 
 
 def load_category(source) -> CategoryData:
-    """Load a category from a path, JSON string/bytes, file object, or dict.
+    """Load a category from a path, JSON string/bytes, file object, or parsed document.
     A string is JSON text if its first non-blank character is `{`, else a path."""
-    if isinstance(source, dict):
-        return build_category(source)
     if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = source
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    if not text.lstrip().startswith("{"):
-        try:
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {text}: {exc}") from exc
+        source = source.read()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return build_category(data)
+        if isinstance(source, bytes):
+            source = source.decode("utf-8")
+        if isinstance(source, str) and not source.lstrip().startswith("{"):
+            with open(source, "r", encoding="utf-8") as fh:
+                source = fh.read()
+        if isinstance(source, str):
+            source = json.loads(source)
+    except (OSError, ValueError) as exc:  # unreadable path, bad UTF-8 or bad JSON
+        raise ParseError(f"cannot load a category: {exc}") from exc
+    return build_category(source)
 
 
 def _check_schema(cat: CategoryData) -> None:
@@ -296,13 +310,10 @@ def _check_schema(cat: CategoryData) -> None:
                     if lhs != rhs:
                         raise DataError(f"fusion not associative at ({a},{b},{c};{d})")
     # every F/R demanded by the fusion rules must be resolvable
-    for a in cat.labels:
-        for b in cat.labels:
-            for c in cat.labels:
-                for d in cat.labels:
-                    cat.fmat(a, b, c, d)
-                if cat.n(a, b, c):
-                    cat.rmat(a, b, c)
+    for key in _admissible_tuples(cat):
+        cat.fmat(*key)
+    for a, b, c in cat.fusion:
+        cat.rmat(a, b, c)
 
 
 def _derive(cat: CategoryData) -> None:
@@ -487,19 +498,27 @@ def _worst(residuals) -> float:
     return float(np.max(np.fromiter(residuals, dtype=float), initial=0.0))
 
 
+def _admissible_tuples(cat: CategoryData) -> list[tuple[str, str, str, str]]:
+    """Every (a, b, c, d) with a fusion channel (ab)c -> d, in label order."""
+    out = []
+    for a, b, c in itertools.product(cat.labels, repeat=3):
+        reached = {d for e, _ in cat.fuse(a, b) for d, _ in cat.fuse(e, c)}
+        out += [(a, b, c, d) for d in cat.labels if d in reached]
+    return out
+
+
 def validate_category(cat: CategoryData) -> ValidationReport:
+    """Unitarity, pentagon, hexagons and dims.  Unitarity is checked on F^{abc}_d
+    for every admissible (a, b, c, d) through `fmat`, so a product checks them all."""
     labels = cat.labels
-    f_res = _worst(_unitarity_residual(mat) for mat in cat.f_symbols.values())
+    admissible = _admissible_tuples(cat)
+    f_res = _worst(_unitarity_residual(cat.fmat(*key)) for key in admissible)
     r_res = _worst(_unitarity_residual(mat) for mat in cat.r_symbols.values())
     quads = list(itertools.product(labels, repeat=4))
     pent_all = [_pentagon_residual(cat, *q) for q in quads]
     pent = _worst(pent_all)
-    hex_keys = []
-    for c, a, b in itertools.product(labels, repeat=3):
-        reached = {d for e, _ in cat.fuse(c, a) for d, _ in cat.fuse(e, b)}
-        hex_keys += [(c, a, b, d) for d in labels if d in reached]
-    hex_p = [_hexagon_residual(cat, *key, "+") for key in hex_keys]
-    hex_m = [_hexagon_residual(cat, *key, "-") for key in hex_keys]
+    hex_p = [_hexagon_residual(cat, *key, "+") for key in admissible]
+    hex_m = [_hexagon_residual(cat, *key, "-") for key in admissible]
     hexp, hexm = _worst(hex_p), _worst(hex_m)
     dim_res = _worst(
         abs(cat.dims[a] * cat.dims[b] - sum(m * cat.dims[c] for c, m in cat.fuse(a, b)))
@@ -515,7 +534,7 @@ def validate_category(cat: CategoryData) -> ValidationReport:
     )
     # a NaN residual is never below tol, and argmax finds the first NaN
     worst_p = None if pent < cat.tol else quads[int(np.argmax(pent_all))]
-    worst_h = None if np.maximum(hexp, hexm) < cat.tol else hex_keys[int(np.argmax(np.maximum(hex_p, hex_m)))]
+    worst_h = None if np.maximum(hexp, hexm) < cat.tol else admissible[int(np.argmax(np.maximum(hex_p, hex_m)))]
     return ValidationReport(
         ok=ok,
         f_unitarity=f_res,
@@ -601,69 +620,51 @@ def _factor_positions(
     return pos_l, pos_r
 
 
+def _product_fmat(key, rows, cols, cat_l: CategoryData, cat_r: CategoryData) -> np.ndarray:
+    """F^{key} of C x D, with product bases `rows` and `cols`: one gather per
+    factor, F1[rows_l, cols_l] * F2[rows_r, cols_r]."""
+    (a1, a2), (b1, b2), (c1, c2), (d1, d2) = map(split_label, key)
+    rows_l, rows_r = _factor_positions(
+        rows,
+        cat_l.f_rows(a1, b1, c1, d1),
+        cat_r.f_rows(a2, b2, c2, d2),
+        lambda e2: cat_r.n(a2, b2, e2),
+        lambda e2: cat_r.n(e2, c2, d2),
+    )
+    cols_l, cols_r = _factor_positions(
+        cols,
+        cat_l.f_cols(a1, b1, c1, d1),
+        cat_r.f_cols(a2, b2, c2, d2),
+        lambda f2: cat_r.n(b2, c2, f2),
+        lambda f2: cat_r.n(a2, f2, d2),
+    )
+    f1 = cat_l.fmat(a1, b1, c1, d1)
+    f2 = cat_r.fmat(a2, b2, c2, d2)
+    return f1.take(rows_l, 0).take(cols_l, 1) * f2.take(rows_r, 0).take(cols_r, 1)
+
+
 def deligne_product(cat_l: CategoryData, cat_r: CategoryData, reverse_right: bool = False) -> CategoryData:
     """C x D (Deligne product); with reverse_right, D carries the opposite braiding.
 
-    Every F-symbol is built eagerly, so `validate_category` sees all of them.
-    Only admissible label tuples (those with a fusion channel) are visited,
-    so the cost scales with their number, not with rank^4.
+    No F-symbol is built here: `fmat` gathers each one from the factors on
+    first use (`_product_fmat`).  R-symbols, dims and twists are built here.
     """
-    labels = [pair_label(a, b) for a in cat_l.labels for b in cat_r.labels]
+    dual = {pair_label(a, b): pair_label(cat_l.dual[a], cat_r.dual[b]) for a in cat_l.labels for b in cat_r.labels}
     unit = pair_label(cat_l.unit, cat_r.unit)
-    labels = tuple([unit] + sorted(l for l in labels if l != unit))
-    order = {l: i for i, l in enumerate(labels)}
-    dual = {}
-    fusion = {}
-    for l in labels:
-        a, b = split_label(l)
-        dual[l] = pair_label(cat_l.dual[a], cat_r.dual[b])
-    for l1 in labels:
-        a1, b1 = split_label(l1)
-        for l2 in labels:
-            a2, b2 = split_label(l2)
-            for a3, m_l in cat_l.fuse(a1, a2):
-                for b3, m_r in cat_r.fuse(b1, b2):
-                    fusion[(l1, l2, pair_label(a3, b3))] = m_l * m_r
+    labels = tuple([unit] + sorted(l for l in dual if l != unit))
     prod = CategoryData(
         labels=labels,
         dual=dual,
-        fusion=fusion,
+        fusion={
+            (pair_label(a1, b1), pair_label(a2, b2), pair_label(a3, b3)): m_l * m_r
+            for (a1, a2, a3), m_l in cat_l.fusion.items()
+            for (b1, b2, b3), m_r in cat_r.fusion.items()
+        },
         f_symbols={},
         r_symbols={},
         tol=max(cat_l.tol, cat_r.tol),
     )
-    for la in labels:
-        a1, a2 = split_label(la)
-        for lb in labels:
-            b1, b2 = split_label(lb)
-            fuse_ab = prod.fuse(la, lb)
-            for lc in labels:
-                if unit in (la, lb, lc):
-                    continue
-                c1, c2 = split_label(lc)
-                lds = sorted({ld for le, _ in fuse_ab for ld, _ in prod.fuse(le, lc)}, key=order.__getitem__)
-                for ld in lds:
-                    d1, d2 = split_label(ld)
-                    rows_l, rows_r = _factor_positions(
-                        prod.f_rows(la, lb, lc, ld),
-                        cat_l.f_rows(a1, b1, c1, d1),
-                        cat_r.f_rows(a2, b2, c2, d2),
-                        lambda e2: cat_r.n(a2, b2, e2),
-                        lambda e2: cat_r.n(e2, c2, d2),
-                    )
-                    cols_l, cols_r = _factor_positions(
-                        prod.f_cols(la, lb, lc, ld),
-                        cat_l.f_cols(a1, b1, c1, d1),
-                        cat_r.f_cols(a2, b2, c2, d2),
-                        lambda f2: cat_r.n(b2, c2, f2),
-                        lambda f2: cat_r.n(a2, f2, d2),
-                    )
-                    f1 = cat_l.fmat(a1, b1, c1, d1)
-                    f2 = cat_r.fmat(a2, b2, c2, d2)
-                    # one gather per factor: F1[rows_l, cols_l] * F2[rows_r, cols_r]
-                    prod.f_symbols[(la, lb, lc, ld)] = (
-                        f1.take(rows_l, 0).take(cols_l, 1) * f2.take(rows_r, 0).take(cols_r, 1)
-                    )
+    prod._factors = (cat_l, cat_r)
     for la in labels:
         a1, a2 = split_label(la)
         for lb in labels:

@@ -20,7 +20,7 @@ from .braided import (
     full_centre,
     z_matrix,
 )
-from .category import load_category, modular_data, validate_category
+from .category import build_category, modular_data, validate_category
 from .decompose import central_decomposition, check_intermediate, irreducible_decomposition
 from .errors import ParseError, QcatError, SchemaMismatch
 from .fixtures import FIXTURE_CATEGORIES, emit_fixture, fixture_category
@@ -103,15 +103,13 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _load_cat(spec: str, tol: float | None):
-    if spec in FIXTURE_CATEGORIES:
-        cat = load_category(fixture_category(spec))
-    else:
-        cat = load_category(_load_json(spec))
+    # a parsed document, never re-read as a path: a top-level JSON string is malformed
+    cat = build_category(fixture_category(spec) if spec in FIXTURE_CATEGORIES else _load_json(spec))
     if tol is not None:
         cat.tol = tol
     return cat

@@ -7,7 +7,9 @@ import json
 import numpy as np
 import pytest
 
+from qcat.braided import canonical_qsystem, z_matrix
 from qcat.category import (
+    _admissible_tuples,
     _hexagon_residual,
     build_category,
     deligne_product,
@@ -19,6 +21,7 @@ from qcat.category import (
 )
 from qcat.errors import ParseError
 from qcat.fixtures import ising_category, z2_category
+from qcat.frobenius import trivial_qsystem_in
 
 
 def test_ising_validates(ising):
@@ -170,6 +173,12 @@ def gauged_z3():
     return build_category(gauged_z3_data())
 
 
+def gauged_z5():
+    rng = np.random.default_rng(7)
+    phase = {(a, b): cmath.exp(2j * cmath.pi * rng.random()) for a in range(1, 5) for b in range(1, 5)}
+    return build_category(zn_data(5, lambda a, b: phase[(a, b)]))
+
+
 def scan_rows(cat, x, y, z, w):
     """Rows (e, alpha, beta) of F^{xyz}_w, scanning every label."""
     return [(e, i, j) for e in cat.labels for i in range(cat.n(x, y, e)) for j in range(cat.n(e, z, w))]
@@ -225,12 +234,14 @@ def test_deligne_product_f_symbols_match_reference(factor, ising):
     prod = deligne_product(cat, cat, reverse_right=True)
     assert set(prod.labels) == {pair_label(a, b) for a in cat.labels for b in cat.labels}
     ref = reference_product_f(cat, cat, prod.labels)
-    # same keys, in the same (label) order
-    assert list(prod.f_symbols) == list(ref)
+    # the reference keys are the admissible tuples without a unit leg, in label order
+    assert list(ref) == [t for t in _admissible_tuples(prod) if prod.unit not in t[:3]]
     for key, mat in ref.items():
         # one complex product per entry: agreement to a few ulp
-        assert prod.f_symbols[key].shape == mat.shape
-        assert np.max(np.abs(prod.f_symbols[key] - mat)) < 1e-14, key
+        assert prod.fmat(*key).shape == mat.shape
+        assert np.max(np.abs(prod.fmat(*key) - mat)) < 1e-14, key
+    # the product kept exactly the F-symbols that were asked for
+    assert list(prod.f_symbols) == list(ref)
 
 
 def test_deligne_product_validates(ising):
@@ -263,7 +274,40 @@ def test_rank25_product_has_one_f_symbol_per_admissible_tuple():
         if not any(x1 == z5.unit and x2 == z5.unit for x1, x2 in zip(t1[:3], t2[:3]))
     )
     assert expected == 24**3
+    # the tuples validate_category walks, less those with a unit leg (identities)
+    walked = [t for t in _admissible_tuples(prod) if prod.unit not in t[:3]]
+    assert len(walked) == expected
+    for key in walked:
+        prod.fmat(*key)
     assert len(prod.f_symbols) == expected
+
+
+def test_deligne_product_computes_no_f_symbol(ising):
+    prod = deligne_product(ising, ising, reverse_right=True)
+    assert prod.f_symbols == {}
+    key = tuple(pair_label("sig", "sig") for _ in range(4))
+    mat = prod.fmat(*key)
+    # computed once from the factors, then kept
+    assert list(prod.f_symbols) == [key]
+    assert prod.fmat(*key) is mat
+
+
+def test_product_of_a_non_unitary_factor_fails_f_unitarity():
+    data = gauged_z3_data()
+    data["F"][0]["re"] = [[2 * x for x in row] for row in data["F"][0]["re"]]
+    data["F"][0]["im"] = [[2 * x for x in row] for row in data["F"][0]["im"]]
+    z3 = build_category(data)
+    rep = validate_category(deligne_product(z3, z3, reverse_right=True))
+    assert not rep.ok
+    assert rep.f_unitarity > z3.tol
+
+
+def test_canonical_then_trivial_z_matrix_on_gauged_z5():
+    z5 = gauged_z5()
+    prod, qr = canonical_qsystem(z5)
+    assert len(prod.labels) == 25
+    z, _ = z_matrix(z5, trivial_qsystem_in(z5))
+    assert np.array_equal(z, np.eye(5, dtype=int))
 
 
 def test_worst_hexagon_follows_the_minus_hexagon():

@@ -51,7 +51,46 @@ def _nan_r_symbol(data):
     data["R"][0]["re"] = [[float("nan")]]
 
 
-@pytest.mark.parametrize("damage", [_drop_a_row, _short_fusion_row, _dual_as_list, _nan_r_symbol])
+def _tol_string(data):
+    data["tol"] = "abc"
+
+
+def _tol_list(data):
+    data["tol"] = [1]
+
+
+def _tol_nan(data):
+    data["tol"] = float("nan")
+
+
+def _tol_negative(data):
+    data["tol"] = -1
+
+
+def _f_r_fusion_not_lists(data):
+    data["F"] = data["R"] = data["fusion"] = 5
+
+
+def _list_label_in_f(data):
+    data["F"][0]["abc_d"][0] = ["sig"]
+
+
+def _list_label_in_r(data):
+    data["R"][0]["ab_c"][0] = ["sig"]
+
+
+def _f_on_unknown_labels(data):
+    data["F"].append({"abc_d": ["x", "y", "z", "w"], "re": [], "im": []})
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _drop_a_row, _short_fusion_row, _dual_as_list, _nan_r_symbol,
+        _tol_string, _tol_list, _tol_nan, _tol_negative, _f_r_fusion_not_lists,
+        _list_label_in_f, _list_label_in_r, _f_on_unknown_labels,
+    ],
+)
 def test_malformed_category_exit_two(tmp_path, capsys, damage):
     from qcat.fixtures import ising_category
 
@@ -59,6 +98,14 @@ def test_malformed_category_exit_two(tmp_path, capsys, damage):
     damage(data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
+    assert run(["validate", str(path)]) == 2
+    assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [[1, 2], 5, "ising"])
+def test_category_document_that_is_not_an_object_exit_two(tmp_path, capsys, doc):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(doc))
     assert run(["validate", str(path)]) == 2
     assert "ParseError" in capsys.readouterr().err
 

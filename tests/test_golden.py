@@ -44,6 +44,8 @@ COMMANDS = {
 
 GAUGED_Z3_COMMANDS = {
     "validate": ["validate", GAUGED_Z3],
+    "canonical": ["canonical", GAUGED_Z3],
+    "full-centre-trivial": ["full-centre", GAUGED_Z3, "trivial"],
     "zmatrix-trivial": ["zmatrix", GAUGED_Z3, "trivial"],
     "modules-trivial": ["modules", GAUGED_Z3, "trivial"],
     "boundary-trivial-trivial": ["boundary", GAUGED_Z3, "--A", "trivial", "--B", "trivial"],

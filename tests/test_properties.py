@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcat.category import build_category
+from qcat.cli import run
 from qcat.fixtures import ising_category
 from qcat.morphisms import ObjectExpr, compose, random_morphism, tensor, trace
 
@@ -31,3 +38,104 @@ def test_trace_multiplicative_over_tensor(seed):
     lhs = trace(CAT, tensor(f, g))
     rhs = trace(CAT, f) * trace(CAT, g)
     assert abs(lhs - rhs) < 1e-7 * (1.0 + abs(rhs))
+
+
+# ---- malformed category documents -------------------------------------------
+
+def _category_documents() -> dict:
+    from test_category import gauged_z3_data
+
+    return {"ising": ising_category(), "gauged_z3": gauged_z3_data()}
+
+
+DOCUMENTS = _category_documents()
+LABEL_SITES = ("labels", "dual", "fusion", "F", "R")
+WRONG_TYPES = {
+    "list": [None, True, 3, 2.5, "x", {}, {"k": 1}],
+    "dual": [None, True, 3, "x", [], [["1", "1"]]],
+    "tol": [None, True, "x", "1e-9", [], [1e-9], {}, float("nan"), float("inf"), 0, -1],
+    "entry": [None, 3, "x", [1], []],
+    "matrix": [None, True, "x", {}, {"k": 1}],
+}
+
+
+def _set_label(doc: dict, site: str, draw, value) -> None:
+    """Replace one label occurrence at `site` by `value`."""
+    if site == "labels":
+        doc["labels"][draw(st.integers(0, len(doc["labels"]) - 1))] = value
+    elif site == "dual":
+        key = draw(st.sampled_from(sorted(doc["dual"])))
+        if draw(st.booleans()) and isinstance(value, str):
+            doc["dual"][value] = doc["dual"].pop(key)
+        else:
+            doc["dual"][key] = value
+    else:
+        name, size = {"fusion": (None, 3), "F": ("abc_d", 4), "R": ("ab_c", 3)}[site]
+        entry = draw(st.sampled_from(doc[site]))
+        key = entry if name is None else entry[name]
+        key[draw(st.integers(0, size - 1))] = value
+
+
+@st.composite
+def malformed_categories(draw):
+    """A copy of the Ising or gauged Z3 category document with one defect."""
+    doc = json.loads(json.dumps(DOCUMENTS[draw(st.sampled_from(sorted(DOCUMENTS)))]))
+    kind = draw(st.sampled_from(
+        ["top-level", "drop key", "drop entry", "wrong type", "unhashable label", "unknown label", "non-finite", "wrong size"]
+    ))
+    if kind == "top-level":
+        return draw(st.sampled_from([[doc], 3, "ising", None, []]))
+    if kind == "drop key":
+        del doc[draw(st.sampled_from(LABEL_SITES))]
+    elif kind == "drop entry":
+        site = draw(st.sampled_from(["F", "R"]))
+        entries = doc[site]
+        entry = entries[draw(st.integers(0, len(entries) - 1))]
+        if draw(st.booleans()):
+            entries.remove(entry)
+        else:
+            del entry[draw(st.sampled_from(["abc_d" if site == "F" else "ab_c", "re", "im"]))]
+    elif kind == "wrong type":
+        where = draw(st.sampled_from(["labels", "fusion", "F", "R", "dual", "tol", "entry", "matrix"]))
+        if where in ("labels", "fusion", "F", "R"):
+            doc[where] = draw(st.sampled_from(WRONG_TYPES["list"]))
+        elif where in ("dual", "tol"):
+            doc[where] = draw(st.sampled_from(WRONG_TYPES[where]))
+        else:
+            entries = doc[draw(st.sampled_from(["F", "R"]))]
+            i = draw(st.integers(0, len(entries) - 1))
+            if where == "entry":
+                entries[i] = draw(st.sampled_from(WRONG_TYPES["entry"]))
+            else:
+                entries[i][draw(st.sampled_from(["re", "im"]))] = draw(st.sampled_from(WRONG_TYPES["matrix"]))
+    elif kind in ("unhashable label", "unknown label"):
+        site = draw(st.sampled_from(LABEL_SITES))
+        label = draw(st.sampled_from(doc["labels"]))
+        value = draw(st.sampled_from([[label], {"k": label}])) if kind == "unhashable label" else "zz"
+        _set_label(doc, site, draw, value)
+    else:
+        entry = draw(st.sampled_from(doc["F"] + doc["R"]))
+        part = draw(st.sampled_from(["re", "im"]))
+        if kind == "non-finite":
+            row = entry[part][draw(st.integers(0, len(entry[part]) - 1))]
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+        elif draw(st.booleans()):
+            entry["re"].append(entry["re"][0])
+            entry["im"].append(entry["im"][0])
+        else:
+            entry[part][0].append(0.0)
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=malformed_categories())
+def test_malformed_category_document_exits_two(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cat.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["validate", path])
+    assert code == 2, (code, err.getvalue())
+    assert "ParseError" in err.getvalue() or "SchemaError" in err.getvalue()
