@@ -12,6 +12,7 @@ nu < N_{af}^d.  F-symbols with a unit leg are the identity (canonical gauge).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -344,153 +345,88 @@ def _unitarity_residual(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))
 
 
+def _f_row(cat: CategoryData, key: tuple[str, ...], row: tuple) -> zip:
+    """The F-move of one tree: row `row` of F^{key} as (column, coefficient) pairs."""
+    return zip(cat.f_cols(*key), cat.fmat(*key)[cat.f_rows(*key).index(row)].tolist())
+
+
+def _move(vec: dict, step) -> dict:
+    """One local move on a sparse vector {tree: coefficient}; step(t) lists
+    the (tree, coefficient) pairs that tree t goes to."""
+    out: dict = {}
+    for t, x in vec.items():
+        for u, y in step(t):
+            out[u] = out.get(u, 0.0) + x * y
+    return out
+
+
+def _path_residual(trees, lhs, rhs) -> float:
+    """Push each listed tree down the moves of `lhs` and of `rhs`: the largest
+    coefficient difference between the two results, NaN if any is NaN."""
+    gaps = []
+    for t in trees:
+        u, v = (functools.reduce(_move, path, {t: 1.0}) for path in (lhs, rhs))
+        gaps += [abs(u.get(k, 0.0) - v.get(k, 0.0)) for k in u.keys() | v.keys()]
+    return _worst(gaps)
+
+
 def _pentagon_residual(cat: CategoryData, a: str, b: str, c: str, d: str) -> float:
-    """Compare the two F-move paths ((ab)c)d -> a(b(cd)), summed over sectors."""
-    fuse, n = cat.fuse, cat.n
-    moves: dict[tuple[str, str, str, str], tuple] = {}
+    """Compare the two F-move paths ((ab)c)d -> a(b(cd)) on every ((ab)c)d
+    tree (f, alpha, g, beta, e, gamma): f in a x b, g in f x c, e in g x d."""
+    fuse = cat.fuse
 
-    def fmove(*key: str) -> tuple[np.ndarray, dict, list]:
-        """F^{key}, the index of each of its rows, and its columns."""
-        if key not in moves:
-            rows = cat.f_rows(*key)
-            moves[key] = (cat.fmat(*key), {t: i for i, t in enumerate(rows)}, cat.f_cols(*key))
-        return moves[key]
+    def f_abc(t):  # -> (a(bc))d: (h, mu, g, nu, e, gamma)
+        f, al, g, be, e, ga = t
+        return [((h, mu, g, nu, e, ga), x) for (h, mu, nu), x in _f_row(cat, (a, b, c, g), (f, al, be))]
 
-    reached = {e for f, _ in fuse(a, b) for g, _ in fuse(f, c) for e, _ in fuse(g, d)}
-    worst = 0.0
-    for e in cat.labels:
-        if e not in reached:
-            continue
-        b1 = [
-            (f, al, g, be, ga)
-            for f, n_abf in fuse(a, b)
-            for al in range(n_abf)
-            for g, n_fcg in fuse(f, c)
-            for be in range(n_fcg)
-            for ga in range(n(g, d, e))
-        ]
-        b2 = [
-            (h, mu, g, nu, ga)
-            for h, n_bch in fuse(b, c)
-            for mu in range(n_bch)
-            for g, n_ahg in fuse(a, h)
-            for nu in range(n_ahg)
-            for ga in range(n(g, d, e))
-        ]
-        b3 = [
-            (h, mu, l, si, ta)
-            for h, n_bch in fuse(b, c)
-            for mu in range(n_bch)
-            for l, n_hdl in fuse(h, d)
-            for si in range(n_hdl)
-            for ta in range(n(a, l, e))
-        ]
-        b4 = [
-            (k, ka, l, lam, ta)
-            for k, n_cdk in fuse(c, d)
-            for ka in range(n_cdk)
-            for l, n_bkl in fuse(b, k)
-            for lam in range(n_bkl)
-            for ta in range(n(a, l, e))
-        ]
-        b5 = [
-            (f, al, k, ka, ta)
-            for f, n_abf in fuse(a, b)
-            for al in range(n_abf)
-            for k, n_cdk in fuse(c, d)
-            for ka in range(n_cdk)
-            for ta in range(n(f, k, e))
-        ]
-        i2 = {t: i for i, t in enumerate(b2)}
-        i3 = {t: i for i, t in enumerate(b3)}
-        i4 = {t: i for i, t in enumerate(b4)}
-        i5 = {t: i for i, t in enumerate(b5)}
+    def f_ahd(t):  # -> a((bc)d): (h, mu, l, sigma, e, tau)
+        h, mu, g, nu, e, ga = t
+        return [((h, mu, l, si, e, ta), x) for (l, si, ta), x in _f_row(cat, (a, h, d, e), (g, nu, ga))]
 
-        m12 = np.zeros((len(b2), len(b1)), dtype=complex)
-        for j, (f, al, g, be, ga) in enumerate(b1):
-            fm, ri, cols = fmove(a, b, c, g)
-            row = fm[ri[(f, al, be)]]
-            for ci, (h, mu, nu) in enumerate(cols):
-                if row[ci]:
-                    m12[i2[(h, mu, g, nu, ga)], j] += row[ci]
-        m23 = np.zeros((len(b3), len(b2)), dtype=complex)
-        for j, (h, mu, g, nu, ga) in enumerate(b2):
-            fm, ri, cols = fmove(a, h, d, e)
-            row = fm[ri[(g, nu, ga)]]
-            for ci, (l, si, ta) in enumerate(cols):
-                if row[ci]:
-                    m23[i3[(h, mu, l, si, ta)], j] += row[ci]
-        m34 = np.zeros((len(b4), len(b3)), dtype=complex)
-        for j, (h, mu, l, si, ta) in enumerate(b3):
-            fm, ri, cols = fmove(b, c, d, l)
-            row = fm[ri[(h, mu, si)]]
-            for ci, (k, ka, lam) in enumerate(cols):
-                if row[ci]:
-                    m34[i4[(k, ka, l, lam, ta)], j] += row[ci]
-        m15 = np.zeros((len(b5), len(b1)), dtype=complex)
-        for j, (f, al, g, be, ga) in enumerate(b1):
-            fm, ri, cols = fmove(f, c, d, e)
-            row = fm[ri[(g, be, ga)]]
-            for ci, (k, ka, ta) in enumerate(cols):
-                if row[ci]:
-                    m15[i5[(f, al, k, ka, ta)], j] += row[ci]
-        m54 = np.zeros((len(b4), len(b5)), dtype=complex)
-        for j, (f, al, k, ka, ta) in enumerate(b5):
-            fm, ri, cols = fmove(a, b, k, e)
-            row = fm[ri[(f, al, ta)]]
-            for ci, (l, lam, nu) in enumerate(cols):
-                if row[ci]:
-                    m54[i4[(k, ka, l, lam, nu)], j] += row[ci]
-        res = np.max(np.abs(m34 @ m23 @ m12 - m54 @ m15)) if b4 else 0.0
-        worst = max(worst, float(res))
-    return worst
+    def f_bcd(t):  # -> a(b(cd)): (k, kappa, l, lambda, e, tau)
+        h, mu, l, si, e, ta = t
+        return [((k, ka, l, lam, e, ta), x) for (k, ka, lam), x in _f_row(cat, (b, c, d, l), (h, mu, si))]
+
+    def f_fcd(t):  # -> (ab)(cd): (f, alpha, k, kappa, e, tau)
+        f, al, g, be, e, ga = t
+        return [((f, al, k, ka, e, ta), x) for (k, ka, ta), x in _f_row(cat, (f, c, d, e), (g, be, ga))]
+
+    def f_abk(t):  # -> a(b(cd))
+        f, al, k, ka, e, ta = t
+        return [((k, ka, l, lam, e, nu), x) for (l, lam, nu), x in _f_row(cat, (a, b, k, e), (f, al, ta))]
+
+    trees = [
+        (f, al, g, be, e, ga)
+        for f, n_abf in fuse(a, b)
+        for al in range(n_abf)
+        for g, n_fcg in fuse(f, c)
+        for be in range(n_fcg)
+        for e, n_gde in fuse(g, d)
+        for ga in range(n_gde)
+    ]
+    return _path_residual(trees, (f_abc, f_ahd, f_bcd), (f_fcd, f_abk))
 
 
 def _hexagon_residual(cat: CategoryData, c: str, a: str, b: str, d: str, sign: str) -> float:
-    """Residual of the hexagon identity for braiding c over a then b, total d.
+    """Residual of the hexagon identity for braiding c over a then b, total d:
+    the paths R, F, R and F, R, F on every row (e, alpha, beta) of F^{cab}_d."""
 
-    Every basis on the two paths is the row or column basis of one of
-    F^{cab}_d, F^{acb}_d, F^{abc}_d, so each F-move is its F-matrix transposed.
-    """
+    def r_move(x: str, y: str, z: str, t: tuple, i: int) -> list:
+        """R^{xy}_z, or (R^{yx}_z)^dagger for the - sign, on the vertex at slot i of t."""
+        mat = cat.rmat(x, y, z) if sign == "+" else cat.rmat(y, x, z).conj().T
+        return [(t[:i] + (j,) + t[i + 1 :], r) for j, r in enumerate(mat[:, t[i]].tolist())]
 
-    def rb(x: str, y: str, z: str) -> np.ndarray:
-        if sign == "+":
-            return cat.rmat(x, y, z)
-        return cat.rmat(y, x, z).conj().T
-
-    start = cat.f_rows(c, a, b, d)
-    end = cat.f_cols(a, b, c, d)
-    if not start or not end:
-        return 0.0
-    mid1 = cat.f_rows(a, c, b, d)
-    mid2 = cat.f_cols(a, c, b, d)
-    mid3 = cat.f_cols(c, a, b, d)
-    mid4 = cat.f_rows(a, b, c, d)
-
-    def braid_first(src: list, dst: list, x: str, y: str) -> np.ndarray:
-        """R^{xy}_e on the first vertex of each (e, alpha, beta) in src."""
-        i_dst = {t: i for i, t in enumerate(dst)}
-        out = np.zeros((len(dst), len(src)), dtype=complex)
-        for j, (e, al, be) in enumerate(src):
-            rm = rb(x, y, e)
-            for alp in range(rm.shape[0]):
-                if rm[alp, al]:
-                    out[i_dst[(e, alp, be)], j] += rm[alp, al]
-        return out
-
-    # path 1: R^{ca}_e, then F^{acb}_d, then R^{cb}_g
-    lhs = braid_first(mid2, end, c, b) @ cat.fmat(a, c, b, d).T @ braid_first(start, mid1, c, a)
-
-    # path 2: F^{cab}_d, then R^{cf}_d, then F^{abc}_d
-    i_m4 = {t: i for i, t in enumerate(mid4)}
-    r3 = np.zeros((len(mid4), len(mid3)), dtype=complex)
-    for j, (f, mu, nu) in enumerate(mid3):
-        rm = rb(c, f, d)
-        for nup in range(rm.shape[0]):
-            if rm[nup, nu]:
-                r3[i_m4[(f, mu, nup)], j] += rm[nup, nu]
-    rhs = cat.fmat(a, b, c, d).T @ r3 @ cat.fmat(c, a, b, d).T
-    return float(np.max(np.abs(lhs - rhs)))
+    lhs = (  # R^{ca}_e, F^{acb}_d, R^{cb}_g
+        lambda t: r_move(c, a, t[0], t, 1),
+        functools.partial(_f_row, cat, (a, c, b, d)),
+        lambda t: r_move(c, b, t[0], t, 1),
+    )
+    rhs = (  # F^{cab}_d, R^{cf}_d, F^{abc}_d
+        functools.partial(_f_row, cat, (c, a, b, d)),
+        lambda t: r_move(c, t[0], d, t, 2),
+        functools.partial(_f_row, cat, (a, b, c, d)),
+    )
+    return _path_residual(cat.f_rows(c, a, b, d), lhs, rhs)
 
 
 def _worst(residuals) -> float:

@@ -16,6 +16,7 @@ from .errors import (
 from .morphisms import (
     Morphism,
     ObjectExpr,
+    _check_labels,
     braiding,
     compose,
     endo_power,
@@ -484,6 +485,7 @@ def qsystem_from_json(cat: CategoryData, data: dict) -> QSystem:
         w_data, x_data = data["w"], data["x"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad Q-system document: {exc!r}") from exc
+    _check_labels(cat, (theta,))
     return QSystem(cat, theta, morphism_from_json(cat, w_data), morphism_from_json(cat, x_data))
 
 

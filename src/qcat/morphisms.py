@@ -160,8 +160,22 @@ def morphism_from_json(cat: CategoryData, data: dict) -> Morphism:
         shapes = [(e["sector"], int(e["rows"]), int(e["cols"]), e) for e in data["blocks"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad morphism: {exc!r}") from exc
+    _check_labels(cat, (dom, cod), [c for c, *_ in shapes])
+    eng = engine(cat)
+    for c, nr, nc, _ in shapes:
+        if (nr, nc) != (eng.obj_sector_dim(cod, c), eng.obj_sector_dim(dom, c)):
+            raise ParseError(f"block {c!r} is {nr} x {nc}, not the size of sector {c!r} of Hom(dom, cod)")
     blocks = {c: _complex_array(e, nr, nc, f"block {c!r}") for c, nr, nc, e in shapes}
     return Morphism(cat, dom, cod, blocks)
+
+
+def _check_labels(cat: CategoryData, objects, sectors=()) -> None:
+    """Every label in the words of `objects`, and every one of `sectors`, as
+    read from a document, must be a label of `cat`."""
+    labels = [l for x in objects for w in x.summands for l in w] + list(sectors)
+    unknown = [l for l in labels if l not in cat.labels]
+    if unknown:
+        raise ParseError(f"unknown labels {unknown!r}")
 
 
 class Engine:

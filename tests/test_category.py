@@ -9,8 +9,10 @@ import pytest
 
 from qcat.braided import canonical_qsystem, z_matrix
 from qcat.category import (
+    CategoryData,
     _admissible_tuples,
     _hexagon_residual,
+    _pentagon_residual,
     build_category,
     deligne_product,
     load_category,
@@ -38,12 +40,16 @@ def test_z2_and_trivial_validate(z2, trivial):
     assert validate_category(trivial).ok
 
 
-def test_broken_f_symbol_fails_pentagon():
+def broken_pentagon_ising():
     data = ising_category()
     for entry in data["F"]:
         if entry["abc_d"] == ["sig", "sig", "sig", "sig"]:
             entry["re"].reverse()  # swap rows: still unitary, breaks pentagon
-    cat = build_category(data)
+    return build_category(data)
+
+
+def test_broken_f_symbol_fails_pentagon():
+    cat = broken_pentagon_ising()
     rep = validate_category(cat)
     assert not rep.ok
     assert rep.pentagon > 1e-3
@@ -351,3 +357,222 @@ def test_nan_r_symbol_in_memory_fails_validation(ising):
     assert rep.ok is False
     assert np.isnan(rep.r_unitarity)
     assert rep.worst_hexagon is not None
+
+
+# ---- the pentagon and hexagon checks against their dense references ----------
+
+
+def reference_pentagon_residual(cat: CategoryData, a: str, b: str, c: str, d: str) -> float:
+    """Compare the two F-move paths ((ab)c)d -> a(b(cd)), summed over sectors.
+
+    The dense-matrix check that `_pentagon_residual` replaced, kept as its
+    reference: five tree bases per sector, one F-move matrix per step.
+    """
+    fuse, n = cat.fuse, cat.n
+    moves: dict[tuple[str, str, str, str], tuple] = {}
+
+    def fmove(*key: str) -> tuple[np.ndarray, dict, list]:
+        """F^{key}, the index of each of its rows, and its columns."""
+        if key not in moves:
+            rows = cat.f_rows(*key)
+            moves[key] = (cat.fmat(*key), {t: i for i, t in enumerate(rows)}, cat.f_cols(*key))
+        return moves[key]
+
+    reached = {e for f, _ in fuse(a, b) for g, _ in fuse(f, c) for e, _ in fuse(g, d)}
+    worst = 0.0
+    for e in cat.labels:
+        if e not in reached:
+            continue
+        b1 = [
+            (f, al, g, be, ga)
+            for f, n_abf in fuse(a, b)
+            for al in range(n_abf)
+            for g, n_fcg in fuse(f, c)
+            for be in range(n_fcg)
+            for ga in range(n(g, d, e))
+        ]
+        b2 = [
+            (h, mu, g, nu, ga)
+            for h, n_bch in fuse(b, c)
+            for mu in range(n_bch)
+            for g, n_ahg in fuse(a, h)
+            for nu in range(n_ahg)
+            for ga in range(n(g, d, e))
+        ]
+        b3 = [
+            (h, mu, l, si, ta)
+            for h, n_bch in fuse(b, c)
+            for mu in range(n_bch)
+            for l, n_hdl in fuse(h, d)
+            for si in range(n_hdl)
+            for ta in range(n(a, l, e))
+        ]
+        b4 = [
+            (k, ka, l, lam, ta)
+            for k, n_cdk in fuse(c, d)
+            for ka in range(n_cdk)
+            for l, n_bkl in fuse(b, k)
+            for lam in range(n_bkl)
+            for ta in range(n(a, l, e))
+        ]
+        b5 = [
+            (f, al, k, ka, ta)
+            for f, n_abf in fuse(a, b)
+            for al in range(n_abf)
+            for k, n_cdk in fuse(c, d)
+            for ka in range(n_cdk)
+            for ta in range(n(f, k, e))
+        ]
+        i2 = {t: i for i, t in enumerate(b2)}
+        i3 = {t: i for i, t in enumerate(b3)}
+        i4 = {t: i for i, t in enumerate(b4)}
+        i5 = {t: i for i, t in enumerate(b5)}
+
+        m12 = np.zeros((len(b2), len(b1)), dtype=complex)
+        for j, (f, al, g, be, ga) in enumerate(b1):
+            fm, ri, cols = fmove(a, b, c, g)
+            row = fm[ri[(f, al, be)]]
+            for ci, (h, mu, nu) in enumerate(cols):
+                if row[ci]:
+                    m12[i2[(h, mu, g, nu, ga)], j] += row[ci]
+        m23 = np.zeros((len(b3), len(b2)), dtype=complex)
+        for j, (h, mu, g, nu, ga) in enumerate(b2):
+            fm, ri, cols = fmove(a, h, d, e)
+            row = fm[ri[(g, nu, ga)]]
+            for ci, (l, si, ta) in enumerate(cols):
+                if row[ci]:
+                    m23[i3[(h, mu, l, si, ta)], j] += row[ci]
+        m34 = np.zeros((len(b4), len(b3)), dtype=complex)
+        for j, (h, mu, l, si, ta) in enumerate(b3):
+            fm, ri, cols = fmove(b, c, d, l)
+            row = fm[ri[(h, mu, si)]]
+            for ci, (k, ka, lam) in enumerate(cols):
+                if row[ci]:
+                    m34[i4[(k, ka, l, lam, ta)], j] += row[ci]
+        m15 = np.zeros((len(b5), len(b1)), dtype=complex)
+        for j, (f, al, g, be, ga) in enumerate(b1):
+            fm, ri, cols = fmove(f, c, d, e)
+            row = fm[ri[(g, be, ga)]]
+            for ci, (k, ka, ta) in enumerate(cols):
+                if row[ci]:
+                    m15[i5[(f, al, k, ka, ta)], j] += row[ci]
+        m54 = np.zeros((len(b4), len(b5)), dtype=complex)
+        for j, (f, al, k, ka, ta) in enumerate(b5):
+            fm, ri, cols = fmove(a, b, k, e)
+            row = fm[ri[(f, al, ta)]]
+            for ci, (l, lam, nu) in enumerate(cols):
+                if row[ci]:
+                    m54[i4[(k, ka, l, lam, nu)], j] += row[ci]
+        res = np.max(np.abs(m34 @ m23 @ m12 - m54 @ m15)) if b4 else 0.0
+        worst = max(worst, float(res))
+    return worst
+
+
+def reference_hexagon_residual(cat: CategoryData, c: str, a: str, b: str, d: str, sign: str) -> float:
+    """Residual of the hexagon identity for braiding c over a then b, total d.
+
+    Every basis on the two paths is the row or column basis of one of
+    F^{cab}_d, F^{acb}_d, F^{abc}_d, so each F-move is its F-matrix transposed.
+    The dense-matrix check that `_hexagon_residual` replaced, kept as its reference.
+    """
+
+    def rb(x: str, y: str, z: str) -> np.ndarray:
+        if sign == "+":
+            return cat.rmat(x, y, z)
+        return cat.rmat(y, x, z).conj().T
+
+    start = cat.f_rows(c, a, b, d)
+    end = cat.f_cols(a, b, c, d)
+    if not start or not end:
+        return 0.0
+    mid1 = cat.f_rows(a, c, b, d)
+    mid2 = cat.f_cols(a, c, b, d)
+    mid3 = cat.f_cols(c, a, b, d)
+    mid4 = cat.f_rows(a, b, c, d)
+
+    def braid_first(src: list, dst: list, x: str, y: str) -> np.ndarray:
+        """R^{xy}_e on the first vertex of each (e, alpha, beta) in src."""
+        i_dst = {t: i for i, t in enumerate(dst)}
+        out = np.zeros((len(dst), len(src)), dtype=complex)
+        for j, (e, al, be) in enumerate(src):
+            rm = rb(x, y, e)
+            for alp in range(rm.shape[0]):
+                if rm[alp, al]:
+                    out[i_dst[(e, alp, be)], j] += rm[alp, al]
+        return out
+
+    # path 1: R^{ca}_e, then F^{acb}_d, then R^{cb}_g
+    lhs = braid_first(mid2, end, c, b) @ cat.fmat(a, c, b, d).T @ braid_first(start, mid1, c, a)
+
+    # path 2: F^{cab}_d, then R^{cf}_d, then F^{abc}_d
+    i_m4 = {t: i for i, t in enumerate(mid4)}
+    r3 = np.zeros((len(mid4), len(mid3)), dtype=complex)
+    for j, (f, mu, nu) in enumerate(mid3):
+        rm = rb(c, f, d)
+        for nup in range(rm.shape[0]):
+            if rm[nup, nu]:
+                r3[i_m4[(f, mu, nup)], j] += rm[nup, nu]
+    rhs = cat.fmat(a, b, c, d).T @ r3 @ cat.fmat(c, a, b, d).T
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def vertex_gauge(cat: CategoryData, seed: int) -> CategoryData:
+    """A multiplicity-free `cat` in a seeded unitary vertex gauge: every vertex
+    (a, b -> c) with a and b away from the unit gets a phase u."""
+    rng = np.random.default_rng(seed)
+    u = {k: 1.0 if cat.unit in k[:2] else cmath.exp(2j * cmath.pi * rng.random()) for k in sorted(cat.fusion)}
+    f_symbols = {}
+    for (a, b, c, d), mat in cat.f_symbols.items():
+        rows = [u[a, b, e] * u[e, c, d] for e, _, _ in cat.f_rows(a, b, c, d)]
+        cols = [u[b, c, f] * u[a, f, d] for f, _, _ in cat.f_cols(a, b, c, d)]
+        f_symbols[(a, b, c, d)] = mat * np.outer(rows, np.reciprocal(cols))
+    r_symbols = {(a, b, c): mat * u[a, b, c] / u[b, a, c] for (a, b, c), mat in cat.r_symbols.items()}
+    return CategoryData(cat.labels, cat.dual, cat.fusion, f_symbols, r_symbols, cat.dims, cat.twists)
+
+
+def check_categories() -> dict:
+    from test_morphisms import MULT2, _multiplicity_two_category
+
+    z3 = gauged_z3()
+    return {
+        "gauged_ising": vertex_gauge(build_category(ising_category()), 11),
+        "gauged_z3": z3,
+        "mult2": MULT2,
+        # its largest pentagon gap is on a tree with vertex index 1 at (g, d -> e)
+        "mult2_seed18": _multiplicity_two_category(18),
+        "z3xz3opp": deligne_product(z3, z3, reverse_right=True),
+        "non_unitary_z3": build_category(zn_data(3, lambda a, b: 2.0 if (a, b) == (1, 2) else 1.0)),
+    }
+
+
+@pytest.mark.parametrize("name", ["gauged_ising", "gauged_z3", "mult2", "mult2_seed18", "z3xz3opp", "non_unitary_z3"])
+def test_pentagon_and_hexagons_match_the_dense_reference(name):
+    cat = check_categories()[name]
+    assert name != "gauged_ising" or validate_category(cat).ok
+    for quad in itertools.product(cat.labels, repeat=4):
+        got, want = _pentagon_residual(cat, *quad), reference_pentagon_residual(cat, *quad)
+        assert abs(got - want) < 1e-12, (quad, got, want)
+    for key in _admissible_tuples(cat):
+        for sign in "+-":
+            got, want = _hexagon_residual(cat, *key, sign), reference_hexagon_residual(cat, *key, sign)
+            assert abs(got - want) < 1e-12, (key, sign, got, want)
+
+
+def test_worst_pentagon_is_the_argmax():
+    cat = broken_pentagon_ising()
+    rep = validate_category(cat)
+    assert rep.pentagon > 1e-3
+    worst = max(itertools.product(cat.labels, repeat=4), key=lambda q: _pentagon_residual(cat, *q))
+    assert rep.worst_pentagon == worst
+
+
+def test_nan_f_symbol_in_memory_fails_pentagon(ising):
+    f_symbols = dict(ising.f_symbols)
+    key = ("sig", "sig", "sig", "sig")
+    f_symbols[key] = f_symbols[key].copy()
+    f_symbols[key][0, 0] = np.nan
+    cat = CategoryData(ising.labels, ising.dual, ising.fusion, f_symbols, ising.r_symbols, ising.dims, ising.twists)
+    rep = validate_category(cat)
+    assert rep.ok is False
+    assert np.isnan(rep.pentagon)
+    assert rep.worst_pentagon is not None

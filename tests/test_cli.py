@@ -266,7 +266,38 @@ def _wrong_rows(data):
     data["x"]["blocks"][0]["rows"] += 1
 
 
-@pytest.mark.parametrize("damage", [_nan_x_blocks, _wrong_rows])
+def _set(*path, value):
+    """A damage that sets the entry at `path` of the Q-system document to `value`."""
+
+    def damage(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+
+    return damage
+
+
+def _grow_x_block(data):
+    """Rows, re and im agree with each other, but not with the sector of Hom(theta, theta^2)."""
+    block = data["x"]["blocks"][0]
+    block["rows"] += 1
+    block["re"].append(block["re"][0])
+    block["im"].append(block["im"][0])
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _nan_x_blocks,
+        _wrong_rows,
+        pytest.param(_set("x", "blocks", 0, "sector", value=["sig"]), id="unhashable-sector"),
+        pytest.param(_set("x", "blocks", 0, "sector", value="zz"), id="unknown-sector"),
+        pytest.param(_set("theta", 0, value=["zz", "sig"]), id="unknown-theta-label"),
+        pytest.param(_set("theta", 0, value=[["sig"], "sig"]), id="unhashable-theta-label"),
+        pytest.param(_set("w", "dom", value=[["zz"]]), id="unknown-dom-label"),
+        pytest.param(_grow_x_block, id="block-not-the-sector-size"),
+    ],
+)
 def test_malformed_qsystem_exit_two(tmp_path, capsys, damage):
     assert run(["check-qsystem", "ising", _ising_q_file(tmp_path, damage)]) == 2
     assert "ParseError" in capsys.readouterr().err

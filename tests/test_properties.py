@@ -139,3 +139,107 @@ def test_malformed_category_document_exits_two(doc):
             code = run(["validate", path])
     assert code == 2, (code, err.getvalue())
     assert "ParseError" in err.getvalue() or "SchemaError" in err.getvalue()
+
+
+# ---- malformed Q-system documents -------------------------------------------
+
+def _ising_q_document() -> dict:
+    from qcat.frobenius import ising_q, qsystem_as_json
+
+    return qsystem_as_json(ising_q(CAT))
+
+
+Q_DOCUMENT = _ising_q_document()
+MORPHISMS = ("w", "x")
+BLOCK_KEYS = ("sector", "rows", "cols", "re", "im")
+Q_WRONG_TYPES = {
+    # an empty list or object is the zero object or a morphism without blocks: well formed
+    "object": [None, True, 3, 2.5, "x", {"k": 1}, [3], [None], [[None]]],
+    "morphism": [None, True, 3, "x", [], [1], {}],
+    "blocks": [None, True, 3, "x", {"k": 1}],
+    "block": [None, 3, "x", [1], [], {}],
+    "size": [None, "x", [], {}, [1]],
+    "matrix": [None, True, "x", {}, {"k": 1}],
+}
+
+
+def _words(doc: dict, draw) -> list:
+    """One of the label lists of the document: theta, or the dom or cod of w or x."""
+    site = draw(st.sampled_from(["theta"] + [(m, end) for m in MORPHISMS for end in ("dom", "cod")]))
+    return doc[site] if site == "theta" else doc[site[0]][site[1]]
+
+
+@st.composite
+def malformed_qsystems(draw):
+    """A copy of the ising_q Q-system document with one defect."""
+    doc = json.loads(json.dumps(Q_DOCUMENT))
+    kind = draw(st.sampled_from(
+        ["top-level", "drop key", "wrong type", "unhashable label", "unknown label", "non-finite", "wrong size"]
+    ))
+    if kind == "top-level":
+        return draw(st.sampled_from([[doc], 3, "ising_q", None, []]))
+    morphism = doc[draw(st.sampled_from(MORPHISMS))]
+    i = draw(st.integers(0, len(morphism["blocks"]) - 1))
+    block = morphism["blocks"][i]
+    if kind == "drop key":
+        where, keys = draw(st.sampled_from([(doc, ("theta",) + MORPHISMS), (morphism, ("dom", "cod", "blocks")), (block, BLOCK_KEYS)]))
+        del where[draw(st.sampled_from(keys))]
+    elif kind == "wrong type":
+        where = draw(st.sampled_from(["theta", "morphism", "dom", "cod", "blocks", "block", "rows", "cols", "re", "im"]))
+        if where == "theta":
+            doc["theta"] = draw(st.sampled_from(Q_WRONG_TYPES["object"]))
+        elif where == "morphism":
+            doc[draw(st.sampled_from(MORPHISMS))] = draw(st.sampled_from(Q_WRONG_TYPES["morphism"]))
+        elif where in ("dom", "cod"):
+            morphism[where] = draw(st.sampled_from(Q_WRONG_TYPES["object"]))
+        elif where == "blocks":
+            morphism["blocks"] = draw(st.sampled_from(Q_WRONG_TYPES["blocks"]))
+        elif where == "block":
+            morphism["blocks"][i] = draw(st.sampled_from(Q_WRONG_TYPES["block"]))
+        else:
+            block[where] = draw(st.sampled_from(Q_WRONG_TYPES["size" if where in ("rows", "cols") else "matrix"]))
+    elif kind in ("unhashable label", "unknown label"):
+        label = draw(st.sampled_from(sorted(CAT.labels)))
+        value = draw(st.sampled_from([[label], {"k": label}])) if kind == "unhashable label" else "zz"
+        if draw(st.booleans()):
+            block["sector"] = value
+        else:
+            word = draw(st.sampled_from(_words(doc, draw)))
+            if word and draw(st.booleans()):
+                word[draw(st.integers(0, len(word) - 1))] = value
+            else:  # the unit word [] has no label to replace
+                word.insert(draw(st.integers(0, len(word))), value)
+    elif kind == "non-finite":
+        part = block[draw(st.sampled_from(["re", "im"]))]
+        row = part[draw(st.integers(0, len(part) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+    else:
+        grow = draw(st.sampled_from(["rows", "cols", "ragged", "declared"]))
+        if grow == "ragged":
+            block[draw(st.sampled_from(["re", "im"]))][0].append(0.0)
+        elif grow == "declared":
+            block[draw(st.sampled_from(["rows", "cols"]))] += 1
+        else:
+            # the size and the entries grown together: the block no longer fits its sector
+            if grow == "rows":
+                block["re"].append(list(block["re"][0]))
+                block["im"].append(list(block["im"][0]))
+            else:
+                for row in block["re"] + block["im"]:
+                    row.append(0.0)
+            block[grow] += 1
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=malformed_qsystems())
+def test_malformed_qsystem_document_exits_two(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "q.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["check-qsystem", "ising", path])
+    assert code == 2, (code, err.getvalue())
+    assert "ParseError" in err.getvalue()
