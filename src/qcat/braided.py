@@ -76,7 +76,6 @@ def centre_qsystem(cat: CategoryData, q: QSystem, side: str = "+", tol: float | 
 
 def embed_left(cat: CategoryData, prod: CategoryData, q: QSystem) -> QSystem:
     """Carry a Q-system of C into C x C^opp along a -> (a, unit)."""
-    unit2 = cat.unit
     return QSystem(
         prod,
         _embed_obj(cat, prod, q.theta),

@@ -93,8 +93,8 @@ class CategoryData:
     def fmat(self, a: str, b: str, c: str, d: str) -> np.ndarray:
         """F^{abc}_d in the canonical row/column ordering.
 
-        A Deligne product computes each F-symbol from its factors on first
-        use and keeps it in `f_symbols`.
+        A unit-leg identity, and an F-symbol that a Deligne product computes
+        from its factors, is built on first use and kept in `f_symbols`.
         """
         key = (a, b, c, d)
         if key in self.f_symbols:
@@ -104,14 +104,19 @@ class CategoryData:
             return np.zeros((len(rows), len(cols)), dtype=complex)
         if self.unit in (a, b, c):
             # canonical gauge: unit-leg F-moves are trivial
-            return np.eye(len(rows), dtype=complex)
-        if self._factors is None:
+            mat = np.eye(len(rows), dtype=complex)
+        elif self._factors is None:
             raise SchemaError(f"missing F-symbol for {key}")
-        mat = self.f_symbols[key] = _product_fmat(key, rows, cols, *self._factors)
+        else:
+            mat = _product_fmat(key, rows, cols, *self._factors)
+        self.f_symbols[key] = mat
         return mat
 
-    def rmat(self, a: str, b: str, c: str) -> np.ndarray:
-        """R^{ab}_c as an N_{ba}^c x N_{ab}^c matrix."""
+    def rmat(self, a: str, b: str, c: str, sign: str = "+") -> np.ndarray:
+        """R^{ab}_c as an N_{ba}^c x N_{ab}^c matrix; for sign '-', the
+        opposite braiding (R^{ba}_c)^dagger."""
+        if sign == "-":
+            return self.rmat(b, a, c).conj().T
         key = (a, b, c)
         if key in self.r_symbols:
             return self.r_symbols[key]
@@ -165,6 +170,11 @@ class ValidationReport:
             "worst_pentagon": list(self.worst_pentagon) if self.worst_pentagon else None,
             "worst_hexagon": list(self.worst_hexagon) if self.worst_hexagon else None,
         }
+
+
+def _json_int(x) -> bool:
+    """Whether x is a JSON integer: an int, not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _complex_array(entry: dict, nrow: int, ncol: int, what: str) -> np.ndarray:
@@ -232,16 +242,19 @@ def build_category(data: dict) -> CategoryData:
     if len(dual) != len(labels):
         raise ParseError("dual maps a label that is not in labels")
     fusion: dict[tuple[str, str, str], int] = {}
+    seen = set()
     for item in fusion_list:
         try:
             a, b, c, nn = item
-            nn = int(nn)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"bad fusion rule {item!r}: expected [a, b, c, N_ab^c]") from exc
         if a not in labels or b not in labels or c not in labels:
             raise ParseError(f"fusion rule references unknown label: {item}")
-        if nn < 0:
-            raise ParseError(f"negative fusion multiplicity: {item}")
+        if not _json_int(nn) or nn < 0:
+            raise ParseError(f"bad fusion multiplicity in {item!r}: expected an integer >= 0")
+        if (a, b, c) in seen:
+            raise ParseError(f"fusion rule for {(a, b, c)} given twice")
+        seen.add((a, b, c))
         if nn:
             fusion[(a, b, c)] = nn
     cat = CategoryData(
@@ -254,6 +267,8 @@ def build_category(data: dict) -> CategoryData:
     )
     for entry in data.get("F", []):
         a, b, c, d = _entry_key(entry, "abc_d", labels, 4)
+        if (a, b, c, d) in cat.f_symbols:
+            raise ParseError(f"F{(a, b, c, d)} given twice")
         rows = cat.f_rows(a, b, c, d)
         cols = cat.f_cols(a, b, c, d)
         what = f"F{(a, b, c, d)}"
@@ -265,6 +280,8 @@ def build_category(data: dict) -> CategoryData:
         cat.f_symbols[(a, b, c, d)] = mat
     for entry in data.get("R", []):
         a, b, c = _entry_key(entry, "ab_c", labels, 3)
+        if (a, b, c) in cat.r_symbols:
+            raise ParseError(f"R{(a, b, c)} given twice")
         mat = _complex_array(entry, cat.n(b, a, c), cat.n(a, b, c), f"R{(a, b, c)}")
         cat.r_symbols[(a, b, c)] = mat
     _check_schema(cat)
@@ -412,9 +429,9 @@ def _hexagon_residual(cat: CategoryData, c: str, a: str, b: str, d: str, sign: s
     the paths R, F, R and F, R, F on every row (e, alpha, beta) of F^{cab}_d."""
 
     def r_move(x: str, y: str, z: str, t: tuple, i: int) -> list:
-        """R^{xy}_z, or (R^{yx}_z)^dagger for the - sign, on the vertex at slot i of t."""
-        mat = cat.rmat(x, y, z) if sign == "+" else cat.rmat(y, x, z).conj().T
-        return [(t[:i] + (j,) + t[i + 1 :], r) for j, r in enumerate(mat[:, t[i]].tolist())]
+        """The R-move `cat.rmat(x, y, z, sign)` on the vertex at slot i of t."""
+        col = cat.rmat(x, y, z, sign)[:, t[i]].tolist()
+        return [(t[:i] + (j,) + t[i + 1 :], r) for j, r in enumerate(col)]
 
     lhs = (  # R^{ca}_e, F^{acb}_d, R^{cb}_g
         lambda t: r_move(c, a, t[0], t, 1),
@@ -609,11 +626,7 @@ def deligne_product(cat_l: CategoryData, cat_r: CategoryData, reverse_right: boo
                 continue
             for lc, _ in prod.fuse(la, lb):
                 c1, c2 = split_label(lc)
-                m1 = cat_l.rmat(a1, b1, c1)
-                if reverse_right:
-                    m2 = cat_r.rmat(b2, a2, c2).conj().T
-                else:
-                    m2 = cat_r.rmat(a2, b2, c2)
-                prod.r_symbols[(la, lb, lc)] = np.kron(m1, m2)
+                m2 = cat_r.rmat(a2, b2, c2, "-" if reverse_right else "+")
+                prod.r_symbols[(la, lb, lc)] = np.kron(cat_l.rmat(a1, b1, c1), m2)
     _derive(prod)
     return prod

@@ -271,16 +271,10 @@ def trivial_bimodule(cat: CategoryData, q: QSystem) -> Module:
 # ---- the boundary machinery ------------------------------------------
 
 
-def r_lift(
-    cat: CategoryData,
-    mod: Module,
-    tol: float | None = None,
-    chirality: tuple[str, str] = ("+", "+"),
-) -> tuple[CategoryData, Module]:
+def r_lift(cat: CategoryData, mod: Module) -> tuple[CategoryData, Module]:
     """The R[m] bimodule over the braided products R[A], R[B]: carry an A-B
     bimodule along the canonical commutative Q-system, routing the spectator
     legs around it by the braiding."""
-    c1, c2 = chirality
     prod, qr = canonical_qsystem(cat)
     qa, qb = mod.parents
     ra = braided_product(prod, embed_left(cat, prod, qa), qr, "+")
@@ -294,25 +288,19 @@ def r_lift(
     ida = identity(prod, theta_a)
     step1 = tensor(m_e, x2)
     step2 = tensor(
-        tensor(identity(prod, theta_a @ beta_e), braiding(prod, theta_b, th @ th, c1)),
+        tensor(identity(prod, theta_a @ beta_e), braiding(prod, theta_b, th @ th, "+")),
         identity(prod, th),
     )
     step3 = tensor(
         ida,
-        tensor(braiding(prod, beta_e, th, c2), identity(prod, th @ theta_b @ th)),
+        tensor(braiding(prod, beta_e, th, "+"), identity(prod, th @ theta_b @ th)),
     )
     m_lift = compose(step3, compose(step2, step1))
     out = Module(beta_e @ th, m_lift, (ra, rb), f"R[{mod.label}]")
     return prod, out
 
 
-def restrict_bimodule(
-    prod: CategoryData,
-    mod: Module,
-    red_a: ReducedQSystem,
-    red_b: ReducedQSystem,
-    tol: float | None = None,
-) -> Module:
+def restrict_bimodule(prod: CategoryData, mod: Module, red_a: ReducedQSystem, red_b: ReducedQSystem) -> Module:
     """Restrict a bimodule over two parent Q-systems to intermediate ones cut
     out by the given reductions."""
     ra, rb = mod.parents
@@ -348,7 +336,7 @@ def trace_pairing(cat: CategoryData, t1: Morphism, t2: Morphism) -> complex:
     return trace(cat, compose(t1.adjoint(), t2))
 
 
-def convolution_algebra(qa: QSystem, qb: QSystem, tol: float | None = None) -> AlgebraPresentation:
+def convolution_algebra(qa: QSystem, qb: QSystem) -> AlgebraPresentation:
     cat = qa.cat
     basis = hom_basis(cat, qb.theta, qa.theta)
     return AlgebraPresentation(
@@ -412,8 +400,8 @@ def boundary_conditions(
     idems = []
     dvals = []
     for mod in bimods:
-        _, lifted = r_lift(cat, mod, tol)
-        restricted = restrict_bimodule(prod, lifted, red_a, red_b, tol)
+        _, lifted = r_lift(cat, mod)
+        restricted = restrict_bimodule(prod, lifted, red_a, red_b)
         d_rm = d_intertwiner(prod, restricted)
         dvals.append(d_rm)
         coeff = mod.dim / (qa.d ** 2 * qb.d ** 2 * d_r ** 2)
@@ -456,7 +444,7 @@ def boundary_conditions(
         c_matrix[row] = (qa.d * qb.d / mod.dim) * np.conj(smT[row])
     res_unitary = float(np.abs(smT @ smT.conj().T - np.eye(n)).max()) if n == len(columns) else np.inf
     # generic oracle: minimal idempotents of the convolution algebra
-    alg = convolution_algebra(za, zb, tol)
+    alg = convolution_algebra(za, zb)
     oracle = alg.minimal_idempotents(seed)
     cross = "pass"
     if len(oracle) != n:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .category import CategoryData, _complex_array
+from .category import CategoryData, _complex_array, _f_row, _json_int, _move
 from .errors import ConjugacyError, ParseError, ShapeError, UnknownLabelError
 
 Word = tuple[str, ...]
@@ -157,12 +157,17 @@ def morphism_from_json(cat: CategoryData, data: dict) -> Morphism:
     try:
         dom = ObjectExpr.from_words(data["dom"])
         cod = ObjectExpr.from_words(data["cod"])
-        shapes = [(e["sector"], int(e["rows"]), int(e["cols"]), e) for e in data["blocks"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        shapes = [(e["sector"], e["rows"], e["cols"], e) for e in data["blocks"]]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad morphism: {exc!r}") from exc
-    _check_labels(cat, (dom, cod), [c for c, *_ in shapes])
+    sectors = [c for c, *_ in shapes]
+    _check_labels(cat, (dom, cod), sectors)
+    if len(set(sectors)) != len(sectors):
+        raise ParseError(f"a sector is given more than one block: {sectors!r}")
     eng = engine(cat)
     for c, nr, nc, _ in shapes:
+        if not (_json_int(nr) and _json_int(nc)):
+            raise ParseError(f"block {c!r}: rows and cols must be integers, not {nr!r} and {nc!r}")
         if (nr, nc) != (eng.obj_sector_dim(cod, c), eng.obj_sector_dim(dom, c)):
             raise ParseError(f"block {c!r} is {nr} x {nc}, not the size of sector {c!r} of Hom(dom, cod)")
     blocks = {c: _complex_array(e, nr, nc, f"block {c!r}") for c, nr, nc, e in shapes}
@@ -260,39 +265,25 @@ class Engine:
         """Per sector e: (S, split_list) with |canonical t> = sum_s S[s,t] |split s>.
 
         The split basis entries are (c, i1, d, i2, mu): tree i1 of w1 at c,
-        tree i2 of w2 at d, fusion vertex mu of c x d -> e.
+        tree i2 of w2 at d, fusion vertex mu of c x d -> e.  When w1 is empty
+        or w2 has at most one letter, the canonical trees of w1 w2 are the
+        split basis in the same order, and S is the identity.  Otherwise a
+        tree of (w1 v) a, with v = w2[:-1], is split as a tree of w1 v, and
+        one F-move recouples (c v) a -> c (v a).
         """
         key = (w1, w2)
         got = self._split.get(key)
         if got is not None:
             return got
-        cat = self.cat
-        unit = cat.unit
-        out: dict[str, tuple[np.ndarray, list]] = {}
-        if len(w2) == 0:
-            for e, ts in self.trees(w1).items():
-                out[e] = (np.eye(len(ts), dtype=complex), [(e, i, unit, 0, 0) for i in range(len(ts))])
-        elif len(w1) == 0:
-            for e, ts in self.trees(w2).items():
-                out[e] = (np.eye(len(ts), dtype=complex), [(unit, 0, e, i, 0) for i in range(len(ts))])
-        elif len(w2) == 1:
-            a = w2[0]
-            split_lists = self._enumerate_split(w1, w2)
-            for e, can in self.trees(w1 + w2).items():
-                split_list = split_lists[e]
-                sidx = {t: i for i, t in enumerate(split_list)}
-                s = np.zeros((len(split_list), len(can)), dtype=complex)
-                for col, tt in enumerate(can):
-                    b, mu = tt[-1]
-                    i1 = self.tree_index(w1, b)[tt[:-1]]
-                    s[sidx[(b, i1, a, 0, mu)], col] = 1.0
-                out[e] = (s, split_list)
+        split_lists = self._enumerate_split(w1, w2)
+        if not w1 or len(w2) <= 1:
+            out = {e: (np.eye(len(sl), dtype=complex), sl) for e, sl in split_lists.items()}
         else:
+            cat = self.cat
             v, a = w2[:-1], w2[-1]
             prev = self.split(w1, v)
-            wv = w1 + v
-            v_trees = self.trees(v)
-            split_lists = self._enumerate_split(w1, w2)
+            wv, v_trees = w1 + v, self.trees(v)
+            out = {}
             for e, can in self.trees(w1 + w2).items():
                 split_list = split_lists[e]
                 sidx = {t: i for i, t in enumerate(split_list)}
@@ -300,23 +291,17 @@ class Engine:
                 for col, tt in enumerate(can):
                     b, mu = tt[-1]
                     prev_s, prev_list = prev[b]
-                    t_pre_idx = self.tree_index(wv, b)[tt[:-1]]
-                    for row_idx, (c, i1, dp, i2p, nu) in enumerate(prev_list):
-                        coeff = prev_s[row_idx, t_pre_idx]
-                        if abs(coeff) < 1e-15:
-                            continue
-                        fm = cat.fmat(c, dp, a, e)
-                        rows = cat.f_rows(c, dp, a, e)
-                        cols = cat.f_cols(c, dp, a, e)
-                        ri = rows.index((b, nu, mu))
-                        t2p = v_trees[dp][i2p]
-                        for ci, (dd, sig, tau) in enumerate(cols):
-                            val = fm[ri, ci]
-                            if abs(val) < 1e-15:
-                                continue
-                            t2 = t2p + ((dp, sig),)
-                            i2 = self.tree_index(w2, dd)[t2]
-                            s[sidx[(c, i1, dd, i2, tau)], col] += coeff * val
+                    column = prev_s[:, self.tree_index(wv, b)[tt[:-1]]].tolist()
+                    vec = {t: x for t, x in zip(prev_list, column) if not abs(x) < 1e-15}  # a NaN stays
+
+                    def f_move(t):  # F^{c d' a}_e at the vertices (nu, mu) of the split tree t
+                        c, i1, dp, i2p, nu = t
+                        for (d, sig, tau), x in _f_row(cat, (c, dp, a, e), (b, nu, mu)):
+                            i2 = self.tree_index(w2, d)[v_trees[dp][i2p] + ((dp, sig),)]
+                            yield (c, i1, d, i2, tau), x
+
+                    for t, x in _move(vec, f_move).items():
+                        s[sidx[t], col] = x
                 out[e] = (s, split_list)
         self._split[key] = out
         return out
@@ -577,7 +562,7 @@ def word_braiding(cat: CategoryData, u: Word, v: Word, sign: str) -> Morphism:
         out = identity(cat, _word_obj(u + v))
     elif len(u) == 1 and len(v) == 1:
         a, b = u[0], v[0]
-        blocks = {e: cat.rmat(a, b, e) if sign == "+" else cat.rmat(b, a, e).conj().T for e, _ in cat.fuse(a, b)}
+        blocks = {e: cat.rmat(a, b, e, sign) for e, _ in cat.fuse(a, b)}
         out = Morphism(cat, _word_obj((a, b)), _word_obj((b, a)), blocks)
     elif len(v) > 1:
         v1, b = v[:-1], (v[-1],)

@@ -125,8 +125,8 @@ def test_determinism_across_seeds(ising, tq):
 def test_oracle_disagreement_raises(ising, tq, monkeypatch):
     real = modules.convolution_algebra
 
-    def broken(qa, qb, tol=None):
-        alg = real(qa, qb, tol)
+    def broken(qa, qb):
+        alg = real(qa, qb)
         return AlgebraPresentation(
             cat=alg.cat,
             basis=alg.basis[:1],

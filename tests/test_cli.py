@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -31,6 +32,17 @@ def test_parse_error_exit_two(tmp_path):
     assert run(["validate", str(bad)]) == 2
     assert run(["validate", str(tmp_path / "missing.json")]) == 2
     assert run(["emit-fixture", "nope", "--dir", str(tmp_path)]) == 2
+
+
+def _set(*path, value):
+    """A damage that sets the entry at `path` of a document to `value`."""
+
+    def damage(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+
+    return damage
 
 
 def _drop_a_row(data):
@@ -83,12 +95,29 @@ def _f_on_unknown_labels(data):
     data["F"].append({"abc_d": ["x", "y", "z", "w"], "re": [], "im": []})
 
 
+def _repeat(*path):
+    """A damage that appends a copy of the entry at `path` to the list holding it."""
+
+    def damage(data):
+        for key in path[:-1]:
+            data = data[key]
+        data.append(copy.deepcopy(data[path[-1]]))
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage",
     [
         _drop_a_row, _short_fusion_row, _dual_as_list, _nan_r_symbol,
         _tol_string, _tol_list, _tol_nan, _tol_negative, _f_r_fusion_not_lists,
         _list_label_in_f, _list_label_in_r, _f_on_unknown_labels,
+        pytest.param(_set("fusion", 1, 3, value=1.5), id="fractional-multiplicity"),
+        pytest.param(_set("fusion", 1, 3, value="1"), id="string-multiplicity"),
+        pytest.param(_set("fusion", 1, 3, value=True), id="bool-multiplicity"),
+        pytest.param(_repeat("fusion", 1), id="repeated-fusion-rule"),
+        pytest.param(_repeat("F", 0), id="repeated-f-entry"),
+        pytest.param(_repeat("R", 0), id="repeated-r-entry"),
     ],
 )
 def test_malformed_category_exit_two(tmp_path, capsys, damage):
@@ -266,17 +295,6 @@ def _wrong_rows(data):
     data["x"]["blocks"][0]["rows"] += 1
 
 
-def _set(*path, value):
-    """A damage that sets the entry at `path` of the Q-system document to `value`."""
-
-    def damage(data):
-        for key in path[:-1]:
-            data = data[key]
-        data[path[-1]] = value
-
-    return damage
-
-
 def _grow_x_block(data):
     """Rows, re and im agree with each other, but not with the sector of Hom(theta, theta^2)."""
     block = data["x"]["blocks"][0]
@@ -296,6 +314,12 @@ def _grow_x_block(data):
         pytest.param(_set("theta", 0, value=[["sig"], "sig"]), id="unhashable-theta-label"),
         pytest.param(_set("w", "dom", value=[["zz"]]), id="unknown-dom-label"),
         pytest.param(_grow_x_block, id="block-not-the-sector-size"),
+        pytest.param(_set("x", "blocks", 0, "rows", value=2.5), id="fractional-rows"),
+        pytest.param(_set("x", "blocks", 0, "cols", value=1.9), id="fractional-cols"),
+        pytest.param(_set("x", "blocks", 0, "rows", value="2"), id="string-rows"),
+        pytest.param(_set("w", "blocks", 0, "rows", value=True), id="bool-rows"),
+        pytest.param(_repeat("x", "blocks", 0), id="repeated-block"),
+        pytest.param(_set("x", "blocks", 1, "sector", value="1"), id="two-blocks-on-one-sector"),
     ],
 )
 def test_malformed_qsystem_exit_two(tmp_path, capsys, damage):

@@ -62,6 +62,8 @@ def test_braiding_unitary_and_inverse(ising):
     plus = braiding(ising, SIG2, SSS, "+")
     minus = braiding(ising, SSS, SIG2, "-")
     assert (minus - plus.adjoint()).max_abs() < 1e-12
+    for a, b, c in ising.fusion:
+        assert np.array_equal(ising.rmat(a, b, c, "-"), ising.rmat(b, a, c).conj().T)
 
 
 def test_braiding_naturality(ising):
@@ -412,6 +414,89 @@ def test_sector_tables_match_label_scan(name):
     for x in KERNEL_CASES.get(name, (None, []))[1]:
         dims = {c: [len(_reference_trees(cat, w, c)) for w in x.summands] for c in cat.labels}
         assert eng.sectors(x) == {c: list(itertools.accumulate(n, initial=0)) for c, n in dims.items() if sum(n)}
+
+
+def _reference_split(eng, w1, w2, memo):
+    """An independent `Engine.split`: the empty-word and one-letter splits
+    built entry by entry, then one inline F-move per further letter of w2,
+    read from `fmat` by its row and column lists.  `memo` caches it per word
+    pair."""
+    key = (w1, w2)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    cat = eng.cat
+    unit = cat.unit
+    out = {}
+    if len(w2) == 0:
+        for e, ts in eng.trees(w1).items():
+            out[e] = (np.eye(len(ts), dtype=complex), [(e, i, unit, 0, 0) for i in range(len(ts))])
+    elif len(w1) == 0:
+        for e, ts in eng.trees(w2).items():
+            out[e] = (np.eye(len(ts), dtype=complex), [(unit, 0, e, i, 0) for i in range(len(ts))])
+    elif len(w2) == 1:
+        a = w2[0]
+        split_lists = eng._enumerate_split(w1, w2)
+        for e, can in eng.trees(w1 + w2).items():
+            split_list = split_lists[e]
+            sidx = {t: i for i, t in enumerate(split_list)}
+            s = np.zeros((len(split_list), len(can)), dtype=complex)
+            for col, tt in enumerate(can):
+                b, mu = tt[-1]
+                i1 = eng.tree_index(w1, b)[tt[:-1]]
+                s[sidx[(b, i1, a, 0, mu)], col] = 1.0
+            out[e] = (s, split_list)
+    else:
+        v, a = w2[:-1], w2[-1]
+        prev = _reference_split(eng, w1, v, memo)
+        wv = w1 + v
+        v_trees = eng.trees(v)
+        split_lists = eng._enumerate_split(w1, w2)
+        for e, can in eng.trees(w1 + w2).items():
+            split_list = split_lists[e]
+            sidx = {t: i for i, t in enumerate(split_list)}
+            s = np.zeros((len(split_list), len(can)), dtype=complex)
+            for col, tt in enumerate(can):
+                b, mu = tt[-1]
+                prev_s, prev_list = prev[b]
+                t_pre_idx = eng.tree_index(wv, b)[tt[:-1]]
+                for row_idx, (c, i1, dp, i2p, nu) in enumerate(prev_list):
+                    coeff = prev_s[row_idx, t_pre_idx]
+                    if abs(coeff) < 1e-15:
+                        continue
+                    fm = cat.fmat(c, dp, a, e)
+                    rows = cat.f_rows(c, dp, a, e)
+                    cols = cat.f_cols(c, dp, a, e)
+                    ri = rows.index((b, nu, mu))
+                    t2p = v_trees[dp][i2p]
+                    for ci, (dd, sig, tau) in enumerate(cols):
+                        val = fm[ri, ci]
+                        if abs(val) < 1e-15:
+                            continue
+                        t2 = t2p + ((dp, sig),)
+                        i2 = eng.tree_index(w2, dd)[t2]
+                        s[sidx[(c, i1, dd, i2, tau)], col] += coeff * val
+            out[e] = (s, split_list)
+    memo[key] = out
+    return out
+
+
+@pytest.mark.parametrize("name", ["ising", "mult2", "gauged_z3"])
+def test_split_matches_inline_f_move_reference(name):
+    """The identity cases and the `_move` recursion of `Engine.split` give the
+    split lists and recouplings of the hand-built cases and inline F-move."""
+    cat = {"ising": KERNEL_CASES["ising"][0], "mult2": MULT2, "gauged_z3": gauged_z3()}[name]
+    eng, memo = engine(cat), {}
+    words = [w for n in range(5) for w in itertools.product(cat.labels, repeat=n)]
+    for w1, w2 in itertools.product(words, repeat=2):
+        if len(w1) + len(w2) > 4:
+            continue
+        got, want = eng.split(w1, w2), _reference_split(eng, w1, w2, memo)
+        assert list(got) == list(want)
+        for e, (s, split_list) in got.items():
+            assert split_list == want[e][1]
+            assert s.shape == want[e][0].shape
+            assert np.max(np.abs(s - want[e][0]), initial=0.0) < 1e-14, (w1, w2, e)
 
 
 def test_unknown_label_anywhere_in_a_word_raises(ising):
