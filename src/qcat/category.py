@@ -45,6 +45,9 @@ class CategoryData:
     _adjacency: dict[tuple[str, str], tuple[tuple[str, int], ...]] = field(
         init=False, repr=False, compare=False
     )
+    # per key, the F-move table `_f_row` builds once from `fmat`; F-symbols are fixed
+    # once read: a table already built does not see an in-place edit of `f_symbols`
+    _f_moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the two factors of a Deligne product, whose F-symbols `fmat` gathers
     _factors: tuple[CategoryData, CategoryData] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -362,9 +365,14 @@ def _unitarity_residual(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))
 
 
-def _f_row(cat: CategoryData, key: tuple[str, ...], row: tuple) -> zip:
-    """The F-move of one tree: row `row` of F^{key} as (column, coefficient) pairs."""
-    return zip(cat.f_cols(*key), cat.fmat(*key)[cat.f_rows(*key).index(row)].tolist())
+def _f_row(cat: CategoryData, key: tuple[str, ...], row: tuple) -> tuple:
+    """The F-move of one tree: row `row` of F^{key} as (column, coefficient)
+    pairs, from a table built once per key."""
+    table = cat._f_moves.get(key)
+    if table is None:
+        cols = cat.f_cols(*key)
+        table = cat._f_moves[key] = {r: tuple(zip(cols, v)) for r, v in zip(cat.f_rows(*key), cat.fmat(*key).tolist())}
+    return table[row]
 
 
 def _move(vec: dict, step) -> dict:
@@ -448,7 +456,8 @@ def _hexagon_residual(cat: CategoryData, c: str, a: str, b: str, d: str, sign: s
 
 def _worst(residuals) -> float:
     """The largest of the residuals, 0 if there are none; NaN if any is NaN."""
-    return float(np.max(np.fromiter(residuals, dtype=float), initial=0.0))
+    rs = [0.0, *residuals]
+    return float("nan") if any(r != r for r in rs) else float(max(rs))
 
 
 def _admissible_tuples(cat: CategoryData) -> list[tuple[str, str, str, str]]:

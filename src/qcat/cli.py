@@ -206,6 +206,9 @@ def _dispatch(args) -> int:
     if tol is not None and not 0.0 < tol < float("inf"):
         print("qcat: error: the tolerance (--tol or QCAT_TOL) must be a finite number > 0", file=sys.stderr)
         return 1
+    if args.seed is not None and args.seed < 0:
+        print("qcat: error: --seed must be an integer >= 0", file=sys.stderr)
+        return 1
     fmt = args.format
 
     if args.verb == "emit-fixture":

@@ -11,8 +11,10 @@ from qcat.braided import canonical_qsystem, z_matrix
 from qcat.category import (
     CategoryData,
     _admissible_tuples,
+    _f_row,
     _hexagon_residual,
     _pentagon_residual,
+    _worst,
     build_category,
     deligne_product,
     load_category,
@@ -556,6 +558,32 @@ def test_pentagon_and_hexagons_match_the_dense_reference(name):
         for sign in "+-":
             got, want = _hexagon_residual(cat, *key, sign), reference_hexagon_residual(cat, *key, sign)
             assert abs(got - want) < 1e-12, (key, sign, got, want)
+
+
+@pytest.mark.parametrize("name", ["gauged_z3", "mult2", "z3xz3opp"])
+def test_f_move_table_is_fmat_row_by_row(name):
+    cat = check_categories()[name]
+    keys = _admissible_tuples(cat)
+    mats = {key: cat.fmat(*key) for key in keys}
+    kept = {k: v.copy() for k, v in cat.f_symbols.items()}
+    for key in keys:
+        cols = cat.f_cols(*key)
+        for i, row in enumerate(cat.f_rows(*key)):
+            assert list(_f_row(cat, key, row)) == list(zip(cols, mats[key][i])), (key, row)
+    # the tables add no F-symbol and change none of those `fmat` keeps
+    assert cat.f_symbols.keys() == kept.keys()
+    assert all(np.array_equal(cat.f_symbols[k], v) for k, v in kept.items())
+    assert all(cat.fmat(*key) is mat for key, mat in mats.items())
+
+
+def test_worst_keeps_nan_and_inf():
+    nan, inf = float("nan"), float("inf")
+    for residuals in ([nan, 1.0, 2.0], [1.0, nan, 2.0], [1.0, 2.0, nan], [nan]):
+        assert np.isnan(_worst(residuals)), residuals
+    assert _worst([]) == 0.0
+    assert _worst([1.0, inf, 2.0]) == inf
+    assert _worst(x for x in (0.5, 3.0, 1.5)) == 3.0
+    assert np.isnan(_worst(x for x in (0.5, nan, 1.5)))
 
 
 def test_worst_pentagon_is_the_argmax():

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -348,3 +352,29 @@ def test_bad_tol_env_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("QCAT_TOL", "abc")
     assert run(["validate", "ising"]) == 1
     assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["boundary", "ising", "--A", "trivial", "--B", "trivial"],
+        ["modules", "ising", "ising_q"],
+        ["decompose", "ising", "ising_q"],
+    ],
+)
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    assert run(argv + ["--seed", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err
+    assert captured.out == ""
+
+
+def test_python_dash_m_qcat_matches_run(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcat", "validate", "ising"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert run(["validate", "ising"]) == 0
+    assert proc.stdout == capsys.readouterr().out
