@@ -21,12 +21,11 @@ from .morphisms import (
     compose,
     hom_basis,
     identity,
-    inclusion,
     morphism_vector,
     right_trace,
     standard_pair,
+    summand_matrix,
     tensor,
-    zero_morphism,
 )
 
 
@@ -147,36 +146,27 @@ def canonical_qsystem(cat: CategoryData) -> tuple[CategoryData, QSystem]:
     d_r = float(np.sqrt(cat.global_dim))
     unit_idx = cat.labels.index(cat.unit)
     pu = pair_label(cat.unit, cat.unit)
-    unit_iso = Morphism(
-        prod, ObjectExpr.unit(), ObjectExpr.word(pu), {pu: np.ones((1, 1), dtype=complex)}
-    )
-    w = np.sqrt(d_r) * compose(inclusion(prod, theta, unit_idx), unit_iso)
-    x = zero_morphism(prod, theta, theta @ theta)
+    w_unit = Morphism(prod, ObjectExpr.unit(), ObjectExpr.word(pu), {pu: np.full((1, 1), np.sqrt(d_r), dtype=complex)})
+    w = summand_matrix(prod, ObjectExpr.unit(), theta, {(unit_idx, 0): w_unit})
+    n = len(cat.labels)
+    parts = {}
     for it, tau in enumerate(cat.labels):
-        t_tau = inclusion(prod, theta, it)
         for ir, rho in enumerate(cat.labels):
             for isg, sigma in enumerate(cat.labels):
                 n_mult = cat.n(rho, sigma, tau)
                 if n_mult == 0:
                     continue
                 u_mat = _conj_hom_matrix(cat, rho, sigma, tau)
-                t_r = inclusion(prod, theta, ir)
-                t_s = inclusion(prod, theta, isg)
                 pr, ps, pt = (
                     pair_label(rho, cat.dual[rho]),
                     pair_label(sigma, cat.dual[sigma]),
                     pair_label(tau, cat.dual[tau]),
                 )
-                dom = ObjectExpr.word(pt)
-                cod = ObjectExpr.word(pr, ps)
-                n2 = cat.n(cat.dual[rho], cat.dual[sigma], cat.dual[tau])
-                col = np.zeros((n_mult * n2, 1), dtype=complex)
-                for mu in range(n_mult):
-                    for nu in range(n2):
-                        col[mu * n2 + nu, 0] = u_mat[nu, mu]
-                e = Morphism(prod, dom, cod, {pt: col})
+                col = u_mat.T.reshape(-1, 1)  # row mu * n2 + nu holds u_mat[nu, mu]
                 coeff = np.sqrt(cat.dims[rho] * cat.dims[sigma] / cat.dims[tau]) / np.sqrt(d_r)
-                x = x + coeff * compose(tensor(t_r, t_s), compose(e, t_tau.adjoint()))
+                cod = ObjectExpr.word(pr, ps)
+                parts[(ir * n + isg, it)] = Morphism(prod, ObjectExpr.word(pt), cod, {pt: coeff * col})
+    x = summand_matrix(prod, theta, theta @ theta, parts)
     q = QSystem(prod, theta, w, x)
     cat._canonical_q = (prod, q)
     return prod, q

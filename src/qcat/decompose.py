@@ -22,11 +22,12 @@ from .frobenius import (
 )
 from .morphisms import (
     Morphism,
+    ObjectExpr,
     compose,
     identity,
-    inclusion,
     obj_dim,
     range_isometry,
+    summand_matrix,
     tensor,
 )
 
@@ -174,25 +175,15 @@ def direct_sum_qsystems(cat: CategoryData, parts: list[QSystem]) -> QSystem:
             raise CategoryMismatchError("all parts must live in the same category")
     if len(parts) == 1:
         return parts[0]
-    theta = parts[0].theta
-    for part in parts[1:]:
-        theta = theta.oplus(part.theta)
+    theta = ObjectExpr(tuple(u for part in parts for u in part.theta.summands))
     d = float(np.sqrt(sum(part.d ** 2 for part in parts)))
-    offsets = []
-    pos = 0
+    w = x = None
+    off = 0
     for part in parts:
-        offsets.append(pos)
-        pos += len(part.theta.summands)
-    incls = []
-    for part, off in zip(parts, offsets):
-        s = None
-        for k in range(len(part.theta.summands)):
-            term = compose(inclusion(cat, theta, off + k), inclusion(cat, part.theta, k).adjoint())
-            s = term if s is None else s + term
-        incls.append(s)
-    w = None
-    x = None
-    for part, s in zip(parts, incls):
+        words = part.theta.summands
+        pieces = {(off + k, k): identity(cat, ObjectExpr((u,))) for k, u in enumerate(words)}
+        s = summand_matrix(cat, part.theta, theta, pieces)  # the isometry of summand part into theta
+        off += len(words)
         wi = np.sqrt(part.d / d) * compose(s, part.w)
         xi = np.sqrt(d / part.d) * compose(tensor(s, s), compose(part.x, s.adjoint()))
         w = wi if w is None else w + wi

@@ -460,6 +460,9 @@ def matrix_qsystem(cat: CategoryData, iota: ObjectExpr) -> QSystem:
 
 
 def ising_q(cat: CategoryData) -> QSystem:
+    """The matrix Q-system of the label `sig`, which the category must have."""
+    if "sig" not in cat.labels:
+        raise ParseError(f"the ising_q builder needs a label 'sig', and the category has {list(cat.labels)!r}")
     return matrix_qsystem(cat, ObjectExpr.word("sig"))
 
 
@@ -481,11 +484,11 @@ def qsystem_from_json(cat: CategoryData, data: dict) -> QSystem:
     if builder == "trivial_q":
         return trivial_qsystem_in(cat)
     try:
-        theta = ObjectExpr.from_words(data["theta"])
-        w_data, x_data = data["w"], data["x"]
-    except (KeyError, TypeError) as exc:
+        theta, w_data, x_data = data["theta"], data["w"], data["x"]
+    except KeyError as exc:
         raise ParseError(f"bad Q-system document: {exc!r}") from exc
     _check_labels(cat, (theta,))
+    theta = ObjectExpr.from_words(theta)
     return QSystem(cat, theta, morphism_from_json(cat, w_data), morphism_from_json(cat, x_data))
 
 

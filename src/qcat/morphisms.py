@@ -51,9 +51,6 @@ class ObjectExpr:
     def __matmul__(self, other: "ObjectExpr") -> "ObjectExpr":
         return self.tensor(other)
 
-    def oplus(self, other: "ObjectExpr") -> "ObjectExpr":
-        return ObjectExpr(self.summands + other.summands)
-
     def as_json(self) -> list:
         return [list(w) for w in self.summands]
 
@@ -155,13 +152,13 @@ class Morphism:
 
 def morphism_from_json(cat: CategoryData, data: dict) -> Morphism:
     try:
-        dom = ObjectExpr.from_words(data["dom"])
-        cod = ObjectExpr.from_words(data["cod"])
+        objects = (data["dom"], data["cod"])
         shapes = [(e["sector"], e["rows"], e["cols"], e) for e in data["blocks"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad morphism: {exc!r}") from exc
     sectors = [c for c, *_ in shapes]
-    _check_labels(cat, (dom, cod), sectors)
+    _check_labels(cat, objects, sectors)
+    dom, cod = (ObjectExpr.from_words(words) for words in objects)
     if len(set(sectors)) != len(sectors):
         raise ParseError(f"a sector is given more than one block: {sectors!r}")
     eng = engine(cat)
@@ -175,9 +172,13 @@ def morphism_from_json(cat: CategoryData, data: dict) -> Morphism:
 
 
 def _check_labels(cat: CategoryData, objects, sectors=()) -> None:
-    """Every label in the words of `objects`, and every one of `sectors`, as
-    read from a document, must be a label of `cat`."""
-    labels = [l for x in objects for w in x.summands for l in w] + list(sectors)
+    """Each of `objects`, as read from a document, must be a list of words,
+    each a list of label strings, and every label in them and every one of
+    `sectors` a label of `cat`."""
+    for x in objects:
+        if not isinstance(x, list) or not all(isinstance(w, list) and all(isinstance(l, str) for l in w) for w in x):
+            raise ParseError(f"an object must be a list of lists of labels, not {x!r}")
+    labels = [l for x in objects for w in x for l in w] + list(sectors)
     unknown = [l for l in labels if l not in cat.labels]
     if unknown:
         raise ParseError(f"unknown labels {unknown!r}")
@@ -267,9 +268,9 @@ class Engine:
         The split basis entries are (c, i1, d, i2, mu): tree i1 of w1 at c,
         tree i2 of w2 at d, fusion vertex mu of c x d -> e.  When w1 is empty
         or w2 has at most one letter, the canonical trees of w1 w2 are the
-        split basis in the same order, and S is the identity.  Otherwise a
-        tree of (w1 v) a, with v = w2[:-1], is split as a tree of w1 v, and
-        one F-move recouples (c v) a -> c (v a).
+        split basis in the same order, and S is None: no identity is stored.
+        Otherwise a tree of (w1 v) a, with v = w2[:-1], is split as a tree of
+        w1 v, and one F-move recouples (c v) a -> c (v a).
         """
         key = (w1, w2)
         got = self._split.get(key)
@@ -277,7 +278,7 @@ class Engine:
             return got
         split_lists = self._enumerate_split(w1, w2)
         if not w1 or len(w2) <= 1:
-            out = {e: (np.eye(len(sl), dtype=complex), sl) for e, sl in split_lists.items()}
+            out = {e: (None, sl) for e, sl in split_lists.items()}
         else:
             cat = self.cat
             v, a = w2[:-1], w2[-1]
@@ -291,8 +292,12 @@ class Engine:
                 for col, tt in enumerate(can):
                     b, mu = tt[-1]
                     prev_s, prev_list = prev[b]
-                    column = prev_s[:, self.tree_index(wv, b)[tt[:-1]]].tolist()
-                    vec = {t: x for t, x in zip(prev_list, column) if not abs(x) < 1e-15}  # a NaN stays
+                    k = self.tree_index(wv, b)[tt[:-1]]
+                    if prev_s is None:  # a one-hot column
+                        vec = {prev_list[k]: 1.0}
+                    else:
+                        column = prev_s[:, k].tolist()
+                        vec = {t: x for t, x in zip(prev_list, column) if not abs(x) < 1e-15}  # a NaN stays
 
                     def f_move(t):  # F^{c d' a}_e at the vertices (nu, mu) of the split tree t
                         c, i1, dp, i2p, nu = t
@@ -337,20 +342,19 @@ class Engine:
                         groups.setdefault(e, {})[(c, d, mu)] = start + mu * n
                     size[e] = start + m * n
         order: dict[str, list[int]] = {e: [] for e in groups}
-        bounds: dict[str, list[int]] = {e: [0] for e in groups}
-        recouplings: dict[str, list[np.ndarray]] = {e: [] for e in groups}
+        recouplings: dict[str, list[tuple[int, int, np.ndarray]]] = {e: [] for e in groups}
         for i, w1 in enumerate(x.summands):
             for j, w2 in enumerate(y.summands):
                 for e, (s, split_list) in self.split(w1, w2).items():
-                    g = groups[e]
+                    g, start = groups[e], len(order[e])
                     order[e] += [
                         g[(c, d, mu)] + (offs_x[c][i] + i1) * offs_y[d][-1] + offs_y[d][j] + i2
                         for c, i1, d, i2, mu in split_list
                     ]
-                    bounds[e].append(len(order[e]))
-                    recouplings[e].append(s)
+                    if s is not None:
+                        recouplings[e].append((start, len(order[e]), s))
         out = {
-            e: _SectorIndex(size[e], g, np.array(order[e], dtype=np.intp), tuple(bounds[e]), tuple(recouplings[e]))
+            e: _SectorIndex(size[e], g, np.array(order[e], dtype=np.intp), tuple(recouplings[e]))
             for e, g in self._in_label_order(groups).items()
         }
         self._pair_index[key] = out
@@ -365,29 +369,29 @@ class _SectorIndex:
     the first row of each group.  Inside a group, row ix * ny + iy holds tree
     ix of x at c and tree iy of y at d, which is the row order of
     kron(f_c, g_d).  The summand pairs (w1, w2) of x (x) y own consecutive
-    spans of canonical trees, between successive `bounds`, and the S of
-    `Engine.split(w1, w2)` at e recouples a span (`recouplings`).  Entry s of
-    the split list of the pair whose span starts at a is row order[a + s] of
-    the grouped split basis.
+    spans of canonical trees, and entry s of the split list of the pair whose
+    span starts at a is row order[a + s] of the grouped split basis.  A span
+    (start, stop, S) in `recouplings` is recoupled by the S of
+    `Engine.split(w1, w2)` at e; every other span's split list is already its
+    canonical basis, so nothing is stored or applied for it.
     """
 
     dim: int
     groups: dict[tuple[str, str, int], int]
     order: np.ndarray
-    bounds: tuple[int, ...]
-    recouplings: tuple[np.ndarray, ...]
+    recouplings: tuple[tuple[int, int, np.ndarray], ...]
 
     def cols_to_canonical(self, m: np.ndarray) -> np.ndarray:
         """m . S: the columns of m from the split to the canonical basis."""
         m = m[:, self.order]
-        for a, b, s in zip(self.bounds, self.bounds[1:], self.recouplings):
+        for a, b, s in self.recouplings:
             m[:, a:b] = m[:, a:b] @ s
         return m
 
     def rows_to_canonical(self, m: np.ndarray) -> np.ndarray:
         """S^dagger . m: the rows of m from the split to the canonical basis."""
         m = m[self.order]
-        for a, b, s in zip(self.bounds, self.bounds[1:], self.recouplings):
+        for a, b, s in self.recouplings:
             m[a:b] = s.conj().T @ m[a:b]
         return m
 
@@ -422,15 +426,28 @@ def identity(cat: CategoryData, x: ObjectExpr) -> Morphism:
     return Morphism(cat, x, x, {c: np.eye(offs[-1], dtype=complex) for c, offs, _ in _shared_sectors(cat, x, x)})
 
 
+def summand_matrix(cat: CategoryData, dom: ObjectExpr, cod: ObjectExpr, parts: dict) -> Morphism:
+    """The morphism dom -> cod given as a matrix of morphisms between summand
+    words: parts[(i, j)], from word j of dom to word i of cod, fills that
+    pair's rows and columns of each sector block; every other entry is zero."""
+    for (i, j), part in parts.items():
+        if part.dom.summands != (dom.summands[j],) or part.cod.summands != (cod.summands[i],):
+            raise ShapeError(f"part {(i, j)} is not a morphism from word {j} of dom to word {i} of cod")
+    blocks = {}
+    for c, co, do in _shared_sectors(cat, dom, cod):
+        out = np.zeros((co[-1], do[-1]), dtype=complex)
+        for (i, j), part in parts.items():
+            b = part.blocks.get(c)
+            if b is not None and b.size:
+                out[co[i] : co[i + 1], do[j] : do[j + 1]] = b
+        blocks[c] = out
+    return Morphism(cat, dom, cod, blocks)
+
+
 def inclusion(cat: CategoryData, x: ObjectExpr, i: int) -> Morphism:
     """The isometry embedding the i-th summand word into x."""
-    sub = ObjectExpr((x.summands[i],))
-    blocks = {}
-    for c, offs, (_, n_sub) in _shared_sectors(cat, sub, x):
-        b = np.zeros((offs[-1], n_sub), dtype=complex)
-        b[offs[i] : offs[i] + n_sub, :] = np.eye(n_sub)
-        blocks[c] = b
-    return Morphism(cat, sub, x, blocks)
+    sub = _word_obj(x.summands[i])
+    return summand_matrix(cat, sub, x, {(i, 0): identity(cat, sub)})
 
 
 def sector_isometry(cat: CategoryData, x: ObjectExpr, c: str, k: int) -> Morphism:
@@ -517,8 +534,10 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
     where f_c, g_d are whole sector blocks, the block of channel (c, d, mu)
     sits on that channel's group of the split bases of f.cod (x) g.cod and
     f.dom (x) g.dom (`Engine.pair_index`), and S recouples a split basis to
-    the canonical one.  The unit is strict (words concatenate), so a factor
-    1 -> 1 only scales the other one.
+    the canonical one.  S acts only on the summand pairs that need an F-move;
+    on the others (`Engine.split` gives S None) the split basis is already
+    canonical and is only reordered.  The unit is strict (words concatenate),
+    so a factor 1 -> 1 only scales the other one.
     """
     if g.dom.summands == _UNIT_WORDS and g.cod.summands == _UNIT_WORDS:
         return g.scalar() * f
@@ -580,24 +599,13 @@ def word_braiding(cat: CategoryData, u: Word, v: Word, sign: str) -> Morphism:
 
 def braiding(cat: CategoryData, x: ObjectExpr, y: ObjectExpr, sign: str = "+") -> Morphism:
     """The braiding x (x) y -> y (x) x; sign '-' gives the opposite braiding."""
-    dom = x @ y
-    cod = y @ x
-    ny = len(y.summands)
-    nx = len(x.summands)
-    blocks: dict[str, np.ndarray] = {}
-    for e, co, do in _shared_sectors(cat, dom, cod):
-        out = np.zeros((co[-1], do[-1]), dtype=complex)
-        for i, u in enumerate(x.summands):
-            for j, v in enumerate(y.summands):
-                di = i * ny + j
-                ci = j * nx + i
-                wb = word_braiding(cat, u, v, sign)
-                b = wb.blocks.get(e)
-                if b is None or b.size == 0:
-                    continue
-                out[co[ci] : co[ci + 1], do[di] : do[di + 1]] = b
-        blocks[e] = out
-    return Morphism(cat, dom, cod, blocks)
+    nx, ny = len(x.summands), len(y.summands)
+    parts = {
+        (j * nx + i, i * ny + j): word_braiding(cat, u, v, sign)
+        for i, u in enumerate(x.summands)
+        for j, v in enumerate(y.summands)
+    }
+    return summand_matrix(cat, x @ y, y @ x, parts)
 
 
 # ---- standard pairs, traces, rotations -------------------------------
@@ -656,16 +664,13 @@ def _word_pair(cat: CategoryData, w: Word) -> tuple[Morphism, Morphism]:
 
 
 def standard_pair(cat: CategoryData, x: ObjectExpr) -> StandardPair:
+    """r = sum_i (wbar_i (x) w_i) r_i: the pair of each summand word w_i sits
+    at summand i * n + i of xbar (x) x (and of x (x) xbar for rbar)."""
     xbar = conj_object(cat, x)
-    unit_obj = ObjectExpr.unit()
-    r = zero_morphism(cat, unit_obj, xbar @ x)
-    rbar = zero_morphism(cat, unit_obj, x @ xbar)
-    for i, w in enumerate(x.summands):
-        rw, rwbar = _word_pair(cat, w)
-        inc = inclusion(cat, x, i)
-        inc_bar = inclusion(cat, xbar, i)
-        r = r + compose(tensor(inc_bar, inc), rw)
-        rbar = rbar + compose(tensor(inc, inc_bar), rwbar)
+    n = len(x.summands)
+    pairs = [_word_pair(cat, w) for w in x.summands]
+    r = summand_matrix(cat, ObjectExpr.unit(), xbar @ x, {(i * n + i, 0): rw for i, (rw, _) in enumerate(pairs)})
+    rbar = summand_matrix(cat, ObjectExpr.unit(), x @ xbar, {(i * n + i, 0): rb for i, (_, rb) in enumerate(pairs)})
     return StandardPair(obj=x, conj=xbar, r=r, rbar=rbar)
 
 

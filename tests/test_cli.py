@@ -342,6 +342,55 @@ def test_qsystem_document_without_theta_w_x_exit_two(tmp_path, capsys, doc):
     assert "ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cat", ["z2", "trivial"])
+def test_ising_q_on_a_category_without_sig_exit_two(tmp_path, capsys, cat):
+    """The ising_q builder, by name or as a builder document, needs a label sig."""
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"builder": "ising_q"}))
+    for argv in (
+        ["check-qsystem", cat, "ising_q"],
+        ["check-qsystem", cat, "ising"],
+        ["full-centre", cat, "ising_q"],
+        ["check-qsystem", cat, str(path)],
+        ["full-centre", cat, str(path)],
+    ):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "ParseError" in err and "'sig'" in err
+
+
+def _z2_matrix_q_file(tmp_path, damage):
+    """The matrix Q-system of the label g of z2, theta = [["g", "g"]], damaged."""
+    from qcat.category import build_category
+    from qcat.fixtures import z2_category
+    from qcat.frobenius import matrix_qsystem, qsystem_as_json
+    from qcat.morphisms import ObjectExpr
+
+    data = qsystem_as_json(matrix_qsystem(build_category(z2_category()), ObjectExpr.word("g")))
+    damage(data)
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(_set("theta", value=["gg"]), id="theta-word-as-a-string"),
+        pytest.param(_set("theta", value="gg"), id="theta-as-a-string"),
+        pytest.param(_set("theta", value=[["g", 1]]), id="theta-label-not-a-string"),
+        pytest.param(_set("w", "cod", value=["gg"]), id="cod-word-as-a-string"),
+        pytest.param(_set("x", "dom", value="gg"), id="dom-as-a-string"),
+    ],
+)
+def test_word_list_given_as_a_string_exit_two(tmp_path, capsys, damage):
+    """Each string below reads, letter by letter, as a word or object of z2."""
+    assert run(["check-qsystem", "z2", _z2_matrix_q_file(tmp_path, lambda data: None)]) == 0
+    capsys.readouterr()
+    assert run(["check-qsystem", "z2", _z2_matrix_q_file(tmp_path, damage)]) == 2
+    assert "ParseError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_bad_tol_is_a_usage_error(capsys, tol):
     assert run(["validate", "ising", "--tol", tol]) == 1

@@ -8,6 +8,8 @@ import pytest
 from qcat.category import build_category, load_category
 from qcat.errors import ParseError, ShapeError, UnknownLabelError
 from qcat.fixtures import ising_category
+from qcat.frobenius import ising_q
+from qcat.modules import boundary_conditions
 from qcat.morphisms import (
     Morphism,
     ObjectExpr,
@@ -28,6 +30,7 @@ from qcat.morphisms import (
     right_trace,
     sector_isometry,
     standard_pair,
+    summand_matrix,
     tensor,
     trace,
     zero_morphism,
@@ -292,6 +295,8 @@ def _reference_tensor(f, g):
                 continue
             s_dom, dom_list = eng.split(u1, u2)[e]
             s_cod, cod_list = eng.split(v1, v2)[e]
+            s_dom = np.eye(len(dom_list)) if s_dom is None else s_dom  # None: no recoupling
+            s_cod = np.eye(len(cod_list)) if s_cod is None else s_cod
             m = np.zeros((len(cod_list), len(dom_list)), dtype=complex)
             for r, (c, i1p, d, i2p, mu) in enumerate(cod_list):
                 for q, (c2, i1, d2, i2, mu2) in enumerate(dom_list):
@@ -494,9 +499,39 @@ def test_split_matches_inline_f_move_reference(name):
         got, want = eng.split(w1, w2), _reference_split(eng, w1, w2, memo)
         assert list(got) == list(want)
         for e, (s, split_list) in got.items():
+            s = np.eye(len(split_list), dtype=complex) if s is None else s  # None: no recoupling
             assert split_list == want[e][1]
             assert s.shape == want[e][0].shape
             assert np.max(np.abs(s - want[e][0]), initial=0.0) < 1e-14, (w1, w2, e)
+
+
+def test_split_stores_no_identity_recoupling():
+    """After a cold Ising boundary computation, a cached split has S None
+    exactly when w1 is empty or w2 has at most one letter."""
+    cat = build_category(ising_category())
+    q = ising_q(cat)
+    boundary_conditions(cat, q, q)
+    kinds = set()
+    for (w1, w2), per_sector in engine(cat)._split.items():
+        for s, _ in per_sector.values():
+            assert (s is None) == (not w1 or len(w2) <= 1), (w1, w2)
+            kinds.add(s is None)
+    assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_summand_matrix_reassembles_sliced_parts(name):
+    cat, objs = KERNEL_CASES[name]
+    rng = np.random.default_rng(25)
+    for x, y in itertools.product(objs, repeat=2):
+        f = random_morphism(cat, x, y, rng)
+        parts = {(k, i): _sliced(cat, f, i, k) for i in range(len(x.summands)) for k in range(len(y.summands))}
+        got = summand_matrix(cat, x, y, parts)
+        assert set(got.blocks) == set(f.blocks)
+        assert (got - f).max_abs() == 0.0
+    assert f.norm() > 1.0
+    with pytest.raises(ShapeError):
+        summand_matrix(cat, x, y, {(1, 0): parts[(0, 0)]})
 
 
 def test_unknown_label_anywhere_in_a_word_raises(ising):
@@ -522,7 +557,13 @@ def test_tensor_strictly_associative():
         assert (lhs - tensor(f, tensor(g, h))).max_abs() < 1e-13
 
 
-def test_morphism_json_rejects_bad_blocks(ising):
+def test_morphism_json_rejects_bad_blocks(ising, z2):
+    doc = random_morphism(z2, ObjectExpr.word("1", "g"), ObjectExpr.word("g"), np.random.default_rng(5)).as_json()
+    assert morphism_from_json(z2, doc).dom == ObjectExpr.word("1", "g")
+    # a string is not a list of words, nor a word a string of letters
+    for key, value in (("dom", "1g"), ("dom", ["1g"]), ("cod", "g"), ("cod", [["g", 1]]), ("dom", [("1", "g")])):
+        with pytest.raises(ParseError):
+            morphism_from_json(z2, {**doc, key: value})
     y = KERNEL_CASES["ising"][1][1]
     data = random_morphism(ising, SIG2, y, np.random.default_rng(5)).as_json()
     data["blocks"][0]["re"][0][0] = float("nan")
