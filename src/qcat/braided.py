@@ -2,8 +2,6 @@
 the canonical Q-system of a rational category, full centres, and Z-matrices."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .category import CategoryData, deligne_product, modular_data, pair_label, split_label
@@ -42,32 +40,18 @@ def braided_product(cat: CategoryData, qa: QSystem, qb: QSystem, sign: str = "+"
     return QSystem(cat, theta, w, x)
 
 
-@dataclass
-class CentreProjections:
-    pplus: Morphism
-    pminus: Morphism
-
-
-def centre_projections(cat: CategoryData, q: QSystem) -> CentreProjections:
-    """The left and right centre projections P+- = d^-1 (r* x 1)(1 x eps+-)(x x 1)x."""
+def centre_projections(cat: CategoryData, q: QSystem, sign: str = "+") -> Morphism:
+    """The left (sign "+") or right ("-") centre projection
+    P = d^-1 (r* x 1)(1 x eps)(x x 1)x, with eps the braiding of that sign."""
     idt = identity(cat, q.theta)
-    r = compose(q.x, q.w)
-    out = {}
-    for sign in ("+", "-"):
-        eps = braiding(cat, q.theta, q.theta, sign)
-        qp = compose(
-            tensor(r.adjoint(), idt),
-            compose(tensor(idt, eps), compose(tensor(q.x, idt), q.x)),
-        )
-        out[sign] = (1.0 / q.d) * qp
-    return CentreProjections(pplus=out["+"], pminus=out["-"])
+    eps = braiding(cat, q.theta, q.theta, sign)
+    p = compose(tensor(q.r.adjoint(), idt), compose(tensor(idt, eps), compose(tensor(q.x, idt), q.x)))
+    return (1.0 / q.d) * p
 
 
 def centre_qsystem(cat: CategoryData, q: QSystem, side: str = "+", tol: float | None = None) -> ReducedQSystem:
     """The maximal commutative intermediate Q-system cut out by P+ or P-."""
-    cp = centre_projections(cat, q)
-    p = cp.pplus if side == "+" else cp.pminus
-    return check_intermediate(cat, q, p, tol)
+    return check_intermediate(cat, q, centre_projections(cat, q, side), tol)
 
 
 # ---- the canonical Q-system in C x C^opp -----------------------------

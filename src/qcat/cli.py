@@ -22,7 +22,7 @@ from .braided import (
 )
 from .category import build_category, modular_data, validate_category
 from .decompose import central_decomposition, check_intermediate, irreducible_decomposition
-from .errors import ParseError, QcatError, SchemaMismatch
+from .errors import AxiomError, ParseError, QcatError, SchemaMismatch
 from .fixtures import FIXTURE_CATEGORIES, emit_fixture, fixture_category
 from .frobenius import (
     check_commutative,
@@ -115,12 +115,20 @@ def _load_cat(spec: str, tol: float | None):
     return cat
 
 
-def _load_q(cat, spec: str):
+def _load_q(cat, spec: str, check: bool = True):
+    """A builtin Q-system by name, or one read from a document; with `check`,
+    a document's Q-system must pass its axioms (AxiomError, exit 3)."""
     if spec in ("trivial", "trivial_q"):
         return trivial_qsystem_in(cat)
     if spec in ("ising", "ising_q"):
         return ising_q(cat)
-    return qsystem_from_json(cat, _load_json(spec))
+    q = qsystem_from_json(cat, _load_json(spec))
+    if check:
+        rep = check_qsystem(cat, q)
+        if not rep.ok:
+            failing = ", ".join(f"{k} {v:g}" for k, v in rep.residuals().items() if not v < rep.tol)
+            raise AxiomError(f"the Q-system in {spec} fails its axioms: {failing}")
+    return q
 
 
 def _qsystem_summary(cat, q) -> dict:
@@ -254,7 +262,7 @@ def _dispatch(args) -> int:
 
     if args.verb == "check-qsystem":
         _, q_spec = _need(args, 2, "check-qsystem <category> <qsystem>")
-        q = _load_q(cat, q_spec)
+        q = _load_q(cat, q_spec, check=False)
         rep = check_qsystem(cat, q)
         out = rep.as_dict()
         comm, res = check_commutative(cat, q, args.sign)
@@ -290,9 +298,9 @@ def _dispatch(args) -> int:
     if args.verb == "braided-product":
         _, qa_spec, qb_spec = _need(args, 3, "braided-product <category> <qA> <qB> [--sign]")
         q = braided_product(cat, _load_q(cat, qa_spec), _load_q(cat, qb_spec), args.sign)
-        rep = check_qsystem(cat, q)
-        _emit(_qsystem_summary(cat, q), fmt)
-        return 0 if rep.ok else 3
+        out = _qsystem_summary(cat, q)
+        _emit(out, fmt)
+        return 0 if out["axioms"]["ok"] else 3
 
     if args.verb == "canonical":
         _need(args, 1, "canonical <category>")
@@ -300,7 +308,7 @@ def _dispatch(args) -> int:
         out = _qsystem_summary(prod, qr)
         out["product_labels"] = list(prod.labels)
         _emit(out, fmt)
-        return 0 if check_qsystem(prod, qr).ok else 3
+        return 0 if out["axioms"]["ok"] else 3
 
     if args.verb == "full-centre":
         _, q_spec = _need(args, 2, "full-centre <category> <qsystem>")

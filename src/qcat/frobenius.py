@@ -62,13 +62,7 @@ class AxiomReport:
     d: float
     tol: float
 
-    @property
-    def ok(self) -> bool:
-        """Every residual below tol; a NaN residual fails."""
-        residuals = (self.unit, self.associativity, self.frobenius, self.special, self.standard_w, self.standard_x)
-        return all(r < self.tol for r in residuals)
-
-    def as_dict(self) -> dict:
+    def residuals(self) -> dict:
         return {
             "unit": self.unit,
             "associativity": self.associativity,
@@ -76,9 +70,15 @@ class AxiomReport:
             "special": self.special,
             "standard_w": self.standard_w,
             "standard_x": self.standard_x,
-            "d": self.d,
-            "ok": self.ok,
         }
+
+    @property
+    def ok(self) -> bool:
+        """Every residual below tol; a NaN residual fails."""
+        return all(r < self.tol for r in self.residuals().values())
+
+    def as_dict(self) -> dict:
+        return {**self.residuals(), "d": self.d, "ok": self.ok}
 
 
 def _check_shapes(q: QSystem) -> None:
@@ -489,6 +489,8 @@ def qsystem_from_json(cat: CategoryData, data: dict) -> QSystem:
         raise ParseError(f"bad Q-system document: {exc!r}") from exc
     _check_labels(cat, (theta,))
     theta = ObjectExpr.from_words(theta)
+    if theta.is_zero:
+        raise ParseError("bad Q-system document: theta is the zero object")
     return QSystem(cat, theta, morphism_from_json(cat, w_data), morphism_from_json(cat, x_data))
 
 

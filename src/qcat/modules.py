@@ -14,7 +14,7 @@ from .errors import (
     NotModularError,
     ShapeError,
 )
-from .braided import _embed_morphism, _embed_obj, braided_product, canonical_qsystem, embed_left, full_centre
+from .braided import _embed_morphism, _embed_obj, canonical_qsystem, full_centre
 from .decompose import ReducedQSystem
 from .frobenius import AlgebraPresentation, QSystem, _mean_eigen, _power_iterate, trivial_qsystem_in
 from .morphisms import (
@@ -29,7 +29,6 @@ from .morphisms import (
     left_trace,
     obj_dim,
     range_isometry,
-    sector_isometry,
     tensor,
     trace,
     zero_morphism,
@@ -271,19 +270,21 @@ def trivial_bimodule(cat: CategoryData, q: QSystem) -> Module:
 # ---- the boundary machinery ------------------------------------------
 
 
-def r_lift(cat: CategoryData, mod: Module) -> tuple[CategoryData, Module]:
-    """The R[m] bimodule over the braided products R[A], R[B]: carry an A-B
-    bimodule along the canonical commutative Q-system, routing the spectator
-    legs around it by the braiding."""
+def r_lift(mod: Module, ra: QSystem, rb: QSystem) -> Module:
+    """The R[m] bimodule over the braided products R[A] = (A x 1) x+ R and
+    R[B] of the full centres (`ReducedQSystem.parent`): carry an A-B bimodule
+    along the canonical commutative Q-system R, routing the spectator legs
+    around it by the braiding."""
+    cat = mod.cat
     prod, qr = canonical_qsystem(cat)
     qa, qb = mod.parents
-    ra = braided_product(prod, embed_left(cat, prod, qa), qr, "+")
-    rb = braided_product(prod, embed_left(cat, prod, qb), qr, "+")
-    m_e = _embed_morphism(cat, prod, mod.m)
-    beta_e = _embed_obj(cat, prod, mod.beta)
     theta_a = _embed_obj(cat, prod, qa.theta)
     theta_b = _embed_obj(cat, prod, qb.theta)
     th = qr.theta
+    if ra.cat is not prod or rb.cat is not prod or ra.theta != theta_a @ th or rb.theta != theta_b @ th:
+        raise MismatchError("ra and rb must be the braided products R[A], R[B] of the module's parents")
+    m_e = _embed_morphism(cat, prod, mod.m)
+    beta_e = _embed_obj(cat, prod, mod.beta)
     x2 = compose(tensor(qr.x, identity(prod, th)), qr.x)
     ida = identity(prod, theta_a)
     step1 = tensor(m_e, x2)
@@ -296,8 +297,7 @@ def r_lift(cat: CategoryData, mod: Module) -> tuple[CategoryData, Module]:
         tensor(braiding(prod, beta_e, th, "+"), identity(prod, th @ theta_b @ th)),
     )
     m_lift = compose(step3, compose(step2, step1))
-    out = Module(beta_e @ th, m_lift, (ra, rb), f"R[{mod.label}]")
-    return prod, out
+    return Module(beta_e @ th, m_lift, (ra, rb), f"R[{mod.label}]")
 
 
 def restrict_bimodule(prod: CategoryData, mod: Module, red_a: ReducedQSystem, red_b: ReducedQSystem) -> Module:
@@ -400,7 +400,7 @@ def boundary_conditions(
     idems = []
     dvals = []
     for mod in bimods:
-        _, lifted = r_lift(cat, mod)
+        lifted = r_lift(mod, red_a.parent, red_b.parent)
         restricted = restrict_bimodule(prod, lifted, red_a, red_b)
         d_rm = d_intertwiner(prod, restricted)
         dvals.append(d_rm)
@@ -431,14 +431,12 @@ def boundary_conditions(
         for i in range(offs[-1])
         for j in range(eng.obj_sector_dim(zb.theta, c))
     ]
+    # S_mT[c, i, j] = Tr(D (tb_j ta_i*)) / (d_A d_B d_R^2 sqrt(d_c)) = sqrt(d_c) D_c[i, j] / (d_A d_B d_R^2)
     smT = np.zeros((n, len(columns)), dtype=complex)
-    for col, (c, i, j) in enumerate(columns):
-        ta = sector_isometry(prod, za.theta, c, i)
-        tb = sector_isometry(prod, zb.theta, c, j)
-        dim_c = prod.dims[c]
-        for row in range(n):
-            val = trace(prod, compose(dvals[row], compose(tb, ta.adjoint())))
-            smT[row, col] = val / (qa.d * qb.d * d_r ** 2 * np.sqrt(dim_c))
+    for row, d_rm in enumerate(dvals):
+        for col, (c, i, j) in enumerate(columns):
+            smT[row, col] = np.sqrt(prod.dims[c]) * d_rm.block(c)[i, j]
+    smT /= qa.d * qb.d * d_r ** 2
     c_matrix = np.zeros_like(smT)
     for row, mod in enumerate(bimods):
         c_matrix[row] = (qa.d * qb.d / mod.dim) * np.conj(smT[row])

@@ -450,17 +450,6 @@ def inclusion(cat: CategoryData, x: ObjectExpr, i: int) -> Morphism:
     return summand_matrix(cat, sub, x, {(i, 0): identity(cat, sub)})
 
 
-def sector_isometry(cat: CategoryData, x: ObjectExpr, c: str, k: int) -> Morphism:
-    """The k-th canonical tree isometry Hom(c, x)."""
-    eng = engine(cat)
-    n = eng.obj_sector_dim(x, c)
-    if k >= n:
-        raise IndexError(f"sector {c!r} of the object has only {n} trees")
-    col = np.zeros((n, 1), dtype=complex)
-    col[k, 0] = 1.0
-    return Morphism(cat, ObjectExpr.word(c), x, {c: col})
-
-
 def hom_basis(cat: CategoryData, dom: ObjectExpr, cod: ObjectExpr) -> list[Morphism]:
     """Elementary-matrix basis of the full Hom space, in sector order."""
     out = []
@@ -618,10 +607,6 @@ class StandardPair:
     r: Morphism
     rbar: Morphism
 
-    @property
-    def dim(self) -> float:
-        return float(np.real((self.r.adjoint() @ self.r).scalar()))
-
 
 def _word_pair(cat: CategoryData, w: Word) -> tuple[Morphism, Morphism]:
     eng = engine(cat)
@@ -699,11 +684,12 @@ def right_trace(cat: CategoryData, f: Morphism, x: ObjectExpr, rest_dom: ObjectE
 
 
 def trace(cat: CategoryData, f: Morphism) -> complex:
-    """Scalar trace of an endomorphism, via the standard pair of its object."""
+    """Standard trace of an endomorphism, sum_c d_c tr(f_c) over its sector
+    blocks: the canonical trees of each sector are an orthonormal basis of
+    isometries, and the trace is additive over them (Longo-Roberts)."""
     if f.dom != f.cod:
         raise ShapeError("trace requires an endomorphism")
-    u = ObjectExpr.unit()
-    return left_trace(cat, f, f.dom, u, u).scalar()
+    return complex(sum(cat.dims[c] * np.trace(b) for c, b in f.blocks.items()))
 
 
 # ---- numeric helpers on endomorphisms --------------------------------

@@ -62,10 +62,9 @@ def test_criterion_04_centres(ising, iq, tq):
         assert qsystems_equivalent(ising, red.child, tq)
     from qcat.braided import centre_projections
 
-    cp = centre_projections(ising, tq)
     idt = identity(ising, tq.theta)
-    assert (cp.pplus - idt).max_abs() < 1e-9
-    assert (cp.pminus - idt).max_abs() < 1e-9
+    assert (centre_projections(ising, tq, "+") - idt).max_abs() < 1e-9
+    assert (centre_projections(ising, tq, "-") - idt).max_abs() < 1e-9
 
 
 def test_criterion_05_module_counts(ising, iq, tq):

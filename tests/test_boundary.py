@@ -5,7 +5,7 @@ import pytest
 
 import qcat.modules as modules
 from qcat.braided import full_centre
-from qcat.errors import ConsistencyError
+from qcat.errors import ConsistencyError, MismatchError
 from qcat.frobenius import AlgebraPresentation
 from qcat.modules import (
     boundary_conditions,
@@ -93,10 +93,18 @@ def test_lifted_bimodules_are_bimodules(ising, tq):
     bims = modules.enumerate_bimodules(ising, tq, tq)
     prod, red = full_centre(ising, tq)
     for m in bims:
-        prod2, lifted = r_lift(ising, m)
-        assert validate_module(prod2, lifted).ok
+        lifted = r_lift(m, red.parent, red.parent)
+        assert validate_module(prod, lifted).ok
         restricted = restrict_bimodule(prod, lifted, red, red)
         assert validate_module(prod, restricted).ok
+
+
+def test_r_lift_rejects_products_of_other_parents(ising, iq, tq):
+    """R[A] and R[B] must be the braided products of the module's own parents."""
+    m = modules.enumerate_bimodules(ising, tq, tq)[0]
+    _, red_iq = full_centre(ising, iq)
+    with pytest.raises(MismatchError):
+        r_lift(m, red_iq.parent, red_iq.parent)
 
 
 def test_convolution_algebra_structure(ising, tq):

@@ -427,3 +427,53 @@ def test_python_dash_m_qcat_matches_run(capsys):
     assert proc.returncode == 0, proc.stderr
     assert run(["validate", "ising"]) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+def _zero_q_file(tmp_path, theta):
+    """A Q-system document on `theta` whose w and x are zero."""
+    doc = {
+        "theta": theta,
+        "w": {"dom": [[]], "cod": theta, "blocks": []},
+        "x": {"dom": theta, "cod": [u + v for u in theta for v in theta], "blocks": []},
+    }
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _verbs_on(q):
+    return [
+        ["check-qsystem", "ising", q],
+        ["centre", "ising", q],
+        ["full-centre", "ising", q],
+        ["zmatrix", "ising", q],
+        ["modules", "ising", q],
+        ["bimodules", "ising", q, q],
+        ["decompose", "ising", q],
+        ["boundary", "ising", "--A", q, "--B", "trivial"],
+    ]
+
+
+_VERB_IDS = [argv[0] for argv in _verbs_on("")]
+
+
+@pytest.mark.parametrize("verb", range(len(_VERB_IDS)), ids=_VERB_IDS)
+def test_empty_theta_exit_two(tmp_path, capsys, verb):
+    argv = _verbs_on(_zero_q_file(tmp_path, []))[verb]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "ParseError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", range(len(_VERB_IDS)), ids=_VERB_IDS)
+def test_qsystem_document_failing_its_axioms_exit_three(tmp_path, capsys, verb):
+    """Only check-qsystem reports the residuals; every other verb stops on one line."""
+    argv = _verbs_on(_zero_q_file(tmp_path, [[]]))[verb]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if argv[0] == "check-qsystem":
+        assert json.loads(captured.out)["ok"] is False
+    else:
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "AxiomError" in captured.err and "unit" in captured.err

@@ -127,9 +127,8 @@ def test_bimodule_tensor_rejects_different_middles(ising, iq):
 
 def test_d_of_trivial_bimodule_is_left_centre(ising, iq):
     tb = trivial_bimodule(ising, iq)
-    cp = centre_projections(ising, iq)
     d = d_intertwiner(ising, tb)
-    assert (d - iq.d * cp.pplus).max_abs() < 1e-10
+    assert (d - iq.d * centre_projections(ising, iq, "+")).max_abs() < 1e-10
     # unit pairing: w* D w = dim(beta)
     val = compose(iq.w.adjoint(), compose(d, iq.w)).scalar()
     assert abs(val - 2.0) < 1e-9

@@ -28,7 +28,6 @@ from qcat.morphisms import (
     random_morphism,
     range_isometry,
     right_trace,
-    sector_isometry,
     standard_pair,
     summand_matrix,
     tensor,
@@ -196,26 +195,6 @@ def test_morphism_from_vector_drops_tiny_coefficients(ising):
     assert morphism_from_vector(ising, dom, cod, np.zeros(5)).blocks == {}
     with pytest.raises(ShapeError):
         morphism_from_vector(ising, dom, cod, np.ones(4))
-
-
-def test_sector_isometry_orthonormal(ising):
-    x = SIG2 @ SIG2
-    eng = engine(ising)
-    for c in ising.labels:
-        n = eng.obj_sector_dim(x, c)
-        for i in range(n):
-            ti = sector_isometry(ising, x, c, i)
-            for j in range(n):
-                tj = sector_isometry(ising, x, c, j)
-                val = compose(ti.adjoint(), tj)
-                want = 1.0 if i == j else 0.0
-                got = val.scalar() if c == ising.unit else (
-                    val.blocks.get(c, np.zeros((1, 1)))[0, 0] if val.blocks else 0.0
-                )
-                assert abs(got - want) < 1e-10
-
-
-# ---- the tensor kernel on multi-summand objects ----------------------
 
 
 def _multiplicity_two_category(seed: int):

@@ -5,15 +5,16 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcat.category import build_category
+from qcat.category import build_category, deligne_product
 from qcat.cli import run
 from qcat.fixtures import ising_category
-from qcat.morphisms import ObjectExpr, compose, random_morphism, tensor, trace
+from qcat.morphisms import ObjectExpr, compose, left_trace, random_morphism, right_trace, tensor, trace
 
 CAT = build_category(ising_category())
 X = ObjectExpr.word("sig", "sig")
@@ -38,6 +39,42 @@ def test_trace_multiplicative_over_tensor(seed):
     lhs = trace(CAT, tensor(f, g))
     rhs = trace(CAT, f) * trace(CAT, g)
     assert abs(lhs - rhs) < 1e-7 * (1.0 + abs(rhs))
+
+
+def _trace_categories() -> dict:
+    from test_category import vertex_gauge
+
+    golden_z3 = Path(__file__).parent / "golden" / "gauged_z3" / "category.json"
+    return {
+        "gauged_ising": vertex_gauge(CAT, 11),
+        "gauged_z3": build_category(json.loads(golden_z3.read_text(encoding="utf-8"))),
+        "ising_x_ising_opp": deligne_product(CAT, CAT, reverse_right=True),
+    }
+
+
+TRACE_CATS = _trace_categories()
+
+
+@st.composite
+def endomorphisms(draw):
+    """A random endomorphism of a sum of one or two words of two or three letters."""
+    cat = TRACE_CATS[draw(st.sampled_from(sorted(TRACE_CATS)))]
+    word = st.lists(st.sampled_from(cat.labels), min_size=2, max_size=3)
+    x = ObjectExpr.from_words(draw(st.lists(word, min_size=1, max_size=2)))
+    return cat, random_morphism(cat, x, x, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(endomorphisms())
+def test_block_trace_matches_the_standard_pair_traces(case):
+    """The block trace sum_c d_c tr(f_c) equals the traces through the standard
+    pair of the object, on the left and on the right."""
+    cat, f = case
+    u = ObjectExpr.unit()
+    got = trace(cat, f)
+    for ref in (left_trace(cat, f, f.dom, u, u), right_trace(cat, f, f.dom, u, u)):
+        want = ref.scalar()
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 # ---- malformed category documents -------------------------------------------
