@@ -8,7 +8,7 @@ N_{ab}^c, F-symbols and R-symbols.  Conventions:
 
 F-symbol rows (e,alpha,beta) run over e in label order, alpha < N_{ab}^e,
 beta < N_{ec}^d; columns (f,mu,nu) over f in label order, mu < N_{bc}^f,
-nu < N_{af}^d.  F-symbols with a unit leg are the identity (canonical gauge).
+nu < N_{af}^d.  F- and R-symbols with a unit leg are the identity (canonical gauge).
 """
 from __future__ import annotations
 
@@ -120,6 +120,8 @@ class CategoryData:
         opposite braiding (R^{ba}_c)^dagger."""
         if sign == "-":
             return self.rmat(b, a, c).conj().T
+        if sign != "+":
+            raise ValueError(f"braiding sign must be '+' or '-', not {sign!r}")
         key = (a, b, c)
         if key in self.r_symbols:
             return self.r_symbols[key]
@@ -330,6 +332,12 @@ def _check_schema(cat: CategoryData) -> None:
                     rhs = sum(m * cat.n(a, f, d) for f, m in cat.fuse(b, c))
                     if lhs != rhs:
                         raise DataError(f"fusion not associative at ({a},{b},{c};{d})")
+    # canonical gauge: a listed F- or R-symbol with a unit leg is the identity
+    listed = [(f"F{k}", m) for k, m in cat.f_symbols.items() if unit in k[:3]]
+    listed += [(f"R{k}", m) for k, m in cat.r_symbols.items() if unit in k[:2]]
+    for what, mat in listed:
+        if not np.max(np.abs(mat - np.eye(len(mat))), initial=0.0) <= cat.tol:
+            raise DataError(f"{what} has a unit leg and is not the identity (canonical gauge)")
     # every F/R demanded by the fusion rules must be resolvable
     for key in _admissible_tuples(cat):
         cat.fmat(*key)

@@ -63,6 +63,17 @@ def conj_object(cat: CategoryData, x: ObjectExpr) -> ObjectExpr:
     return ObjectExpr(tuple(conj_word(cat, w) for w in x.summands))
 
 
+def unit_free(cat: CategoryData, x):
+    """A word, or each word of an object, with every unit letter dropped.
+
+    In the canonical gauge the unit is strict: w and unit_free(w) have the
+    same canonical trees in every sector, in the same order, and every table
+    the engine builds for one serves the other position by position."""
+    if isinstance(x, ObjectExpr):
+        return ObjectExpr(tuple(unit_free(cat, w) for w in x.summands))
+    return tuple(a for a in x if a != cat.unit)
+
+
 def word_dim(cat: CategoryData, w: Word) -> float:
     d = 1.0
     for a in w:
@@ -189,6 +200,9 @@ class Engine:
 
     It keeps one sector table per word (`trees`) and per object (`sectors`),
     holding only the sectors they reach, and every walk goes over those.
+    Object tables, recouplings, braidings and standard pairs are built for
+    unit-free words only (`unit_free`); a word with unit letters reads the
+    table of its unit-free word, so `split` never sees a unit letter.
     """
 
     def __init__(self, cat: CategoryData):
@@ -239,10 +253,15 @@ class Engine:
         return got
 
     def sectors(self, x: ObjectExpr) -> dict[str, list[int]]:
-        """Per sector c that x reaches: the offsets of x's summands in c."""
+        """Per sector c that x reaches: the offsets of x's summands in c,
+        those of unit_free(x)."""
         got = self._sectors.get(x)
         if got is not None:
             return got
+        bare = unit_free(self.cat, x)
+        if bare != x:
+            out = self._sectors[x] = self.sectors(bare)
+            return out
         tables = [self.trees(w) for w in x.summands]
         out = {}
         for c in self._in_label_order({c: None for t in tables for c in t}):
@@ -325,11 +344,16 @@ class Engine:
         return self._in_label_order(out)
 
     def pair_index(self, x: ObjectExpr, y: ObjectExpr) -> dict[str, _SectorIndex]:
-        """Per sector e of x (x) y: its split basis grouped by fusion channel."""
+        """Per sector e of x (x) y: its split basis grouped by fusion channel,
+        that of unit_free(x) (x) unit_free(y)."""
         key = (x, y)
         got = self._pair_index.get(key)
         if got is not None:
             return got
+        bare = (unit_free(self.cat, x), unit_free(self.cat, y))
+        if bare != key:
+            out = self._pair_index[key] = self.pair_index(*bare)
+            return out
         offs_x, offs_y = self.sectors(x), self.sectors(y)
         groups: dict[str, dict[tuple[str, str, int], int]] = {}
         size: dict[str, int] = {}
@@ -561,12 +585,17 @@ def _word_obj(w: Word) -> ObjectExpr:
 
 
 def word_braiding(cat: CategoryData, u: Word, v: Word, sign: str) -> Morphism:
+    """The braiding u (x) v -> v (x) u of two words: the blocks of the
+    unit-free words' braiding, placed on u v and v u."""
     eng = engine(cat)
     key = (u, v, sign)
     got = eng._word_braid.get(key)
     if got is not None:
         return got
-    if len(u) == 0 or len(v) == 0:
+    bare = (unit_free(cat, u), unit_free(cat, v))
+    if bare != (u, v):
+        out = Morphism(cat, _word_obj(u + v), _word_obj(v + u), word_braiding(cat, *bare, sign).blocks)
+    elif len(u) == 0 or len(v) == 0:
         out = identity(cat, _word_obj(u + v))
     elif len(u) == 1 and len(v) == 1:
         a, b = u[0], v[0]
@@ -609,14 +638,20 @@ class StandardPair:
 
 
 def _word_pair(cat: CategoryData, w: Word) -> tuple[Morphism, Morphism]:
+    """The standard pair (r: 1 -> wbar w, rbar: 1 -> w wbar) of a word: the
+    blocks of the unit-free word's pair, placed on w's objects."""
     eng = engine(cat)
     got = eng._word_pair.get(w)
     if got is not None:
         return got
     unit_obj = ObjectExpr.unit()
-    if len(w) == 0:
-        r = identity(cat, unit_obj)
-        rbar = identity(cat, unit_obj)
+    bare = unit_free(cat, w)
+    if bare != w:
+        (r, rbar), wbar = _word_pair(cat, bare), conj_word(cat, w)
+        r = Morphism(cat, unit_obj, _word_obj(wbar + w), r.blocks)
+        rbar = Morphism(cat, unit_obj, _word_obj(w + wbar), rbar.blocks)
+    elif len(w) == 0:
+        r = rbar = identity(cat, unit_obj)
     elif len(w) == 1:
         a = w[0]
         abar = cat.dual[a]

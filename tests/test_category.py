@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from qcat.braided import canonical_qsystem, z_matrix
+from qcat.braided import canonical_qsystem, centre_projections, z_matrix
 from qcat.category import (
     CategoryData,
     _admissible_tuples,
@@ -23,9 +23,10 @@ from qcat.category import (
     split_label,
     validate_category,
 )
-from qcat.errors import ParseError
+from qcat.errors import DataError, ParseError
 from qcat.fixtures import ising_category, z2_category
-from qcat.frobenius import trivial_qsystem_in
+from qcat.frobenius import ising_q, trivial_qsystem_in
+from qcat.morphisms import ObjectExpr, braiding
 
 
 def test_ising_validates(ising):
@@ -530,6 +531,56 @@ def vertex_gauge(cat: CategoryData, seed: int) -> CategoryData:
         f_symbols[(a, b, c, d)] = mat * np.outer(rows, np.reciprocal(cols))
     r_symbols = {(a, b, c): mat * u[a, b, c] / u[b, a, c] for (a, b, c), mat in cat.r_symbols.items()}
     return CategoryData(cat.labels, cat.dual, cat.fusion, f_symbols, r_symbols, cat.dims, cat.twists)
+
+
+def unit_gauged_ising_data(seed: int = 3) -> dict:
+    """The Ising document in a seeded vertex gauge that moves the unit
+    vertices too, with every F- and R-symbol listed: a gauge-equivalent
+    presentation outside the canonical gauge, whose unit-leg F-symbols are
+    phases and not 1."""
+    cat = build_category(ising_category())
+    rng = np.random.default_rng(seed)
+    u = {k: cmath.exp(2j * cmath.pi * rng.random()) for k in sorted(cat.fusion)}
+    f_entries, r_entries = [], []
+    for a, b, c, d in _admissible_tuples(cat):
+        rows = [u[a, b, e] * u[e, c, d] for e, _, _ in cat.f_rows(a, b, c, d)]
+        cols = [u[b, c, f] * u[a, f, d] for f, _, _ in cat.f_cols(a, b, c, d)]
+        mat = cat.fmat(a, b, c, d) * np.outer(rows, np.reciprocal(cols))
+        f_entries.append({"abc_d": [a, b, c, d], "re": mat.real.tolist(), "im": mat.imag.tolist()})
+    for a, b, c in sorted(cat.fusion):
+        mat = cat.rmat(a, b, c) * u[a, b, c] / u[b, a, c]
+        r_entries.append({"ab_c": [a, b, c], "re": mat.real.tolist(), "im": mat.imag.tolist()})
+    return {**ising_category(), "F": f_entries, "R": r_entries}
+
+
+def test_unit_leg_symbols_must_be_the_identity(ising):
+    data = unit_gauged_ising_data()
+    moved = [e["abc_d"] for e in data["F"] if "1" in e["abc_d"][:3] and e["re"] != [[1.0]]]
+    assert len(moved) == 18  # every unit-leg F-symbol but F^{111}_1
+    with pytest.raises(DataError, match=r"F\('1', '1', 'eps', 'eps'\) has a unit leg"):
+        build_category(data)
+    # a listed R-symbol with a unit leg is checked too
+    data = ising_category()
+    data["R"].append({"ab_c": ["sig", "1", "sig"], "re": [[0.0]], "im": [[1.0]]})
+    with pytest.raises(DataError, match=r"R\('sig', '1', 'sig'\)"):
+        build_category(data)
+    # listed identities, within tol, still load
+    data = ising_category()
+    unit_legged = [k for k in _admissible_tuples(ising) if "1" in k[:3]]
+    data["F"] += [{"abc_d": list(k), "re": [[1.0 + 1e-12]], "im": [[0.0]]} for k in unit_legged]
+    data["R"] += [{"ab_c": ["1", a, a], "re": [[1.0]], "im": [[0.0]]} for a in ising.labels]
+    assert validate_category(build_category(data)).ok
+
+
+def test_rmat_rejects_a_sign_other_than_plus_or_minus(ising):
+    sig = ObjectExpr.word("sig")
+    for call in (
+        lambda: ising.rmat("sig", "sig", "1", "left"),
+        lambda: braiding(ising, sig, sig, "left"),
+        lambda: centre_projections(ising, ising_q(ising), "left"),
+    ):
+        with pytest.raises(ValueError, match="'left'"):
+            call()
 
 
 def check_categories() -> dict:

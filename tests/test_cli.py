@@ -477,3 +477,17 @@ def test_qsystem_document_failing_its_axioms_exit_three(tmp_path, capsys, verb):
     else:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "AxiomError" in captured.err and "unit" in captured.err
+
+
+@pytest.mark.parametrize("verb", [["validate"], ["zmatrix", "ising_q"], ["boundary", "--A", "trivial", "--B", "trivial"]])
+def test_category_outside_the_canonical_gauge_exit_three(tmp_path, capsys, verb):
+    """Ising presented with unit-leg F-symbols that are phases: every verb
+    stops at load with one line naming the symbol."""
+    from test_category import unit_gauged_ising_data
+
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(unit_gauged_ising_data()))
+    assert run([verb[0], str(path), *verb[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "DataError: F('1', " in captured.err and "unit leg" in captured.err

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qcat.braided import canonical_qsystem
 from qcat.category import build_category, load_category
 from qcat.errors import ParseError, ShapeError, UnknownLabelError
 from qcat.fixtures import ising_category
@@ -32,6 +33,7 @@ from qcat.morphisms import (
     summand_matrix,
     tensor,
     trace,
+    unit_free,
     zero_morphism,
 )
 from test_category import gauged_z3
@@ -496,6 +498,37 @@ def test_split_stores_no_identity_recoupling():
             assert (s is None) == (not w1 or len(w2) <= 1), (w1, w2)
             kinds.add(s is None)
     assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("name", ["ising", "mult2", "gauged_z3"])
+def test_split_of_words_with_unit_letters_is_that_of_the_unit_free_words(name):
+    """The canonical gauge makes the unit strict: F-moving through the unit
+    letters (the reference) recouples w1 w2 as `Engine.split` recouples the
+    unit-free words, position by position."""
+    cat = {"ising": KERNEL_CASES["ising"][0], "mult2": MULT2, "gauged_z3": gauged_z3()}[name]
+    eng, memo = engine(cat), {}
+    words = [w for n in range(5) for w in itertools.product(cat.labels, repeat=n)]
+    for w1, w2 in itertools.product(words, repeat=2):
+        if len(w1) + len(w2) > 4 or cat.unit not in w1 + w2:
+            continue
+        got, want = eng.split(unit_free(cat, w1), unit_free(cat, w2)), _reference_split(eng, w1, w2, memo)
+        assert list(got) == list(want)
+        for e, (s, split_list) in got.items():
+            s = np.eye(len(split_list), dtype=complex) if s is None else s  # None: no recoupling
+            assert split_list == want[e][1]
+            assert np.max(np.abs(s - want[e][0]), initial=0.0) < 1e-14, (w1, w2, e)
+
+
+def test_engine_tables_hold_no_unit_letter():
+    """After a cold Ising boundary computation, neither the category's
+    engine nor that of C x C^opp has recoupled a word with a unit letter."""
+    cat = build_category(ising_category())
+    q = ising_q(cat)
+    boundary_conditions(cat, q, q)
+    prod, _ = canonical_qsystem(cat)
+    for c in (cat, prod):
+        assert engine(c)._split
+        assert not [key for key in engine(c)._split if c.unit in key[0] + key[1]]
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
