@@ -8,6 +8,7 @@ import numpy as np
 
 from .category import CategoryData
 from .errors import (
+    CategoryMismatchError,
     NonStandardizableError,
     NotFrobeniusError,
     ParseError,
@@ -497,10 +498,13 @@ def qsystem_from_json(cat: CategoryData, data: dict) -> QSystem:
 def qsystems_equivalent(cat: CategoryData, q1: QSystem, q2: QSystem, tol: float | None = None) -> bool:
     """Unitary equivalence: u theta1 -> theta2 with u w1 = w2, (u x u) x1 u* = x2.
 
-    Least-squares solve for u followed by a unitarity polish; accepted at
-    10 x tol residual.
+    Newton steps on F(u) = (u x u) x1 - x2 u with the full Jacobian, under
+    u w1 = w2, each polished to a unitary, from up to 8 seeded random
+    unitary starts of at most 25 steps each; accepted at 10 x tol residual.
     """
     tol = cat.tol if tol is None else tol
+    if q1.cat is not cat or q2.cat is not cat:
+        raise CategoryMismatchError("both Q-systems must live in the given category")
     sectors1, sectors2 = (engine(cat).sectors(q.theta) for q in (q1, q2))
     if {c: o[-1] for c, o in sectors1.items()} != {c: o[-1] for c, o in sectors2.items()}:
         return False
@@ -511,29 +515,21 @@ def qsystems_equivalent(cat: CategoryData, q1: QSystem, q2: QSystem, tol: float 
         lambda u: compose(u, q1.w) - q2.w,
         lambda u: compose(tensor(u, u), q1.x) - compose(q2.x, u),
     ]
-    # the second condition is quadratic in u; iterate a linearization from a
-    # seeded start, polishing to a unitary every round
+    # a Newton step solves DF(u)[b - u] = -F(u) for b:
+    # (b x u + u x b) x1 - x2 b = (u x u) x1, with b w1 = w2
     rng = np.random.default_rng(DEFAULT_SEED)
     for _attempt in range(8):
         u = _polish_unitary(random_morphism(cat, q1.theta, q2.theta, rng))
-        for _ in range(200):
-            residual = max((cond(u)).max_abs() for cond in conds)
-            if residual < 10 * tol:
+        for _ in range(25):
+            if max((cond(u)).max_abs() for cond in conds) < 10 * tol:
                 return True
             linear = [
                 lambda b: compose(b, q1.w),
-                lambda b: compose(tensor(b, u), q1.x) + compose(tensor(u, b), q1.x),
+                lambda b: compose(tensor(b, u) + tensor(u, b), q1.x) - compose(q2.x, b),
             ]
-            rhs = np.concatenate(
-                [morphism_vector(q2.w), morphism_vector(compose(q2.x, u) + compose(tensor(u, u), q1.x))]
-            )
+            rhs = np.concatenate([morphism_vector(q2.w), morphism_vector(compose(tensor(u, u), q1.x))])
             sol, *_ = np.linalg.lstsq(_condition_matrix(basis, linear), rhs, rcond=None)
-            new_u = morphism_from_vector(cat, q1.theta, q2.theta, sol)
-            # damp far from a solution, take full Newton-like steps once close
-            if residual > 1e-2:
-                u = _polish_unitary(0.5 * (new_u + u))
-            else:
-                u = _polish_unitary(new_u)
+            u = _polish_unitary(morphism_from_vector(cat, q1.theta, q2.theta, sol))
         if max((cond(u)).max_abs() for cond in conds) < 10 * tol:
             return True
     return False

@@ -587,6 +587,8 @@ def _word_obj(w: Word) -> ObjectExpr:
 def word_braiding(cat: CategoryData, u: Word, v: Word, sign: str) -> Morphism:
     """The braiding u (x) v -> v (x) u of two words: the blocks of the
     unit-free words' braiding, placed on u v and v u."""
+    if sign not in ("+", "-"):
+        raise ValueError(f"braiding sign must be '+' or '-', not {sign!r}")
     eng = engine(cat)
     key = (u, v, sign)
     got = eng._word_braid.get(key)

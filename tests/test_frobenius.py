@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from qcat import frobenius
+from qcat.braided import canonical_qsystem, full_centre
+from qcat.category import build_category
 from qcat.decompose import direct_sum_qsystems
-from qcat.errors import ShapeError
+from qcat.errors import CategoryMismatchError, ShapeError
+from qcat.fixtures import ising_category
 from qcat.frobenius import (
     DEFAULT_SEED,
     AxiomReport,
@@ -37,6 +43,7 @@ from qcat.morphisms import (
     tensor,
     zero_morphism,
 )
+from test_category import gauged_z3, gauged_z5, vertex_gauge
 
 
 def _random_gauge(cat, theta, rng):
@@ -172,6 +179,82 @@ def test_equivalence_detects_gauge(ising, iq):
 
 def test_equivalence_rejects_different(ising, iq, tq):
     assert not qsystems_equivalent(ising, iq, tq)
+
+
+def _newton_counts(monkeypatch) -> dict:
+    """Count the Newton steps (one condition matrix each) and the seeded
+    starts (one random morphism each) of the equivalence tests that follow."""
+    counts = {"steps": 0, "starts": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(frobenius, "_condition_matrix", counted("steps", frobenius._condition_matrix))
+    monkeypatch.setattr(frobenius, "random_morphism", counted("starts", frobenius.random_morphism))
+    return counts
+
+
+def _ising_matrix_qsystems(seed: int) -> tuple:
+    """ising_q and the matrix Q-systems of sig eps and eps sig, on Ising in
+    the vertex gauge of the seed."""
+    cat = vertex_gauge(build_category(ising_category()), seed)
+    return cat, [ising_q(cat)] + [matrix_qsystem(cat, ObjectExpr.word(*w)) for w in (("sig", "eps"), ("eps", "sig"))]
+
+
+def test_equivalence_converges_in_few_newton_steps(monkeypatch):
+    cat, (q1, q2, _) = _ising_matrix_qsystems(1)
+    counts = _newton_counts(monkeypatch)
+    assert qsystems_equivalent(cat, q1, q2)
+    assert counts["starts"] == 1 and counts["steps"] <= 10
+
+
+def test_full_centre_of_ising_q_is_found_after_a_stalled_start(ising, iq, monkeypatch):
+    """The first seeded start stalls on this pair; the second converges."""
+    prod, red = full_centre(ising, iq)
+    _, qr = canonical_qsystem(ising)
+    counts = _newton_counts(monkeypatch)
+    assert qsystems_equivalent(prod, red.child, qr)
+    assert counts["starts"] <= 2
+    assert counts["steps"] <= 35
+
+
+def test_equivalence_rejects_matching_sectors(ising, tq):
+    """C^4 and M_2(C) both live on 1 + 1 + 1 + 1 but are not equivalent: the
+    sector pre-check passes and every seeded start fails."""
+    c4 = direct_sum_qsystems(ising, [tq] * 4)
+    m2 = matrix_qsystem(ising, ObjectExpr.from_words([(), ()]))
+    assert c4.theta.summands == m2.theta.summands
+    assert not qsystems_equivalent(ising, c4, m2)
+
+
+def test_equivalence_rejects_qsystems_of_another_category(ising, iq):
+    other = ising_q(vertex_gauge(ising, 3))
+    for q1, q2 in ((iq, other), (other, iq)):
+        with pytest.raises(CategoryMismatchError):
+            qsystems_equivalent(ising, q1, q2)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_matrix_qsystems_of_gauged_ising_are_equivalent(seed, monkeypatch):
+    """ising_q, M(sig eps) and M(eps sig) are pairwise equivalent, in both
+    argument orders, each from the first seeded start."""
+    cat, qs = _ising_matrix_qsystems(seed)
+    counts = _newton_counts(monkeypatch)
+    for q1, q2 in itertools.permutations(qs, 2):
+        counts.update(steps=0, starts=0)
+        assert qsystems_equivalent(cat, q1, q2)
+        assert counts["starts"] == 1 and counts["steps"] <= 10
+
+
+@pytest.mark.parametrize("make", [gauged_z3, gauged_z5])
+def test_full_centre_of_the_trivial_qsystem_is_r_on_gauged_zn(make):
+    cat = make()
+    prod, red = full_centre(cat, trivial_qsystem_in(cat))
+    assert qsystems_equivalent(prod, red.child, canonical_qsystem(cat)[1])
 
 
 def test_json_round_trip(ising, iq):

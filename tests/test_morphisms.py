@@ -531,6 +531,19 @@ def test_engine_tables_hold_no_unit_letter():
         assert not [key for key in engine(c)._split if c.unit in key[0] + key[1]]
 
 
+def test_braiding_with_a_unit_factor_checks_its_sign():
+    """A braiding whose factor is the unit, or a word of unit letters, is an
+    identity, but a bad sign still raises, and nothing is cached under it."""
+    cat = build_category(ising_category())
+    sig, unit, one = ObjectExpr.word("sig"), ObjectExpr.unit(), ObjectExpr.word("1")
+    for x, y in ((sig, unit), (unit, sig), (unit, unit), (sig, one), (one, ObjectExpr.word("sig", "1"))):
+        with pytest.raises(ValueError, match="'left'"):
+            braiding(cat, x, y, "left")
+        got, want = braiding(cat, x, y, "-"), identity(cat, x @ y)
+        assert all(np.array_equal(got.blocks[c], b) for c, b in want.blocks.items())
+    assert not [key for key in engine(cat)._word_braid if key[2] == "left"]
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
 def test_summand_matrix_reassembles_sliced_parts(name):
     cat, objs = KERNEL_CASES[name]
