@@ -49,9 +49,9 @@ def centre_projections(cat: CategoryData, q: QSystem, sign: str = "+") -> Morphi
     return (1.0 / q.d) * p
 
 
-def centre_qsystem(cat: CategoryData, q: QSystem, side: str = "+", tol: float | None = None) -> ReducedQSystem:
+def centre_qsystem(cat: CategoryData, q: QSystem, side: str = "+") -> ReducedQSystem:
     """The maximal commutative intermediate Q-system cut out by P+ or P-."""
-    return check_intermediate(cat, q, centre_projections(cat, q, side), tol)
+    return check_intermediate(cat, q, centre_projections(cat, q, side))
 
 
 # ---- the canonical Q-system in C x C^opp -----------------------------
@@ -156,22 +156,21 @@ def canonical_qsystem(cat: CategoryData) -> tuple[CategoryData, QSystem]:
     return prod, q
 
 
-def full_centre(cat: CategoryData, q: QSystem, tol: float | None = None) -> tuple[CategoryData, ReducedQSystem]:
+def full_centre(cat: CategoryData, q: QSystem) -> tuple[CategoryData, ReducedQSystem]:
     """Z[A] = left centre of (A x 1) x+ R inside C x C^opp."""
     prod, qr = canonical_qsystem(cat)
     qa1 = embed_left(cat, prod, q)
     bp = braided_product(prod, qa1, qr, "+")
-    return prod, centre_qsystem(prod, bp, "+", tol)
+    return prod, centre_qsystem(prod, bp, "+")
 
 
-def z_matrix(cat: CategoryData, q: QSystem, tol: float | None = None) -> tuple[np.ndarray, dict]:
+def z_matrix(cat: CategoryData, q: QSystem) -> tuple[np.ndarray, dict]:
     """The modular invariant matrix: Z[rho, sigma] = multiplicity of
     (rho, sigmabar) in the full centre of the Q-system."""
-    tol = cat.tol if tol is None else tol
     md = modular_data(cat)
     if not md.is_modular:
         raise NotModularError("Z-matrix requires a modular category")
-    prod, rz = full_centre(cat, q, tol)
+    prod, rz = full_centre(cat, q)
     n = len(cat.labels)
     z = np.zeros((n, n), dtype=int)
     for word in rz.child.theta.summands:
@@ -186,10 +185,9 @@ def z_matrix(cat: CategoryData, q: QSystem, tol: float | None = None) -> tuple[n
     return z, info
 
 
-def killing_check(cat: CategoryData, tol: float | None = None) -> dict:
+def killing_check(cat: CategoryData) -> dict:
     """Partial trace of the monodromy of each (rho, 1) around the canonical
     object: annihilates every rho except the unit, where it gives dim(C)."""
-    tol = cat.tol if tol is None else tol
     prod, qr = canonical_qsystem(cat)
     out = {}
     for a in cat.labels:
@@ -204,5 +202,5 @@ def killing_check(cat: CategoryData, tol: float | None = None) -> dict:
             if k.blocks
             else 0.0
         )
-        out[a] = {"value": val, "target": target, "ok": abs(val - target) < 1e3 * tol}
+        out[a] = {"value": val, "target": target, "ok": abs(val - target) < 1e3 * cat.tol}
     return out

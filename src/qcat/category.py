@@ -234,6 +234,9 @@ def build_category(data: dict) -> CategoryData:
         raise ParseError("empty label list")
     if not all(isinstance(l, str) for l in labels):
         raise ParseError("labels must be strings")
+    for l in labels:
+        if PAIR_SEP in l:  # the separator of product labels (pair_label)
+            raise ParseError(f"label {l!r} contains {PAIR_SEP!r}, which only a product's labels may hold")
     if not isinstance(dual, dict):
         raise ParseError("dual must be an object mapping each label to its dual")
     if len(set(labels)) != len(labels):

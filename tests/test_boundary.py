@@ -5,18 +5,33 @@ import pytest
 
 import qcat.modules as modules
 from qcat.braided import full_centre
+from qcat.category import build_category
 from qcat.errors import ConsistencyError, MismatchError
-from qcat.frobenius import AlgebraPresentation
+from qcat.fixtures import ising_category
+from qcat.frobenius import AlgebraPresentation, trivial_qsystem_in
 from qcat.modules import (
     boundary_conditions,
     convolution,
-    convolution_algebra,
     frobenius_conj,
     r_lift,
     restrict_bimodule,
     validate_module,
 )
-from qcat.morphisms import compose
+from qcat.morphisms import compose, hom_basis
+
+
+def _convolution_algebra(qa, qb):
+    """Hom(theta_B, theta_A) with the convolution product and the Frobenius
+    conjugation: the reference whose seeded minimal idempotents the boundary
+    formula must reproduce."""
+    cat = qa.cat
+    return AlgebraPresentation(
+        cat=cat,
+        basis=hom_basis(cat, qb.theta, qa.theta),
+        product=lambda s, t: convolution(qa, qb, s, t),
+        star=lambda t: frobenius_conj(qa, qb, t),
+        unit_element=compose(qa.w, qb.w.adjoint()),
+    )
 
 
 def _match_rows(mat, target):
@@ -110,7 +125,7 @@ def test_r_lift_rejects_products_of_other_parents(ising, iq, tq):
 def test_convolution_algebra_structure(ising, tq):
     prod, red = full_centre(ising, tq)
     za = red.child
-    alg = convolution_algebra(za, za)
+    alg = _convolution_algebra(za, za)
     assert alg.dim == 3
     unit = compose(za.w, za.w.adjoint())
     for b in alg.basis:
@@ -122,27 +137,44 @@ def test_convolution_algebra_structure(ising, tq):
         assert (twice - b).max_abs() < 1e-9  # antilinear involution
 
 
+@pytest.mark.parametrize("a, b", [("tq", "tq"), ("iq", "iq"), ("tq", "iq")])
+def test_formula_idempotents_are_the_minimal_ones(ising, a, b, request):
+    """The seeded search for minimal idempotents of the convolution algebra
+    finds the formula's idempotents, one per bimodule."""
+    qa, qb = request.getfixturevalue(a), request.getfixturevalue(b)
+    rep = boundary_conditions(ising, qa, qb)
+    za, zb = full_centre(ising, qa)[1].child, full_centre(ising, qb)[1].child
+    for seed in (1, 2):
+        found = _convolution_algebra(za, zb).minimal_idempotents(seed)
+        assert len(found) == len(rep.idempotents) == 3
+        for ii in rep.idempotents:
+            assert min((f - ii).max_abs() for f in found) < 1e-8
+
+
 def test_determinism_across_seeds(ising, tq):
-    r1 = boundary_conditions(ising, tq, tq, seed=1)
-    r2 = boundary_conditions(ising, tq, tq, seed=2)
+    """Two cold runs, each on a freshly loaded category, agree."""
+    runs = []
+    for _ in range(2):
+        cat = build_category(ising_category())
+        tq_cold = trivial_qsystem_in(cat)
+        runs.append(boundary_conditions(cat, tq_cold, tq_cold))
+    r1, r2 = runs
     assert np.max(np.abs(r1.smT - r2.smT)) < 1e-10
     for a, b in zip(r1.idempotents, r2.idempotents):
         assert (a - b).max_abs() < 1e-10
 
 
-def test_oracle_disagreement_raises(ising, tq, monkeypatch):
-    real = modules.convolution_algebra
+def test_a_missing_bimodule_raises(ising, tq, monkeypatch):
+    """One bimodule short of the convolution algebra's dimension."""
+    real = modules.enumerate_bimodules
+    monkeypatch.setattr(modules, "enumerate_bimodules", lambda cat, qa, qb: real(cat, qa, qb)[1:])
+    with pytest.raises(ConsistencyError, match="dimension 3"):
+        boundary_conditions(ising, tq, tq)
 
-    def broken(qa, qb):
-        alg = real(qa, qb)
-        return AlgebraPresentation(
-            cat=alg.cat,
-            basis=alg.basis[:1],
-            product=alg.product,
-            star=alg.star,
-            unit_element=alg.basis[0],
-        )
 
-    monkeypatch.setattr(modules, "convolution_algebra", broken)
-    with pytest.raises(ConsistencyError):
+@pytest.mark.parametrize("scale, message", [(0.0, "zero"), (2.0, "idempotency")])
+def test_a_wrong_idempotent_raises(ising, tq, monkeypatch, scale, message):
+    real = modules.d_intertwiner
+    monkeypatch.setattr(modules, "d_intertwiner", lambda cat, mod: scale * real(cat, mod))
+    with pytest.raises(ConsistencyError, match=message):
         boundary_conditions(ising, tq, tq)

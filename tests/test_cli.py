@@ -143,6 +143,29 @@ def test_category_document_that_is_not_an_object_exit_two(tmp_path, capsys, doc)
     assert "ParseError" in capsys.readouterr().err
 
 
+def test_a_label_holding_the_product_separator_exit_two(tmp_path, capsys):
+    """`|` joins the factor labels of a product category, so a document's own
+    label may not hold it: every verb stops at load with exit 2."""
+    from qcat.fixtures import ising_category
+
+    data = ising_category()
+    new = {a: f"x{i}|y{i}" for i, a in enumerate(data["labels"])}
+
+    def relabel(v):
+        if isinstance(v, dict):
+            return {new.get(k, k): relabel(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [relabel(x) for x in v]
+        return new.get(v, v) if isinstance(v, str) else v
+
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(relabel(data)))
+    for argv in (["validate", str(path)], ["zmatrix", str(path), "trivial"]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "ParseError" in err and "'x0|y0'" in err
+
+
 def test_axiom_failure_exit_three(tmp_path, capsys):
     import numpy as np
 

@@ -16,14 +16,18 @@ from qcat.modules import (
     free_module,
     morphism_space,
     standardize_module,
-    trivial_bimodule,
     validate_module,
 )
-from qcat.morphisms import ObjectExpr, compose, trace
+from qcat.morphisms import ObjectExpr, compose, identity, tensor, trace
+
+
+def _trivial_bimodule(cat, q):
+    """The Q-system as a bimodule over itself: m = (x (x) 1) x."""
+    return Module(q.theta, compose(tensor(q.x, identity(cat, q.theta)), q.x), (q, q), "trivial")
 
 
 def test_qsystem_is_its_own_bimodule(ising, iq):
-    tb = trivial_bimodule(ising, iq)
+    tb = _trivial_bimodule(ising, iq)
     assert validate_module(ising, tb).ok
 
 
@@ -126,7 +130,7 @@ def test_bimodule_tensor_rejects_different_middles(ising, iq):
 
 
 def test_d_of_trivial_bimodule_is_left_centre(ising, iq):
-    tb = trivial_bimodule(ising, iq)
+    tb = _trivial_bimodule(ising, iq)
     d = d_intertwiner(ising, tb)
     assert (d - iq.d * centre_projections(ising, iq, "+")).max_abs() < 1e-10
     # unit pairing: w* D w = dim(beta)
