@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .category import CategoryData, deligne_product, modular_data, pair_label, split_label
+from .category import CategoryData, deligne_product, modular_data, pair_label
 from .errors import (
     CategoryMismatchError,
     NotModularError,
@@ -176,7 +176,7 @@ def z_matrix(cat: CategoryData, q: QSystem) -> tuple[np.ndarray, dict]:
     for word in rz.child.theta.summands:
         if len(word) != 1:
             raise RoundingError(f"full-centre object contains a non-simple word {word}")
-        a, b = split_label(word[0])
+        a, b = prod.label_pairs[word[0]]
         z[cat.labels.index(a), cat.labels.index(cat.dual[b])] += 1
     s, t = md.s_matrix, md.t_matrix
     res_s = float(np.abs(z @ s - s @ z).max())

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     DataError,
-    DegenerateError,
     ParseError,
     SchemaError,
 )
@@ -52,6 +51,8 @@ class CategoryData:
     _factors: tuple[CategoryData, CategoryData] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # a Deligne product's label -> (left, right) factor labels
+    label_pairs: dict[str, tuple[str, str]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # the fusion index behind `fuse`; `fusion` is fixed from here on
@@ -111,7 +112,7 @@ class CategoryData:
         elif self._factors is None:
             raise SchemaError(f"missing F-symbol for {key}")
         else:
-            mat = _product_fmat(key, rows, cols, *self._factors)
+            mat = _product_fmat(key, rows, cols, *self._factors, self.label_pairs)
         self.f_symbols[key] = mat
         return mat
 
@@ -521,7 +522,7 @@ def validate_category(cat: CategoryData) -> ValidationReport:
     )
 
 
-def modular_data(cat: CategoryData, require_modular: bool = False) -> ModularData:
+def modular_data(cat: CategoryData) -> ModularData:
     labels = cat.labels
     n = len(labels)
     idx = {a: i for i, a in enumerate(labels)}
@@ -544,8 +545,6 @@ def modular_data(cat: CategoryData, require_modular: bool = False) -> ModularDat
     omega = gauss ** (1.0 / 3.0)
     t = omega * np.diag(kappa)
     is_modular = _unitarity_residual(s) < max(cat.tol, 1e-9) * 100
-    if require_modular and not is_modular:
-        raise DegenerateError("S-matrix is singular: category is not modular")
     return ModularData(
         labels=labels,
         dims=d,
@@ -574,6 +573,7 @@ def _factor_positions(
     basis_r: list[tuple[str, int, int]],
     n_inner_r,
     n_outer_r,
+    pairs: dict[str, tuple[str, str]],
 ) -> tuple[list[int], list[int]]:
     """Positions in the factor bases of each product basis vector (x, i, j).
 
@@ -585,7 +585,7 @@ def _factor_positions(
     idx_r = {t: k for k, t in enumerate(basis_r)}
     pos_l, pos_r = [], []
     for x, i, j in basis:
-        x_l, x_r = split_label(x)
+        x_l, x_r = pairs[x]
         i_l, i_r = divmod(i, n_inner_r(x_r))
         j_l, j_r = divmod(j, n_outer_r(x_r))
         pos_l.append(idx_l[(x_l, i_l, j_l)])
@@ -593,16 +593,18 @@ def _factor_positions(
     return pos_l, pos_r
 
 
-def _product_fmat(key, rows, cols, cat_l: CategoryData, cat_r: CategoryData) -> np.ndarray:
+def _product_fmat(key, rows, cols, cat_l: CategoryData, cat_r: CategoryData, pairs) -> np.ndarray:
     """F^{key} of C x D, with product bases `rows` and `cols`: one gather per
-    factor, F1[rows_l, cols_l] * F2[rows_r, cols_r]."""
-    (a1, a2), (b1, b2), (c1, c2), (d1, d2) = map(split_label, key)
+    factor, F1[rows_l, cols_l] * F2[rows_r, cols_r]; `pairs` maps a product
+    label to its factor labels."""
+    (a1, a2), (b1, b2), (c1, c2), (d1, d2) = (pairs[x] for x in key)
     rows_l, rows_r = _factor_positions(
         rows,
         cat_l.f_rows(a1, b1, c1, d1),
         cat_r.f_rows(a2, b2, c2, d2),
         lambda e2: cat_r.n(a2, b2, e2),
         lambda e2: cat_r.n(e2, c2, d2),
+        pairs,
     )
     cols_l, cols_r = _factor_positions(
         cols,
@@ -610,6 +612,7 @@ def _product_fmat(key, rows, cols, cat_l: CategoryData, cat_r: CategoryData) -> 
         cat_r.f_cols(a2, b2, c2, d2),
         lambda f2: cat_r.n(b2, c2, f2),
         lambda f2: cat_r.n(a2, f2, d2),
+        pairs,
     )
     f1 = cat_l.fmat(a1, b1, c1, d1)
     f2 = cat_r.fmat(a2, b2, c2, d2)
@@ -622,7 +625,8 @@ def deligne_product(cat_l: CategoryData, cat_r: CategoryData, reverse_right: boo
     No F-symbol is built here: `fmat` gathers each one from the factors on
     first use (`_product_fmat`).  R-symbols, dims and twists are built here.
     """
-    dual = {pair_label(a, b): pair_label(cat_l.dual[a], cat_r.dual[b]) for a in cat_l.labels for b in cat_r.labels}
+    pairs = {pair_label(a, b): (a, b) for a in cat_l.labels for b in cat_r.labels}
+    dual = {l: pair_label(cat_l.dual[a], cat_r.dual[b]) for l, (a, b) in pairs.items()}
     unit = pair_label(cat_l.unit, cat_r.unit)
     labels = tuple([unit] + sorted(l for l in dual if l != unit))
     prod = CategoryData(
@@ -638,14 +642,15 @@ def deligne_product(cat_l: CategoryData, cat_r: CategoryData, reverse_right: boo
         tol=max(cat_l.tol, cat_r.tol),
     )
     prod._factors = (cat_l, cat_r)
+    prod.label_pairs = pairs
     for la in labels:
-        a1, a2 = split_label(la)
+        a1, a2 = pairs[la]
         for lb in labels:
-            b1, b2 = split_label(lb)
+            b1, b2 = pairs[lb]
             if unit in (la, lb):
                 continue
             for lc, _ in prod.fuse(la, lb):
-                c1, c2 = split_label(lc)
+                c1, c2 = pairs[lc]
                 m2 = cat_r.rmat(a2, b2, c2, "-" if reverse_right else "+")
                 prod.r_symbols[(la, lb, lc)] = np.kron(cat_l.rmat(a1, b1, c1), m2)
     _derive(prod)

@@ -80,10 +80,6 @@ class NotModularError(AxiomError):
     pass
 
 
-class DegenerateError(AxiomError):
-    pass
-
-
 class RoundingError(QcatError):
     pass
 

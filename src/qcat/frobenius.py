@@ -4,7 +4,7 @@ dimensional algebras (centre, module endomorphisms) attached to them.
 A category has one tolerance, `cat.tol`; every check here reads it."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .morphisms import (
 )
 
 DEFAULT_SEED = 0xC0FFEE
-# eigenvalues of a left regular representation closer than this are one cluster
+# eigenvalues of a random self-adjoint element closer than this are one cluster
 CLUSTER_TOL = 1e-6
 
 
@@ -252,15 +252,6 @@ def _condition_matrix(basis: list[Morphism], conditions) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _null_space(a: np.ndarray, floor: float) -> np.ndarray:
-    """Orthonormal columns spanning the null space of a: singular values at
-    most max(floor, 1e-10 s_max) count as zero."""
-    _, s, vh = np.linalg.svd(a)
-    thresh = max(floor, (s[0] * 1e-10 if s.size else 0.0))
-    rank = int(np.sum(s > thresh))
-    return vh[rank:].conj().T
-
-
 def solve_morphism_space(
     cat: CategoryData,
     dom: ObjectExpr,
@@ -275,8 +266,10 @@ def solve_morphism_space(
     basis = hom_basis(cat, dom, cod)
     if not basis:
         return []
-    null = _null_space(_condition_matrix(basis, conditions), cat.tol)
-    return [morphism_from_vector(cat, dom, cod, v) for v in null.T]
+    _, s, vh = np.linalg.svd(_condition_matrix(basis, conditions))
+    # singular values at most max(tol, 1e-10 s_max) count as zero
+    rank = int(np.sum(s > max(cat.tol, 1e-10 * s[0])))
+    return [morphism_from_vector(cat, dom, cod, v) for v in vh[rank:].conj()]
 
 
 # ---- finite dimensional algebras -------------------------------------
@@ -284,124 +277,42 @@ def solve_morphism_space(
 
 @dataclass
 class AlgebraPresentation:
-    """A finite dimensional *-algebra given by a concrete basis, a bilinear
-    product, an antilinear star, and its unit element.  The product and star
-    default to composition and the adjoint."""
+    """A finite dimensional C*-algebra: the span of `basis`, under `compose`
+    and the adjoint.  The span must be a *-closed algebra of endomorphisms
+    of one object that holds its identity."""
 
-    cat: CategoryData
     basis: list
-    unit_element: Morphism
-    product: object = compose
-    star: object = Morphism.adjoint
-    _mult: np.ndarray | None = field(default=None, repr=False)
-    _star: np.ndarray | None = field(default=None, repr=False)
-    _vecs: np.ndarray | None = field(default=None, repr=False)
-    _vecs_pinv: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def _ensure_coordinates(self) -> None:
-        """The basis as the columns of its coordinate matrix, and the
-        pseudo-inverse of that matrix."""
-        if self._vecs is None:
-            self._vecs = np.stack([morphism_vector(b) for b in self.basis], axis=1)
-            self._vecs_pinv = np.linalg.pinv(self._vecs)
-
-    def _ensure_tables(self) -> None:
-        if self._mult is not None:
-            return
-        n = self.dim
-        mult = np.zeros((n, n, n), dtype=complex)
-        star = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                mult[:, i, j] = self.coeffs(self.product(self.basis[i], self.basis[j]))
-            star[:, i] = self.coeffs(self.star(self.basis[i]))
-        self._mult = mult
-        self._star = star
-
-    def coeffs(self, f: Morphism) -> np.ndarray:
-        self._ensure_coordinates()
-        return self._vecs_pinv @ morphism_vector(f)
-
-    def element(self, coeffs: np.ndarray) -> Morphism:
-        self._ensure_coordinates()
-        b0 = self.basis[0]
-        return morphism_from_vector(self.cat, b0.dom, b0.cod, self._vecs @ coeffs)
-
-    def multiply(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        self._ensure_tables()
-        return np.einsum("kij,i,j->k", self._mult, u, v)
-
-    def star_coeffs(self, u: np.ndarray) -> np.ndarray:
-        self._ensure_tables()
-        return self._star @ np.conj(u)
-
-    def unit_coeffs(self) -> np.ndarray:
-        return self.coeffs(self.unit_element)
-
-    def left_mult(self, u: np.ndarray) -> np.ndarray:
-        self._ensure_tables()
-        return np.einsum("kij,i->kj", self._mult, u)
-
-    def centre_coeff_basis(self) -> list[np.ndarray]:
-        self._ensure_tables()
-        # [z, b_j] = 0 as a linear condition on the coefficients of z
-        rows = [self._mult[:, :, j] - self._mult[:, j, :] for j in range(self.dim)]
-        return list(_null_space(np.concatenate(rows, axis=0), 1e-9).T)
-
-    def random_selfadjoint(self, rng: np.random.Generator, sub_basis=None) -> np.ndarray:
-        self._ensure_tables()
-        vs = sub_basis if sub_basis is not None else [np.eye(self.dim)[i] for i in range(self.dim)]
-        u = np.zeros(self.dim, dtype=complex)
-        for v in vs:
-            u = u + (rng.standard_normal() + 1j * rng.standard_normal()) * v
-        return u + self.star_coeffs(u)
-
-    def spectral_idempotents(self, h: np.ndarray) -> list[np.ndarray]:
-        """Spectral idempotents of an element via its left regular representation."""
-        self._ensure_tables()
-        lh = self.left_mult(h)
-        eigs = np.linalg.eigvals(lh)
-        clusters: list[list[complex]] = []
-        for lam in sorted(eigs, key=lambda z: (np.real(z), np.imag(z))):
-            if clusters and abs(lam - np.mean(clusters[-1])) < CLUSTER_TOL:
-                clusters[-1].append(lam)
-            else:
-                clusters.append([lam])
-        reps = [complex(np.mean(c)) for c in clusters]
-        e = self.unit_coeffs()
-        out = []
-        for i, lam in enumerate(reps):
-            p = e.copy()
-            for j, mu in enumerate(reps):
-                if i == j:
-                    continue
-                p = self.multiply(p, (h - mu * e) / (lam - mu))
-            out.append(p)
-        return out
-
     def minimal_idempotents(self, seed: int | None = None) -> list[Morphism]:
-        """Minimal idempotents, via a seeded random central element followed by
-        a seeded random corner split (seed None: DEFAULT_SEED).  Self-adjoint
-        for a C* star."""
-        self._ensure_tables()
+        """The minimal projections, as the spectral projections of one seeded
+        random self-adjoint element h = a + a* (seed None: DEFAULT_SEED).
+
+        The span is a sum of full matrix algebras; a generic h has a simple
+        spectrum on each, with values distinct across them, and its spectral
+        projections lie in the span by functional calculus."""
         rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-        centre = self.centre_coeff_basis()
-        z = self.random_selfadjoint(rng, centre)
-        central = [p for p in self.spectral_idempotents(z) if np.linalg.norm(p) > 1e-8]
-        out = []
-        for ce in central:
-            h0 = self.random_selfadjoint(rng)
-            h = self.multiply(ce, self.multiply(h0, ce))
-            h = (h + self.star_coeffs(h)) / 2.0
-            for p in self.spectral_idempotents(h):
-                q = self.multiply(ce, self.multiply(p, ce))
-                if np.linalg.norm(q) > 1e-8:
-                    out.append(q)
-        return [self.element(p) for p in out]
+        coeffs = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
+        a = sum((c * b for c, b in zip(coeffs[1:], self.basis[1:])), coeffs[0] * self.basis[0])
+        h = a + a.adjoint()
+        # (eigenvalue, sector, eigenvector) over every sector of the object
+        spectrum = []
+        for c in engine(h.cat).sectors(h.dom):
+            vals, vecs = np.linalg.eigh(h.block(c))
+            spectrum.extend((lam, c, vecs[:, k]) for k, lam in enumerate(vals))
+        spectrum.sort(key=lambda t: -t[0])
+        # one projection per cluster of eigenvalues, in descending order
+        out: list[dict] = []
+        top = None
+        for lam, c, v in spectrum:
+            if top is None or top - lam >= CLUSTER_TOL:
+                top = lam
+                out.append({})
+            out[-1][c] = out[-1].get(c, 0) + np.outer(v, v.conj())
+        return [Morphism(h.cat, h.dom, h.dom, blocks) for blocks in out]
 
 
 def hom0_algebra(cat: CategoryData, q: QSystem) -> AlgebraPresentation:
@@ -412,7 +323,7 @@ def hom0_algebra(cat: CategoryData, q: QSystem) -> AlgebraPresentation:
         lambda t: compose(tensor(t, idt), q.x) - compose(q.x, t),
     ]
     basis = solve_morphism_space(cat, q.theta, q.theta, conds)
-    return AlgebraPresentation(cat=cat, basis=basis, unit_element=idt)
+    return AlgebraPresentation(basis)
 
 
 def left_endo_algebra(cat: CategoryData, q: QSystem) -> AlgebraPresentation:
@@ -421,7 +332,7 @@ def left_endo_algebra(cat: CategoryData, q: QSystem) -> AlgebraPresentation:
     idt = identity(cat, q.theta)
     conds = [lambda t: compose(tensor(idt, t), q.x) - compose(q.x, t)]
     basis = solve_morphism_space(cat, q.theta, q.theta, conds)
-    return AlgebraPresentation(cat=cat, basis=basis, unit_element=idt)
+    return AlgebraPresentation(basis)
 
 
 # ---- constructors ----------------------------------------------------

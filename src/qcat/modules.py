@@ -140,7 +140,7 @@ def morphism_space(mod1: Module, mod2: Module) -> list[Morphism]:
 
 
 def module_end_algebra(mod: Module) -> AlgebraPresentation:
-    return AlgebraPresentation(cat=mod.cat, basis=morphism_space(mod, mod), unit_element=identity(mod.cat, mod.beta))
+    return AlgebraPresentation(morphism_space(mod, mod))
 
 
 def _cut_module(mod: Module, iso: Morphism, beta_i: ObjectExpr) -> Module:

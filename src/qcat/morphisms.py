@@ -743,21 +743,23 @@ def endo_function(f: Morphism, fn) -> Morphism:
     return Morphism(f.cat, f.dom, f.cod, blocks)
 
 
-def endo_power(f: Morphism, p: float, floor: float = 1e-12) -> Morphism:
+def endo_power(f: Morphism, p: float) -> Morphism:
+    """f^p on the eigenvalues above 1e-12; the rest map to 0."""
+
     def fn(vals):
         out = np.zeros_like(vals)
-        mask = vals > floor
+        mask = vals > 1e-12
         out[mask] = vals[mask] ** p
         return out
 
     return endo_function(f, fn)
 
 
-def range_isometry(cat: CategoryData, p: Morphism, cut: float = 0.5) -> tuple[ObjectExpr, Morphism]:
+def range_isometry(cat: CategoryData, p: Morphism) -> tuple[ObjectExpr, Morphism]:
     """Split a projection p = s s*: returns (range object, isometry s).
 
-    The range object is a sum of single-letter words, one per unit of rank,
-    in sector label order.
+    The range object is a sum of single-letter words, one per eigenvalue of
+    p above 1/2, in sector label order.
     """
     words = []
     cols: dict[str, np.ndarray] = {}
@@ -769,7 +771,7 @@ def range_isometry(cat: CategoryData, p: Morphism, cut: float = 0.5) -> tuple[Ob
         order = np.argsort(-vals)
         vals = vals[order]
         vecs = vecs[:, order]
-        rank = int(np.sum(vals > cut))
+        rank = int(np.sum(vals > 0.5))
         if rank:
             words.extend([(c,)] * rank)
             cols[c] = vecs[:, :rank]

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from qcat.braided import canonical_qsystem, centre_projections, z_matrix
+from qcat.braided import canonical_qsystem, centre_projections, opposite_product_category, z_matrix
 from qcat.category import (
     CategoryData,
     _admissible_tuples,
@@ -264,6 +264,24 @@ def test_deligne_product_validates(ising):
     z3 = gauged_z3()
     assert validate_category(z3).ok
     assert validate_category(deligne_product(z3, z3, reverse_right=True)).ok
+
+
+def test_a_product_of_products_validates(z2):
+    """A product label such as 1|g|1 reads its factors from the product,
+    not by cutting the string at the first separator."""
+    prod = deligne_product(deligne_product(z2, z2), z2)
+    assert prod.label_pairs[pair_label(pair_label("1", "g"), "1")] == (pair_label("1", "g"), "1")
+    assert validate_category(prod).ok
+
+
+def test_the_opposite_product_of_a_product_validates(z2):
+    assert validate_category(opposite_product_category(deligne_product(z2, z2))).ok
+
+
+def test_z_matrix_of_a_product_is_the_identity():
+    prod = deligne_product(gauged_z3(), gauged_z3())
+    z, _ = z_matrix(prod, trivial_qsystem_in(prod))
+    assert np.array_equal(z, np.eye(9, dtype=int))
 
 
 def test_rank25_product_has_one_f_symbol_per_admissible_tuple():

@@ -327,6 +327,53 @@ def test_minimal_idempotents_default_seed(ising, iq):
             assert np.array_equal(f.blocks[c], g.blocks[c])
 
 
+def _algebra(ising, iq, tq, name):
+    """An algebra of intertwiners and its count of minimal projections."""
+    sig = ObjectExpr.word("sig")
+    build = {
+        # End_A(theta rho) = End(sig* rho) for the matrix Q-system A of sig
+        "left sig": lambda: (module_end_algebra(free_module(ising, iq, sig, "left")), 2),
+        "left sig sig": lambda: (module_end_algebra(free_module(ising, iq, ObjectExpr.word("sig", "sig"), "left")), 2),
+        "bi 1": lambda: (module_end_algebra(free_module(ising, (iq, iq), ObjectExpr.unit(), "bi")), 2),
+        "bi sig": lambda: (module_end_algebra(free_module(ising, (iq, iq), sig, "bi")), 2),
+        # End(sig + sig + eps) = M_2 + C
+        "trivial sig+sig+eps": lambda: (
+            module_end_algebra(free_module(ising, tq, ObjectExpr.from_words([("sig",), ("sig",), ("eps",)]), "left")),
+            3,
+        ),
+        "hom0 of a direct sum": lambda: (hom0_algebra(ising, direct_sum_qsystems(ising, [iq, tq, tq])), 3),
+        # End_A(A) = End(sig + 1)
+        "left endo": lambda: (
+            frobenius.left_endo_algebra(ising, matrix_qsystem(ising, ObjectExpr.from_words([("sig",), ()]))),
+            2,
+        ),
+    }
+    return build[name]()
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", ["left sig", "left sig sig", "bi 1", "bi sig", "trivial sig+sig+eps", "hom0 of a direct sum", "left endo"])
+def test_minimal_idempotents_are_the_minimal_projections(ising, iq, tq, name, seed):
+    alg, count = _algebra(ising, iq, tq, name)
+    ps = alg.minimal_idempotents(seed)
+    assert len(ps) == count
+    span = np.stack([morphism_vector(b) for b in alg.basis], axis=1)
+    x = alg.basis[0].dom
+    total = zero_morphism(ising, x, x)
+    for i, p in enumerate(ps):
+        assert (p.adjoint() - p).max_abs() < 1e-10
+        assert (compose(p, p) - p).max_abs() < 1e-10
+        for q in ps[i + 1 :]:
+            assert compose(p, q).max_abs() < 1e-10
+        v = morphism_vector(p)
+        assert np.linalg.norm(span @ np.linalg.lstsq(span, v, rcond=None)[0] - v) < 1e-10
+        # minimal: the corner p A p is one-dimensional
+        corner = np.stack([morphism_vector(compose(p, compose(b, p))) for b in alg.basis], axis=1)
+        assert np.sum(np.linalg.svd(corner, compute_uv=False) > 1e-8) == 1
+        total = total + p
+    assert (total - identity(ising, x)).max_abs() < 1e-10
+
+
 def test_specialize_diverges_when_the_recursion_vanishes(ising, iq):
     out = iterate_specialize(ising, QSystem(ising, iq.theta, iq.w, 0.0 * iq.x))
     assert out == Diverged(spectrum=[], iterations=1)

@@ -29,3 +29,12 @@ def test_no_tolerance_knob_and_seeds_only_on_searches(name):
 
 def test_the_walk_sees_the_seeded_functions():
     assert {name.rsplit(".", 1)[-1] for name in FUNCTIONS} >= SEEDED
+
+
+def test_the_methods_the_benchmark_tracer_patches_exist():
+    """perfbench/spans.py patches these methods by name: renaming one breaks
+    `perfbench/run.py --trace 1`."""
+    from qcat.morphisms import Engine
+
+    for owner, name in [(AlgebraPresentation, "minimal_idempotents"), (Engine, "obj_offsets"), (Engine, "split")]:
+        assert inspect.isfunction(getattr(owner, name, None)), f"{owner.__name__}.{name}"
