@@ -11,7 +11,6 @@ from .category import (
     load_category,
     modular_data,
     pair_label,
-    split_label,
     validate_category,
 )
 from .errors import QcatError

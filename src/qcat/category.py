@@ -562,11 +562,6 @@ def pair_label(a: str, b: str) -> str:
     return a + PAIR_SEP + b
 
 
-def split_label(l: str) -> tuple[str, str]:
-    a, _, b = l.partition(PAIR_SEP)
-    return a, b
-
-
 def _factor_positions(
     basis: list[tuple[str, int, int]],
     basis_l: list[tuple[str, int, int]],

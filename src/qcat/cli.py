@@ -347,7 +347,9 @@ def _dispatch(args) -> int:
         _need(args, 1, "boundary <category> --A <qsystem> --B <qsystem>")
         if not args.qa or not args.qb:
             return _usage_error("boundary <category> --A <qsystem> --B <qsystem>")
-        rep = boundary_conditions(cat, _load_q(cat, args.qa), _load_q(cat, args.qb))
+        qa = _load_q(cat, args.qa)
+        qb = qa if args.qb == args.qa else _load_q(cat, args.qb)
+        rep = boundary_conditions(cat, qa, qb)
         _emit(rep.as_dict(), fmt)
         worst = max(rep.residuals.values())
         return 0 if worst < 1e2 * cat.tol else 3

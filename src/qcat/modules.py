@@ -46,12 +46,15 @@ from .morphisms import (
 class Module:
     """An A-B bimodule (beta, m), m in Hom(beta, theta_A beta theta_B), over
     parents = (A, B).  A left A-module is an A-1 bimodule and a right
-    B-module a 1-B bimodule, 1 the trivial Q-system."""
+    B-module a 1-B bimodule, 1 the trivial Q-system.  `free_on` is rho when
+    the module is the free module theta_A rho theta_B of `free_module`, and
+    None for every other module."""
 
     beta: ObjectExpr
     m: Morphism
     parents: tuple
     label: str = ""
+    free_on: ObjectExpr | None = None
 
     @property
     def cat(self) -> CategoryData:
@@ -108,7 +111,9 @@ def validate_module(cat: CategoryData, mod: Module) -> ModuleReport:
 
 def free_module(cat: CategoryData, q, rho: ObjectExpr, side: str = "left", label: str = "") -> Module:
     """The free module theta_A rho theta_B with m = x_A (x) 1 (x) x_B over
-    (q, 1), (1, q) or q = (qa, qb) for side left, right or bi."""
+    (q, 1), (1, q) or q = (qa, qb) for side left, right or bi.  It records
+    rho as `free_on`, from which `module_end_algebra` reads its
+    endomorphisms by Frobenius reciprocity."""
     if side == "left":
         parents = (q, trivial_qsystem_in(cat))
     elif side == "right":
@@ -119,7 +124,7 @@ def free_module(cat: CategoryData, q, rho: ObjectExpr, side: str = "left", label
         raise ShapeError(f"unknown module side {side!r}")
     qa, qb = parents
     m = tensor(tensor(qa.x, identity(cat, rho)), qb.x)
-    return Module(qa.theta @ rho @ qb.theta, m, parents, label)
+    return Module(qa.theta @ rho @ qb.theta, m, parents, label, free_on=rho)
 
 
 def _action_slot(mod: Module):
@@ -140,7 +145,18 @@ def morphism_space(mod1: Module, mod2: Module) -> list[Morphism]:
 
 
 def module_end_algebra(mod: Module) -> AlgebraPresentation:
-    return AlgebraPresentation(morphism_space(mod, mod))
+    """The algebra of A-B intertwiners of mod with itself.
+
+    A free module F = theta_A rho theta_B takes the reciprocity basis
+    Phi_phi = m* (1 (x) phi (x) 1), phi over `hom_basis(rho, F)`: Frobenius
+    reciprocity Hom_{A-B}(F, N) = Hom(rho, beta_N) makes phi -> Phi_phi a
+    bijection onto End_{A-B}(F), whose inverse is restriction along
+    w_A (x) 1 (x) w_B.  Any other module solves for its intertwiners."""
+    if mod.free_on is None:
+        return AlgebraPresentation(morphism_space(mod, mod))
+    slot = _action_slot(mod)
+    m_star = mod.m.adjoint()
+    return AlgebraPresentation([compose(m_star, slot(phi)) for phi in hom_basis(mod.cat, mod.free_on, mod.beta)])
 
 
 def _cut_module(mod: Module, iso: Morphism, beta_i: ObjectExpr) -> Module:
@@ -190,6 +206,13 @@ def decompose_module(mod: Module, seed: int | None = None) -> list[Module]:
 
 
 def _equivalent_modules(mod1: Module, mod2: Module) -> bool:
+    """Whether two irreducible modules over the same parents are equivalent.
+
+    An equivalence is in particular an isomorphism beta_1 -> beta_2, so beta
+    with different sector dimensions answer False with no solve."""
+    dims1, dims2 = ({c: o[-1] for c, o in engine(m.cat).sectors(m.beta).items()} for m in (mod1, mod2))
+    if dims1 != dims2:
+        return False
     return len(morphism_space(mod1, mod2)) > 0
 
 
@@ -365,11 +388,12 @@ def boundary_conditions(cat: CategoryData, qa: QSystem, qb: QSystem) -> Boundary
     The convolution algebra Hom(Z[B], Z[A]) has dimension #A-B bimodules
     (Fuchs-Runkel-Schweigert), and n non-zero idempotents that are orthogonal
     and sum to the unit in an algebra of dimension n are its minimal ones; a
-    count, idempotency or completeness that fails raises ConsistencyError."""
+    count, idempotency or completeness that fails raises ConsistencyError.
+    When qb is qa, Z[A] is computed once."""
     if not modular_data(cat).is_modular:
         raise NotModularError("boundary classification requires a modular category")
     prod, red_a = full_centre(cat, qa)
-    _, red_b = full_centre(cat, qb)
+    red_b = red_a if qb is qa else full_centre(cat, qb)[1]
     za, zb = red_a.child, red_b.child
     d_r = float(np.sqrt(cat.global_dim))
     bimods = enumerate_bimodules(cat, qa, qb)

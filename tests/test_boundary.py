@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 import qcat.modules as modules
 from qcat.braided import full_centre
 from qcat.category import build_category
+from qcat.cli import _diff, run
 from qcat.errors import ConsistencyError, MismatchError
 from qcat.fixtures import ising_category
-from qcat.frobenius import trivial_qsystem_in
+from qcat.frobenius import ising_q, trivial_qsystem_in
 from qcat.modules import (
     boundary_conditions,
     convolution,
@@ -181,3 +184,28 @@ def test_a_wrong_idempotent_raises(ising, tq, monkeypatch, scale, message):
     monkeypatch.setattr(modules, "d_intertwiner", lambda cat, mod: scale * real(cat, mod))
     with pytest.raises(ConsistencyError, match=message):
         boundary_conditions(ising, tq, tq)
+
+
+@pytest.mark.parametrize("builder", [ising_q, trivial_qsystem_in])
+def test_one_full_centre_when_a_is_b(ising, builder, monkeypatch):
+    """boundary(A, A) computes Z[A] once, and reports what two separately
+    built copies of A give."""
+    apart = boundary_conditions(ising, builder(ising), builder(ising)).as_dict()
+    calls = []
+    real = modules.full_centre
+    monkeypatch.setattr(modules, "full_centre", lambda cat, q: calls.append(q) or real(cat, q))
+    q = builder(ising)
+    shared = boundary_conditions(ising, q, q).as_dict()
+    assert len(calls) == 1
+    differences: list[str] = []
+    _diff(apart, shared, 1e-12, "", differences)
+    assert differences == []
+
+
+def test_cli_boundary_loads_one_qsystem_for_a_and_b(monkeypatch, capsys):
+    calls = []
+    real = modules.full_centre
+    monkeypatch.setattr(modules, "full_centre", lambda cat, q: calls.append(q) or real(cat, q))
+    assert run(["boundary", "ising", "--A", "ising_q", "--B", "ising_q"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["bimodules"]

@@ -20,7 +20,6 @@ from qcat.category import (
     load_category,
     modular_data,
     pair_label,
-    split_label,
     validate_category,
 )
 from qcat.errors import DataError, ParseError
@@ -198,18 +197,20 @@ def scan_cols(cat, x, y, z, w):
     return [(f, i, j) for f in cat.labels for i in range(cat.n(y, z, f)) for j in range(cat.n(x, f, w))]
 
 
-def reference_product_f(cat_l, cat_r, labels):
+def reference_product_f(cat_l, cat_r, prod):
     """F-symbols of C x D entry by entry:
     F[(e,al,be),(f,mu,nu)] = F1[(e1,al1,be1),(f1,mu1,nu1)] * F2[(e2,al2,be2),(f2,mu2,nu2)],
-    with a product multiplicity index al = al1 * n2 + al2 as in np.kron."""
+    with a product multiplicity index al = al1 * n2 + al2 as in np.kron.
+    A product label's factors are read from `prod.label_pairs`."""
+    labels, pairs = prod.labels, prod.label_pairs
 
     def n(x, y, z):
-        (x1, x2), (y1, y2), (z1, z2) = split_label(x), split_label(y), split_label(z)
+        (x1, x2), (y1, y2), (z1, z2) = pairs[x], pairs[y], pairs[z]
         return cat_l.n(x1, y1, z1) * cat_r.n(x2, y2, z2)
 
     def split_vector(vec, n_inner_r, n_outer_r):
         x, i, j = vec
-        x1, x2 = split_label(x)
+        x1, x2 = pairs[x]
         i1, i2 = divmod(i, n_inner_r(x2))
         j1, j2 = divmod(j, n_outer_r(x2))
         return (x1, i1, j1), (x2, i2, j2)
@@ -222,7 +223,7 @@ def reference_product_f(cat_l, cat_r, labels):
         cols = [(f, i, j) for f in labels for i in range(n(lb, lc, f)) for j in range(n(la, f, ld))]
         if not rows or not cols:
             continue
-        (a1, a2), (b1, b2), (c1, c2), (d1, d2) = map(split_label, (la, lb, lc, ld))
+        (a1, a2), (b1, b2), (c1, c2), (d1, d2) = (pairs[x] for x in (la, lb, lc, ld))
         f1 = cat_l.fmat(a1, b1, c1, d1)
         f2 = cat_r.fmat(a2, b2, c2, d2)
         rows1, cols1 = scan_rows(cat_l, a1, b1, c1, d1), scan_cols(cat_l, a1, b1, c1, d1)
@@ -242,7 +243,7 @@ def test_deligne_product_f_symbols_match_reference(factor, ising):
     cat = ising if factor == "ising" else gauged_z3()
     prod = deligne_product(cat, cat, reverse_right=True)
     assert set(prod.labels) == {pair_label(a, b) for a in cat.labels for b in cat.labels}
-    ref = reference_product_f(cat, cat, prod.labels)
+    ref = reference_product_f(cat, cat, prod)
     # the reference keys are the admissible tuples without a unit leg, in label order
     assert list(ref) == [t for t in _admissible_tuples(prod) if prod.unit not in t[:3]]
     for key, mat in ref.items():
@@ -257,8 +258,7 @@ def test_deligne_product_validates(ising):
     prod = deligne_product(ising, ising, reverse_right=True)
     assert len(prod.labels) == 9
     assert abs(prod.global_dim - 16.0) < 1e-9
-    a, b = split_label(pair_label("sig", "eps"))
-    assert (a, b) == ("sig", "eps")
+    assert prod.label_pairs[pair_label("sig", "eps")] == ("sig", "eps")
     rep = validate_category(prod)
     assert rep.ok, rep.as_dict()
     z3 = gauged_z3()

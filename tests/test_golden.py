@@ -3,10 +3,14 @@ reports under `qcat diff --tol 1e-10`.  Two gates: the Ising fixture
 (tests/golden/ising) and a gauged Z3 with non-self-dual labels, whose category
 file is tests/golden/gauged_z3/category.json (tests/golden/gauged_z3).
 
-The stored reports are regenerated only when a change is meant to alter them,
-one gate at a time (both when no gate is named):
+The stored reports are regenerated only when a change is meant to alter them:
+every report of each named gate (of both gates when none is named), or only
+the reports named after a gate, so that no other report picks up float noise:
 
-    PYTHONPATH=src python tests/test_golden.py [ising] [gauged_z3]
+    PYTHONPATH=src python tests/test_golden.py [ising [name ...]] [gauged_z3 [name ...]]
+
+For example `python tests/test_golden.py ising boundary-ising_q-ising_q`
+rewrites that one report.
 """
 from __future__ import annotations
 
@@ -80,10 +84,29 @@ def test_gauged_z3_file_is_the_test_category():
     assert stored == json.loads(json.dumps(gauged_z3_data()))
 
 
-def _write_golden(gates) -> None:
-    for gate in gates:
+def _selection(args: list[str]) -> dict[str, list[str]]:
+    """Gate -> the report names that follow it (all of its reports if none);
+    every report of every gate when args is empty."""
+    if not args:
+        return {gate: list(commands) for gate, commands in GATES.items()}
+    picked: dict[str, list[str]] = {}
+    gate = None
+    for arg in args:
+        if arg in GATES:
+            gate = arg
+            picked.setdefault(gate, [])
+        elif gate is not None and arg in GATES[gate]:
+            picked[gate].append(arg)
+        else:
+            raise SystemExit(f"{arg!r} is neither a gate ({', '.join(GATES)}) nor a report of the gate before it")
+    return {gate: names or list(GATES[gate]) for gate, names in picked.items()}
+
+
+def _write_golden(selection: dict[str, list[str]]) -> None:
+    for gate, names in selection.items():
         (GOLDEN_ROOT / gate).mkdir(parents=True, exist_ok=True)
-        for name, argv in GATES[gate].items():
+        for name in names:
+            argv = GATES[gate][name]
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = run(argv)
@@ -94,4 +117,4 @@ def _write_golden(gates) -> None:
 
 
 if __name__ == "__main__":
-    _write_golden(sys.argv[1:] or list(GATES))
+    _write_golden(_selection(sys.argv[1:]))

@@ -1,24 +1,33 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
+import qcat.modules as modules
 from qcat.braided import centre_projections
+from qcat.category import build_category
 from qcat.errors import MismatchError, NonStandardizableError, ShapeError
-from qcat.frobenius import matrix_qsystem, trivial_qsystem_in
+from qcat.fixtures import ising_category
+from qcat.frobenius import QSystem, check_qsystem, ising_q, matrix_qsystem, trivial_qsystem_in
 from qcat.modules import (
     Module,
+    _equivalent_modules,
+    _intertwiner_condition,
     bimodule_tensor,
     d_intertwiner,
     decompose_module,
     enumerate_bimodules,
     enumerate_modules,
     free_module,
+    module_end_algebra,
     morphism_space,
     standardize_module,
     validate_module,
 )
-from qcat.morphisms import ObjectExpr, compose, identity, tensor, trace
+from qcat.morphisms import Morphism, ObjectExpr, compose, engine, identity, morphism_vector, tensor, trace
+from test_category import gauged_z3, zn_data
 
 
 def _trivial_bimodule(cat, q):
@@ -171,3 +180,87 @@ def test_standardize_rejects_a_vanishing_module_map(ising, iq):
     f = free_module(ising, iq, ObjectExpr.word("sig"), "left")
     with pytest.raises(NonStandardizableError):
         standardize_module(Module(f.beta, 0.0 * f.m, f.parents))
+
+
+def _reciprocity_inputs():
+    """(category, Q-system, words rho): ising_q, the matrix Q-system of
+    sig (x) eps, and the trivial Q-system on gauged Z3."""
+    ising = build_category(ising_category())
+    z3 = gauged_z3()
+    ising_words = [("1",), ("sig",), ("sig", "eps")]
+    return [
+        pytest.param(ising, ising_q(ising), ising_words, id="ising_q"),
+        pytest.param(ising, matrix_qsystem(ising, ObjectExpr.word("sig", "eps")), ising_words, id="sig_eps"),
+        pytest.param(z3, trivial_qsystem_in(z3), [("1",), ("2",), ("1", "2")], id="z3_trivial"),
+    ]
+
+
+@pytest.mark.parametrize("side", ["left", "right", "bi"])
+@pytest.mark.parametrize("cat, q, words", _reciprocity_inputs())
+def test_reciprocity_basis_is_a_basis_of_intertwiners(side, cat, q, words):
+    """Phi_phi = m* (1 (x) phi (x) 1) over phi in Hom(rho, F) is a linearly
+    independent set of self-intertwiners of F as large as the solved space."""
+    for w in words:
+        free = free_module(cat, (q, q) if side == "bi" else q, ObjectExpr.word(*w), side)
+        assert free.free_on == ObjectExpr.word(*w)
+        basis = module_end_algebra(free).basis
+        (cond,) = _intertwiner_condition(free, free)
+        for phi in basis:
+            assert cond(phi).max_abs() < 1e2 * cat.tol
+        coords = np.stack([morphism_vector(phi) for phi in basis], axis=1)
+        assert np.linalg.matrix_rank(coords, tol=1e-8) == len(basis)
+        assert len(basis) == len(morphism_space(free, free))
+
+
+def test_cut_and_tensor_modules_are_not_free(ising, iq):
+    free = free_module(ising, iq, ObjectExpr.word("sig"), "left")
+    parts = decompose_module(free)
+    assert all(p.free_on is None for p in parts)
+    assert bimodule_tensor(free, free_module(ising, iq, ObjectExpr.word("1"), "right")).free_on is None
+
+
+def _sector_dims(cat, beta):
+    return {c: offs[-1] for c, offs in engine(cat).sectors(beta).items()}
+
+
+def test_modules_of_different_sector_dimensions_are_inequivalent_without_a_solve(ising, iq, monkeypatch):
+    pairs = [
+        (m1, m2)
+        for mods in (enumerate_bimodules(ising, iq, iq), enumerate_modules(ising, iq, "left"))
+        for m1 in mods
+        for m2 in mods
+        if _sector_dims(ising, m1.beta) != _sector_dims(ising, m2.beta)
+    ]
+    assert pairs
+
+    def no_solve(*args):
+        raise AssertionError("solve_morphism_space called")
+
+    monkeypatch.setattr(modules, "solve_morphism_space", no_solve)
+    for m1, m2 in pairs:
+        assert _equivalent_modules(m1, m2) is False
+
+
+def group_qsystem(cat, n: int) -> QSystem:
+    """The Q-system of the group Z_n in an ungauged Z_n category: theta the
+    sum of every simple, w = n^(1/4) on the unit summand, and x with the
+    entry n^(-1/4) at every pair (g, h) of each sector g + h."""
+    theta = ObjectExpr.from_words([(str(g),) for g in range(n)])
+    w = Morphism(cat, ObjectExpr.unit(), theta, {"0": np.full((1, 1), n ** 0.25, dtype=complex)})
+    x = Morphism(cat, theta, theta @ theta, {str(c): np.full((n, 1), n ** -0.25, dtype=complex) for c in range(n)})
+    return QSystem(cat, theta, w, x)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_group_qsystem_has_one_bimodule_per_group_element(n):
+    cat = build_category(zn_data(n, lambda a, b: 1))
+    g = group_qsystem(cat, n)
+    rep = check_qsystem(cat, g)
+    assert rep.ok, rep.as_dict()
+    # CPU time of this process, which other load on the machine does not inflate
+    start = time.process_time()
+    mods = enumerate_bimodules(cat, g, g)
+    elapsed = time.process_time() - start
+    assert len(mods) == n
+    assert all(validate_module(cat, m).ok for m in mods)
+    assert elapsed < 2.0
