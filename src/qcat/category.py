@@ -12,7 +12,6 @@ nu < N_{af}^d.  F- and R-symbols with a unit leg are the identity (canonical gau
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -47,6 +46,8 @@ class CategoryData:
     # per key, the F-move table `_f_row` builds once from `fmat`; F-symbols are fixed
     # once read: a table already built does not see an in-place edit of `f_symbols`
     _f_moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # per (key, sign), the R-move table `_r_col` builds once from `rmat`, fixed likewise
+    _r_moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the two factors of a Deligne product, whose F-symbols `fmat` gathers
     _factors: tuple[CategoryData, CategoryData] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -387,6 +388,15 @@ def _f_row(cat: CategoryData, key: tuple[str, ...], row: tuple) -> tuple:
     return table[row]
 
 
+def _r_col(cat: CategoryData, key: tuple[str, ...], sign: str, i: int) -> tuple:
+    """The R-move of one vertex: column i of `rmat(*key, sign)` as (row,
+    coefficient) pairs, from a table built once per key and sign."""
+    table = cat._r_moves.get((key, sign))
+    if table is None:
+        table = cat._r_moves[key, sign] = [tuple(enumerate(col)) for col in cat.rmat(*key, sign).T.tolist()]
+    return table[i]
+
+
 def _move(vec: dict, step) -> dict:
     """One local move on a sparse vector {tree: coefficient}; step(t) lists
     the (tree, coefficient) pairs that tree t goes to."""
@@ -397,73 +407,59 @@ def _move(vec: dict, step) -> dict:
     return out
 
 
-def _path_residual(trees, lhs, rhs) -> float:
-    """Push each listed tree down the moves of `lhs` and of `rhs`: the largest
-    coefficient difference between the two results, NaN if any is NaN."""
-    gaps = []
-    for t in trees:
-        u, v = (functools.reduce(_move, path, {t: 1.0}) for path in (lhs, rhs))
-        gaps += [abs(u.get(k, 0.0) - v.get(k, 0.0)) for k in u.keys() | v.keys()]
-    return _worst(gaps)
+def _gaps(lhs: dict, rhs: dict) -> list:
+    """|lhs - rhs| on every tree either side reaches; a NaN stays."""
+    return [abs(lhs.get(t, 0.0) - rhs.get(t, 0.0)) for t in lhs.keys() | rhs.keys()]
 
 
 def _pentagon_residual(cat: CategoryData, a: str, b: str, c: str, d: str) -> float:
-    """Compare the two F-move paths ((ab)c)d -> a(b(cd)) on every ((ab)c)d
-    tree (f, alpha, g, beta, e, gamma): f in a x b, g in f x c, e in g x d."""
-    fuse = cat.fuse
-
-    def f_abc(t):  # -> (a(bc))d: (h, mu, g, nu, e, gamma)
-        f, al, g, be, e, ga = t
-        return [((h, mu, g, nu, e, ga), x) for (h, mu, nu), x in _f_row(cat, (a, b, c, g), (f, al, be))]
-
-    def f_ahd(t):  # -> a((bc)d): (h, mu, l, sigma, e, tau)
-        h, mu, g, nu, e, ga = t
-        return [((h, mu, l, si, e, ta), x) for (l, si, ta), x in _f_row(cat, (a, h, d, e), (g, nu, ga))]
-
-    def f_bcd(t):  # -> a(b(cd)): (k, kappa, l, lambda, e, tau)
-        h, mu, l, si, e, ta = t
-        return [((k, ka, l, lam, e, ta), x) for (k, ka, lam), x in _f_row(cat, (b, c, d, l), (h, mu, si))]
-
-    def f_fcd(t):  # -> (ab)(cd): (f, alpha, k, kappa, e, tau)
-        f, al, g, be, e, ga = t
-        return [((f, al, k, ka, e, ta), x) for (k, ka, ta), x in _f_row(cat, (f, c, d, e), (g, be, ga))]
-
-    def f_abk(t):  # -> a(b(cd))
-        f, al, k, ka, e, ta = t
-        return [((k, ka, l, lam, e, nu), x) for (l, lam, nu), x in _f_row(cat, (a, b, k, e), (f, al, ta))]
-
-    trees = [
-        (f, al, g, be, e, ga)
-        for f, n_abf in fuse(a, b)
-        for al in range(n_abf)
-        for g, n_fcg in fuse(f, c)
-        for be in range(n_fcg)
-        for e, n_gde in fuse(g, d)
-        for ga in range(n_gde)
-    ]
-    return _path_residual(trees, (f_abc, f_ahd, f_bcd), (f_fcd, f_abk))
+    """The largest gap between the two F-move paths ((ab)c)d -> a(b(cd)) on a
+    ((ab)c)d tree (f, alpha, g, beta, e, gamma): f in a x b, g in f x c, e in
+    g x d.  Nested loops over the `_f_row` tables push each tree down
+    F^{abc}_g, F^{ahd}_e, F^{bcd}_l and down F^{fcd}_e, F^{abk}_e, and sum
+    only the final coefficients, keyed by the a(b(cd)) tree (k, kappa, l,
+    lambda, tau); NaN if any is NaN."""
+    gaps = []
+    for f, n_abf in cat.fuse(a, b):
+        for g, n_fcg in cat.fuse(f, c):
+            for e, n_gde in cat.fuse(g, d):
+                for al, be, ga in itertools.product(range(n_abf), range(n_fcg), range(n_gde)):
+                    lhs: dict = {}
+                    rhs: dict = {}
+                    for (h, mu, nu), x in _f_row(cat, (a, b, c, g), (f, al, be)):
+                        for (l, si, ta), y in _f_row(cat, (a, h, d, e), (g, nu, ga)):
+                            xy = x * y
+                            for (k, ka, lam), z in _f_row(cat, (b, c, d, l), (h, mu, si)):
+                                lhs[k, ka, l, lam, ta] = lhs.get((k, ka, l, lam, ta), 0.0) + xy * z
+                    for (k, ka, ta), x in _f_row(cat, (f, c, d, e), (g, be, ga)):
+                        for (l, lam, nu), y in _f_row(cat, (a, b, k, e), (f, al, ta)):
+                            rhs[k, ka, l, lam, nu] = rhs.get((k, ka, l, lam, nu), 0.0) + x * y
+                    gaps += _gaps(lhs, rhs)
+    return _worst(gaps)
 
 
 def _hexagon_residual(cat: CategoryData, c: str, a: str, b: str, d: str, sign: str) -> float:
-    """Residual of the hexagon identity for braiding c over a then b, total d:
-    the paths R, F, R and F, R, F on every row (e, alpha, beta) of F^{cab}_d."""
-
-    def r_move(x: str, y: str, z: str, t: tuple, i: int) -> list:
-        """The R-move `cat.rmat(x, y, z, sign)` on the vertex at slot i of t."""
-        col = cat.rmat(x, y, z, sign)[:, t[i]].tolist()
-        return [(t[:i] + (j,) + t[i + 1 :], r) for j, r in enumerate(col)]
-
-    lhs = (  # R^{ca}_e, F^{acb}_d, R^{cb}_g
-        lambda t: r_move(c, a, t[0], t, 1),
-        functools.partial(_f_row, cat, (a, c, b, d)),
-        lambda t: r_move(c, b, t[0], t, 1),
-    )
-    rhs = (  # F^{cab}_d, R^{cf}_d, F^{abc}_d
-        functools.partial(_f_row, cat, (c, a, b, d)),
-        lambda t: r_move(c, t[0], d, t, 2),
-        functools.partial(_f_row, cat, (a, b, c, d)),
-    )
-    return _path_residual(cat.f_rows(c, a, b, d), lhs, rhs)
+    """The largest gap of the hexagon identity for braiding c over a then b,
+    total d, on a row (e, alpha, beta) of F^{cab}_d: nested loops over the
+    `_r_col` and `_f_row` tables push it down R^{ca}_e, F^{acb}_d, R^{cb}_g
+    and down F^{cab}_d, R^{cf}_d, F^{abc}_d, and sum only the final
+    coefficients, keyed by the column of F^{abc}_d; NaN if any is NaN."""
+    gaps = []
+    for e, alpha, beta in cat.f_rows(c, a, b, d):
+        lhs: dict = {}
+        rhs: dict = {}
+        for j, x in _r_col(cat, (c, a, e), sign, alpha):
+            for (g, mu, nu), y in _f_row(cat, (a, c, b, d), (e, j, beta)):
+                xy = x * y
+                for k, z in _r_col(cat, (c, b, g), sign, mu):
+                    lhs[g, k, nu] = lhs.get((g, k, nu), 0.0) + xy * z
+        for (f, mu, nu), x in _f_row(cat, (c, a, b, d), (e, alpha, beta)):
+            for j, y in _r_col(cat, (c, f, d), sign, nu):
+                xy = x * y
+                for t, z in _f_row(cat, (a, b, c, d), (f, mu, j)):
+                    rhs[t] = rhs.get(t, 0.0) + xy * z
+        gaps += _gaps(lhs, rhs)
+    return _worst(gaps)
 
 
 def _worst(residuals) -> float:
@@ -646,7 +642,10 @@ def deligne_product(cat_l: CategoryData, cat_r: CategoryData, reverse_right: boo
                 continue
             for lc, _ in prod.fuse(la, lb):
                 c1, c2 = pairs[lc]
-                m2 = cat_r.rmat(a2, b2, c2, "-" if reverse_right else "+")
-                prod.r_symbols[(la, lb, lc)] = np.kron(cat_l.rmat(a1, b1, c1), m2)
+                m1, m2 = cat_l.rmat(a1, b1, c1), cat_r.rmat(a2, b2, c2, "-" if reverse_right else "+")
+                # np.kron(m1, m2), by broadcasting as in `tensor`'s Kronecker blocks
+                prod.r_symbols[(la, lb, lc)] = (m1[:, None, :, None] * m2[None, :, None, :]).reshape(
+                    m1.shape[0] * m2.shape[0], m1.shape[1] * m2.shape[1]
+                )
     _derive(prod)
     return prod

@@ -348,6 +348,20 @@ def test_worst_hexagon_follows_the_minus_hexagon():
     assert rep.worst_hexagon == worst
 
 
+def test_product_r_symbols_are_kronecker_products(ising):
+    from test_morphisms import MULT2
+
+    z3 = gauged_z3()
+    for cat_l, cat_r in ((ising, ising), (z3, z3), (MULT2, z3), (MULT2, MULT2)):
+        prod = deligne_product(cat_l, cat_r, reverse_right=True)
+        assert prod.r_symbols
+        for (la, lb, lc), mat in prod.r_symbols.items():
+            (a1, a2), (b1, b2), (c1, c2) = (prod.label_pairs[x] for x in (la, lb, lc))
+            want = np.kron(cat_l.rmat(a1, b1, c1), cat_r.rmat(a2, b2, c2, "-"))
+            assert np.array_equal(mat, want), (la, lb, lc)
+    assert any(m.shape == (2, 2) for m in MULT2.r_symbols.values())
+
+
 def test_product_braiding_reversed_on_right(ising):
     # the right factor of the product carries the opposite braiding:
     # its twist is conjugated relative to the left factor
@@ -612,11 +626,15 @@ def check_categories() -> dict:
         # its largest pentagon gap is on a tree with vertex index 1 at (g, d -> e)
         "mult2_seed18": _multiplicity_two_category(18),
         "z3xz3opp": deligne_product(z3, z3, reverse_right=True),
+        # multiplicity 2 inside a product
+        "mult2xz3opp": deligne_product(MULT2, z3, reverse_right=True),
         "non_unitary_z3": build_category(zn_data(3, lambda a, b: 2.0 if (a, b) == (1, 2) else 1.0)),
     }
 
 
-@pytest.mark.parametrize("name", ["gauged_ising", "gauged_z3", "mult2", "mult2_seed18", "z3xz3opp", "non_unitary_z3"])
+@pytest.mark.parametrize(
+    "name", ["gauged_ising", "gauged_z3", "mult2", "mult2_seed18", "z3xz3opp", "mult2xz3opp", "non_unitary_z3"]
+)
 def test_pentagon_and_hexagons_match_the_dense_reference(name):
     cat = check_categories()[name]
     assert name != "gauged_ising" or validate_category(cat).ok
@@ -673,3 +691,32 @@ def test_nan_f_symbol_in_memory_fails_pentagon(ising):
     assert rep.ok is False
     assert np.isnan(rep.pentagon)
     assert rep.worst_pentagon is not None
+
+
+def test_nan_f_symbol_of_a_product_fails_pentagon():
+    prod = deligne_product(gauged_z3(), gauged_z3(), reverse_right=True)
+    key = next(t for t in _admissible_tuples(prod) if prod.unit not in t[:3])
+    prod.fmat(*key)
+    prod.f_symbols[key][0, 0] = np.nan
+    prod._f_moves.pop(key, None)
+    rep = validate_category(prod)
+    assert rep.ok is False
+    assert np.isnan(rep.pentagon)
+    assert rep.worst_pentagon in set(itertools.product(prod.labels, repeat=4))
+
+
+def test_validation_gathers_each_f_symbol_once(monkeypatch):
+    """One gather per admissible key without a unit leg, and one F-move table
+    per admissible key: the walk reuses both for every tree it pushes."""
+    import qcat.category as category
+
+    calls = []
+    gather = category._product_fmat
+    monkeypatch.setattr(category, "_product_fmat", lambda key, *rest: calls.append(key) or gather(key, *rest))
+    prod = deligne_product(gauged_z3(), gauged_z3(), reverse_right=True)
+    assert validate_category(prod).ok
+    admissible = _admissible_tuples(prod)
+    assert sorted(calls) == sorted(t for t in admissible if prod.unit not in t[:3])
+    assert len(calls) == 512
+    assert sorted(prod._f_moves) == sorted(admissible)
+    assert len(admissible) == 729
