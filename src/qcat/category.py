@@ -397,16 +397,6 @@ def _r_col(cat: CategoryData, key: tuple[str, ...], sign: str, i: int) -> tuple:
     return table[i]
 
 
-def _move(vec: dict, step) -> dict:
-    """One local move on a sparse vector {tree: coefficient}; step(t) lists
-    the (tree, coefficient) pairs that tree t goes to."""
-    out: dict = {}
-    for t, x in vec.items():
-        for u, y in step(t):
-            out[u] = out.get(u, 0.0) + x * y
-    return out
-
-
 def _gaps(lhs: dict, rhs: dict) -> list:
     """|lhs - rhs| on every tree either side reaches; a NaN stays."""
     return [abs(lhs.get(t, 0.0) - rhs.get(t, 0.0)) for t in lhs.keys() | rhs.keys()]
@@ -502,9 +492,6 @@ def validate_category(cat: CategoryData) -> ValidationReport:
         and hexm < cat.tol
         and dim_res < cat.tol * 100
     )
-    # a NaN residual is never below tol, and argmax finds the first NaN
-    worst_p = None if pent < cat.tol else quads[int(np.argmax(pent_all))]
-    worst_h = None if np.maximum(hexp, hexm) < cat.tol else admissible[int(np.argmax(np.maximum(hex_p, hex_m)))]
     return ValidationReport(
         ok=ok,
         f_unitarity=f_res,
@@ -513,9 +500,19 @@ def validate_category(cat: CategoryData) -> ValidationReport:
         hexagon_plus=hexp,
         hexagon_minus=hexm,
         dim_residual=dim_res,
-        worst_pentagon=worst_p,
-        worst_hexagon=worst_h,
+        worst_pentagon=_first_worst(quads, pent_all, cat.tol),
+        worst_hexagon=_first_worst(admissible, np.maximum(hex_p, hex_m), cat.tol),
     )
+
+
+def _first_worst(keys: list, residuals, tol: float):
+    """None when the worst residual is below tol; otherwise the first key, in
+    walk order, whose residual is NaN or within tol of the worst, so that
+    residuals tied up to rounding name the same key on every platform."""
+    worst = _worst(residuals)
+    if worst < tol:
+        return None
+    return next(k for k, r in zip(keys, residuals) if r != r or r >= worst - tol)
 
 
 def modular_data(cat: CategoryData) -> ModularData:

@@ -315,24 +315,26 @@ class AlgebraPresentation:
         return [Morphism(h.cat, h.dom, h.dom, blocks) for blocks in out]
 
 
+def _right_multiplications(q: QSystem, phis: list[Morphism]) -> AlgebraPresentation:
+    """The maps x* (1 (x) phi), phi in Hom(1, theta): by Frobenius
+    reciprocity, phi -> x* (1 (x) phi) is a bijection of Hom(1, theta) onto
+    End_A(A), whose inverse is t -> t w."""
+    idt = identity(q.cat, q.theta)
+    return AlgebraPresentation([compose(q.x.adjoint(), tensor(idt, phi)) for phi in phis])
+
+
 def hom0_algebra(cat: CategoryData, q: QSystem) -> AlgebraPresentation:
-    """The algebra {t in Hom(theta,theta): (1 x t) x = x t = (t x 1) x}."""
+    """The algebra {t in Hom(theta,theta): (1 x t) x = x t = (t x 1) x}: the
+    right multiplications by the central phi, x* (1 x phi) = x* (phi x 1)."""
     idt = identity(cat, q.theta)
-    conds = [
-        lambda t: compose(tensor(idt, t), q.x) - compose(q.x, t),
-        lambda t: compose(tensor(t, idt), q.x) - compose(q.x, t),
-    ]
-    basis = solve_morphism_space(cat, q.theta, q.theta, conds)
-    return AlgebraPresentation(basis)
+    cond = [lambda phi: compose(q.x.adjoint(), tensor(idt, phi) - tensor(phi, idt))]
+    return _right_multiplications(q, solve_morphism_space(cat, ObjectExpr.unit(), q.theta, cond))
 
 
 def left_endo_algebra(cat: CategoryData, q: QSystem) -> AlgebraPresentation:
     """The algebra {t in Hom(theta,theta): (1 x t) x = x t} of left module
-    endomorphisms of the Q-system over itself."""
-    idt = identity(cat, q.theta)
-    conds = [lambda t: compose(tensor(idt, t), q.x) - compose(q.x, t)]
-    basis = solve_morphism_space(cat, q.theta, q.theta, conds)
-    return AlgebraPresentation(basis)
+    endomorphisms of the Q-system over itself: its right multiplications."""
+    return _right_multiplications(q, hom_basis(cat, ObjectExpr.unit(), q.theta))
 
 
 # ---- constructors ----------------------------------------------------

@@ -19,8 +19,6 @@ from .decompose import ReducedQSystem
 from .frobenius import (
     AlgebraPresentation,
     QSystem,
-    _mean_eigen,
-    _power_iterate,
     solve_morphism_space,
     trivial_qsystem_in,
 )
@@ -29,7 +27,6 @@ from .morphisms import (
     ObjectExpr,
     braiding,
     compose,
-    endo_power,
     engine,
     hom_basis,
     identity,
@@ -144,19 +141,22 @@ def morphism_space(mod1: Module, mod2: Module) -> list[Morphism]:
     return solve_morphism_space(mod1.cat, mod1.beta, mod2.beta, _intertwiner_condition(mod1, mod2))
 
 
-def module_end_algebra(mod: Module) -> AlgebraPresentation:
-    """The algebra of A-B intertwiners of mod with itself.
+def _reciprocity_basis(rho: ObjectExpr, n: Module) -> list[Morphism]:
+    """A basis of the A-B intertwiners from the free module F = theta_A rho
+    theta_B to n: Phi_phi = n.m* (1 (x) phi (x) 1), phi over
+    `hom_basis(rho, n.beta)`.  Frobenius reciprocity Hom_{A-B}(F, n) =
+    Hom(rho, beta_n) makes phi -> Phi_phi a bijection, whose inverse is
+    restriction along w_A (x) 1 (x) w_B; nothing is solved."""
+    slot, m_star = _action_slot(n), n.m.adjoint()
+    return [compose(m_star, slot(phi)) for phi in hom_basis(n.cat, rho, n.beta)]
 
-    A free module F = theta_A rho theta_B takes the reciprocity basis
-    Phi_phi = m* (1 (x) phi (x) 1), phi over `hom_basis(rho, F)`: Frobenius
-    reciprocity Hom_{A-B}(F, N) = Hom(rho, beta_N) makes phi -> Phi_phi a
-    bijection onto End_{A-B}(F), whose inverse is restriction along
-    w_A (x) 1 (x) w_B.  Any other module solves for its intertwiners."""
+
+def module_end_algebra(mod: Module) -> AlgebraPresentation:
+    """The algebra of A-B intertwiners of mod with itself: the reciprocity
+    basis for a free module, a solve for any other."""
     if mod.free_on is None:
         return AlgebraPresentation(morphism_space(mod, mod))
-    slot = _action_slot(mod)
-    m_star = mod.m.adjoint()
-    return AlgebraPresentation([compose(m_star, slot(phi)) for phi in hom_basis(mod.cat, mod.free_on, mod.beta)])
+    return AlgebraPresentation(_reciprocity_basis(mod.free_on, mod))
 
 
 def _cut_module(mod: Module, iso: Morphism, beta_i: ObjectExpr) -> Module:
@@ -164,68 +164,51 @@ def _cut_module(mod: Module, iso: Morphism, beta_i: ObjectExpr) -> Module:
     return Module(beta_i, m, mod.parents, mod.label)
 
 
-def standardize_module(mod: Module) -> Module:
-    """Deform a module by an invertible self-intertwiner-producing n so that
-    m* m = d * 1 while keeping unit and representation properties."""
-    cat = mod.cat
+def _require_standard(mod: Module) -> Module:
+    """mod, once m* m = d_A d_B 1 within 1e2 cat.tol: a module cut from a
+    standard module, or a tensor product of standard bimodules, is standard."""
     d = mod.parents[0].d * mod.parents[1].d
-    idb = identity(cat, mod.beta)
-    g = compose(mod.m.adjoint(), mod.m)
-    if (g - d * idb).max_abs() < 1e2 * cat.tol:
-        return mod
+    gap = (compose(mod.m.adjoint(), mod.m) - d * identity(mod.cat, mod.beta)).max_abs()
+    if not gap < 1e2 * mod.cat.tol:
+        raise NonStandardizableError(f"module map is not standard: |m* m - {d:g}| = {gap:g}")
+    return mod
 
-    slot = _action_slot(mod)
 
-    def phi(k: Morphism) -> Morphism:
-        return (1.0 / d) * compose(mod.m.adjoint(), compose(slot(k), mod.m))
-
-    k, _ = _power_iterate(phi, idb, 400, cat.tol)
-    if k is None:
-        raise NonStandardizableError("the module norm deformation vanishes")
-    n = endo_power(k, 0.5)
-    n_inv = endo_power(k, -0.5)
-    m2 = compose(slot(n), compose(mod.m, n_inv))
-    out = Module(mod.beta, m2, mod.parents, mod.label)
-    lam = _mean_eigen(compose(m2.adjoint(), m2)).real
-    if abs(lam - d) > 1e3 * cat.tol * max(1.0, d):
-        raise NonStandardizableError(
-            f"module norm {lam:g} cannot be brought to {d:g} by deformation"
-        )
+def _summands(mod: Module, seed: int | None = None) -> list[tuple[Module, Morphism]]:
+    """Each irreducible summand of mod with its isometry s into mod.beta, an
+    intertwiner; mod itself with the identity when End(mod) is one-dimensional."""
+    alg = module_end_algebra(mod)
+    if alg.dim == 1:
+        return [(mod, identity(mod.cat, mod.beta))]
+    out = []
+    for p in alg.minimal_idempotents(seed):
+        beta_i, iso = range_isometry(mod.cat, p)
+        out.append((_require_standard(_cut_module(mod, iso, beta_i)), iso))
     return out
 
 
 def decompose_module(mod: Module, seed: int | None = None) -> list[Module]:
-    alg = module_end_algebra(mod)
-    if alg.dim == 1:
-        return [mod]
-    out = []
-    for p in alg.minimal_idempotents(seed):
-        beta_i, iso = range_isometry(mod.cat, p)
-        out.append(standardize_module(_cut_module(mod, iso, beta_i)))
-    return out
+    return [part for part, _ in _summands(mod, seed)]
 
 
-def _equivalent_modules(mod1: Module, mod2: Module) -> bool:
-    """Whether two irreducible modules over the same parents are equivalent.
-
-    An equivalence is in particular an isomorphism beta_1 -> beta_2, so beta
-    with different sector dimensions answer False with no solve."""
-    dims1, dims2 = ({c: o[-1] for c, o in engine(m.cat).sectors(m.beta).items()} for m in (mod1, mod2))
-    if dims1 != dims2:
-        return False
-    return len(morphism_space(mod1, mod2)) > 0
+def _reaches(rho: ObjectExpr, s: Morphism, r: Module) -> bool:
+    """Whether a summand of the free module over rho, with isometry s into
+    it, has a non-zero intertwiner to r: the compressed images Phi s of the
+    reciprocity basis span those intertwiners."""
+    return any(compose(phi, s).max_abs() >= 1e2 * r.cat.tol for phi in _reciprocity_basis(rho, r))
 
 
 def enumerate_modules(cat: CategoryData, q, side: str = "left") -> list[Module]:
     """Irreducible left, right or bi (q = (qa, qb)) modules up to equivalence,
-    from decomposing the free modules over every simple object."""
+    from decomposing the free modules over every simple object; a summand is
+    new unless it `_reaches` an earlier one."""
     reps: list[Module] = []
     for a in cat.labels:
-        free = free_module(cat, q, ObjectExpr.word(a), side, label=f"free[{a}]")
-        for summand in decompose_module(free):
-            if not any(_equivalent_modules(summand, r) for r in reps):
-                summand.label = f"m{len(reps)}[{a}]"
-                reps.append(summand)
+        rho = ObjectExpr.word(a)
+        for part, s in _summands(free_module(cat, q, rho, side, label=f"free[{a}]")):
+            if not any(_reaches(rho, s, r) for r in reps):
+                part.label = f"m{len(reps)}[{a}]"
+                reps.append(part)
     return reps
 
 
@@ -256,8 +239,7 @@ def bimodule_tensor(mod1: Module, mod2: Module) -> Module:
     )
     beta, s = range_isometry(cat, p)
     m12 = (1.0 / qb.d) * compose(tensor(tensor(ida, s.adjoint()), idc), compose(mhat, s))
-    out = Module(beta, m12, (qa, qc), f"{mod1.label}(x){mod2.label}")
-    return standardize_module(out)
+    return _require_standard(Module(beta, m12, (qa, qc), f"{mod1.label}(x){mod2.label}"))
 
 
 def d_intertwiner(cat: CategoryData, mod: Module, rho: ObjectExpr | None = None) -> Morphism:

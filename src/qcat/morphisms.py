@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .category import CategoryData, _complex_array, _f_row, _json_int, _move
+from .category import CategoryData, _complex_array, _f_row, _json_int
 from .errors import ConjugacyError, ParseError, ShapeError, UnknownLabelError
 
 Word = tuple[str, ...]
@@ -313,19 +313,15 @@ class Engine:
                     prev_s, prev_list = prev[b]
                     k = self.tree_index(wv, b)[tt[:-1]]
                     if prev_s is None:  # a one-hot column
-                        vec = {prev_list[k]: 1.0}
+                        vec = [(prev_list[k], 1.0)]
                     else:
                         column = prev_s[:, k].tolist()
-                        vec = {t: x for t, x in zip(prev_list, column) if not abs(x) < 1e-15}  # a NaN stays
-
-                    def f_move(t):  # F^{c d' a}_e at the vertices (nu, mu) of the split tree t
-                        c, i1, dp, i2p, nu = t
-                        for (d, sig, tau), x in _f_row(cat, (c, dp, a, e), (b, nu, mu)):
+                        vec = [(t, x) for t, x in zip(prev_list, column) if not abs(x) < 1e-15]  # a NaN stays
+                    # F^{c d' a}_e at the vertices (nu, mu) of each split tree
+                    for (c, i1, dp, i2p, nu), x in vec:
+                        for (d, sig, tau), y in _f_row(cat, (c, dp, a, e), (b, nu, mu)):
                             i2 = self.tree_index(w2, d)[v_trees[dp][i2p] + ((dp, sig),)]
-                            yield (c, i1, d, i2, tau), x
-
-                    for t, x in _move(vec, f_move).items():
-                        s[sidx[t], col] = x
+                            s[sidx[c, i1, d, i2, tau], col] += x * y
                 out[e] = (s, split_list)
         self._split[key] = out
         return out

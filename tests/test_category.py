@@ -681,6 +681,22 @@ def test_worst_pentagon_is_the_argmax():
     assert rep.worst_pentagon == worst
 
 
+def test_tied_worst_residuals_name_the_first_tuple_walked():
+    """On MULT2 x gauged Z3^opp the worst pentagon and hexagon residuals are
+    tied, up to rounding, on many tuples; the report names the first one walked."""
+    cat = check_categories()["mult2xz3opp"]
+    rep = validate_category(cat)
+    pent = [_pentagon_residual(cat, *q) for q in itertools.product(cat.labels, repeat=4)]
+    assert sum(r >= rep.pentagon - cat.tol for r in pent) > 1
+    assert rep.worst_pentagon == ("x|0", "x|0", "x|0", "x|0")
+    keys = _admissible_tuples(cat)
+    hexes = [max(_hexagon_residual(cat, *key, "+"), _hexagon_residual(cat, *key, "-")) for key in keys]
+    worst = max(rep.hexagon_plus, rep.hexagon_minus)
+    tied = [key for key, r in zip(keys, hexes) if r >= worst - cat.tol]
+    assert len(tied) > 1
+    assert rep.worst_hexagon == tied[0]
+
+
 def test_nan_f_symbol_in_memory_fails_pentagon(ising):
     f_symbols = dict(ising.f_symbols)
     key = ("sig", "sig", "sig", "sig")

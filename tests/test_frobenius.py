@@ -169,6 +169,26 @@ def test_centre_of_ising_q_is_trivial(ising, iq):
     assert len(hom_basis(ising, wide.theta, ObjectExpr.unit())) == 2
 
 
+@pytest.mark.parametrize("name", ["ising_q", "trivial", "direct sum", "matrix sig+1"])
+def test_right_multiplications_span_the_solved_algebras(ising, iq, tq, name):
+    """left_endo_algebra and hom0_algebra span the subspaces of End(theta)
+    that a solve over End(theta) finds with the defining conditions."""
+    q = {
+        "ising_q": iq,
+        "trivial": tq,
+        "direct sum": direct_sum_qsystems(ising, [iq, tq, tq]),
+        "matrix sig+1": matrix_qsystem(ising, ObjectExpr.from_words([("sig",), ()])),
+    }[name]
+    idt = identity(ising, q.theta)
+    left = [lambda t: compose(tensor(idt, t), q.x) - compose(q.x, t)]
+    right = [lambda t: compose(tensor(t, idt), q.x) - compose(q.x, t)]
+    rank = lambda vs: np.linalg.matrix_rank(np.stack(vs, axis=1), tol=1e-8)
+    for alg, conds in ((frobenius.left_endo_algebra(ising, q), left), (hom0_algebra(ising, q), left + right)):
+        got = [morphism_vector(b) for b in alg.basis]
+        want = [morphism_vector(b) for b in solve_morphism_space(ising, q.theta, q.theta, conds)]
+        assert rank(got) == len(got) == len(want) == rank(got + want)
+
+
 def test_equivalence_detects_gauge(ising, iq):
     rng = np.random.default_rng(5)
     u = _random_gauge(ising, iq.theta, rng)

@@ -13,8 +13,9 @@ from qcat.fixtures import ising_category
 from qcat.frobenius import QSystem, check_qsystem, ising_q, matrix_qsystem, trivial_qsystem_in
 from qcat.modules import (
     Module,
-    _equivalent_modules,
     _intertwiner_condition,
+    _reaches,
+    _summands,
     bimodule_tensor,
     d_intertwiner,
     decompose_module,
@@ -23,10 +24,9 @@ from qcat.modules import (
     free_module,
     module_end_algebra,
     morphism_space,
-    standardize_module,
     validate_module,
 )
-from qcat.morphisms import Morphism, ObjectExpr, compose, engine, identity, morphism_vector, tensor, trace
+from qcat.morphisms import Morphism, ObjectExpr, compose, identity, morphism_vector, tensor, trace
 from test_category import gauged_z3, zn_data
 
 
@@ -176,10 +176,26 @@ def test_module_decomposition_of_wide_bimodule(ising):
     assert len(mods) == 3
 
 
-def test_standardize_rejects_a_vanishing_module_map(ising, iq):
+def test_decompose_rejects_a_vanishing_module_map(ising, iq):
     f = free_module(ising, iq, ObjectExpr.word("sig"), "left")
     with pytest.raises(NonStandardizableError):
-        standardize_module(Module(f.beta, 0.0 * f.m, f.parents))
+        decompose_module(Module(f.beta, 0.0 * f.m, f.parents))
+
+
+def _tensor_products(ising, iq, tq):
+    """Every `bimodule_tensor` product this file builds."""
+    _, eps, sig = enumerate_bimodules(ising, tq, tq)
+    left, right = (free_module(ising, iq, ObjectExpr.word("sig"), side) for side in ("left", "right"))
+    return [(sig, sig), (eps, eps), (left, right), (left, free_module(ising, iq, ObjectExpr.word("1"), "right"))]
+
+
+def test_tensor_products_of_standard_bimodules_are_standard(ising, iq, tq, monkeypatch):
+    """bimodule_tensor checks standardness instead of repairing it: with the
+    check switched off, every product here has m* m = d_A d_C 1."""
+    monkeypatch.setattr(modules, "_require_standard", lambda mod: mod)
+    for m1, m2 in _tensor_products(ising, iq, tq):
+        prod = bimodule_tensor(m1, m2)
+        assert validate_module(ising, prod).standard < 1e2 * ising.tol, (m1.label, m2.label)
 
 
 def _reciprocity_inputs():
@@ -219,26 +235,13 @@ def test_cut_and_tensor_modules_are_not_free(ising, iq):
     assert bimodule_tensor(free, free_module(ising, iq, ObjectExpr.word("1"), "right")).free_on is None
 
 
-def _sector_dims(cat, beta):
-    return {c: offs[-1] for c, offs in engine(cat).sectors(beta).items()}
-
-
-def test_modules_of_different_sector_dimensions_are_inequivalent_without_a_solve(ising, iq, monkeypatch):
-    pairs = [
-        (m1, m2)
-        for mods in (enumerate_bimodules(ising, iq, iq), enumerate_modules(ising, iq, "left"))
-        for m1 in mods
-        for m2 in mods
-        if _sector_dims(ising, m1.beta) != _sector_dims(ising, m2.beta)
-    ]
-    assert pairs
-
+def test_module_enumeration_solves_nothing(ising, iq, monkeypatch):
     def no_solve(*args):
         raise AssertionError("solve_morphism_space called")
 
     monkeypatch.setattr(modules, "solve_morphism_space", no_solve)
-    for m1, m2 in pairs:
-        assert _equivalent_modules(m1, m2) is False
+    assert len(enumerate_modules(ising, iq, "left")) == 3
+    assert len(enumerate_bimodules(ising, iq, iq)) == 3
 
 
 def group_qsystem(cat, n: int) -> QSystem:
@@ -251,7 +254,7 @@ def group_qsystem(cat, n: int) -> QSystem:
     return QSystem(cat, theta, w, x)
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 5, 7])
 def test_group_qsystem_has_one_bimodule_per_group_element(n):
     cat = build_category(zn_data(n, lambda a, b: 1))
     g = group_qsystem(cat, n)
@@ -263,4 +266,37 @@ def test_group_qsystem_has_one_bimodule_per_group_element(n):
     elapsed = time.process_time() - start
     assert len(mods) == n
     assert all(validate_module(cat, m).ok for m in mods)
-    assert elapsed < 2.0
+    assert n > 5 or elapsed < 2.0
+
+
+def _equivalence_inputs():
+    """(category, q, side) on which every comparison of `enumerate_modules`
+    is checked against a solve."""
+    ising = build_category(ising_category())
+    iq, tq = ising_q(ising), trivial_qsystem_in(ising)
+    z3 = gauged_z3()
+    zn = {n: build_category(zn_data(n, lambda a, b: 1)) for n in (3, 5)}
+    return [
+        *(pytest.param(ising, iq, side, id=f"ising_q-{side}") for side in ("left", "right")),
+        pytest.param(ising, (iq, iq), "bi", id="ising_q-bi"),
+        pytest.param(ising, (tq, iq), "bi", id="trivial-ising_q"),
+        pytest.param(ising, matrix_qsystem(ising, ObjectExpr.word("sig", "eps")), "right", id="sig_eps-right"),
+        pytest.param(z3, trivial_qsystem_in(z3), "left", id="z3_trivial"),
+        *(pytest.param(zn[n], (group_qsystem(zn[n], n),) * 2, "bi", id=f"z{n}_group") for n in (3, 5)),
+    ]
+
+
+@pytest.mark.parametrize("cat, q, side", _equivalence_inputs())
+def test_reciprocity_equivalence_agrees_with_the_solve(cat, q, side):
+    """Walk the comparisons of `enumerate_modules`: for each summand of a free
+    module and each earlier representative, `_reaches` answers whether the
+    solved intertwiner space is non-zero."""
+    reps = []
+    for a in cat.labels:
+        rho = ObjectExpr.word(a)
+        for part, s in _summands(free_module(cat, q, rho, side)):
+            found = [_reaches(rho, s, r) for r in reps]
+            assert found == [len(morphism_space(part, r)) > 0 for r in reps], a
+            if not any(found):
+                reps.append(part)
+    assert [r.beta for r in reps] == [m.beta for m in enumerate_modules(cat, q, side)]

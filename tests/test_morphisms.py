@@ -469,7 +469,7 @@ def _reference_split(eng, w1, w2, memo):
 
 @pytest.mark.parametrize("name", ["ising", "mult2", "gauged_z3"])
 def test_split_matches_inline_f_move_reference(name):
-    """The identity cases and the `_move` recursion of `Engine.split` give the
+    """The identity cases and the F-move recursion of `Engine.split` give the
     split lists and recouplings of the hand-built cases and inline F-move."""
     cat = {"ising": KERNEL_CASES["ising"][0], "mult2": MULT2, "gauged_z3": gauged_z3()}[name]
     eng, memo = engine(cat), {}
