@@ -43,7 +43,6 @@ from .braided import (
     centre_projections,
     centre_qsystem,
     full_centre,
-    killing_check,
     z_matrix,
 )
 from .modules import (

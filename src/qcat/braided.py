@@ -20,7 +20,6 @@ from .morphisms import (
     hom_basis,
     identity,
     morphism_vector,
-    right_trace,
     standard_pair,
     summand_matrix,
     tensor,
@@ -184,23 +183,3 @@ def z_matrix(cat: CategoryData, q: QSystem) -> tuple[np.ndarray, dict]:
     info = {"s_commutator": res_s, "t_commutator": res_t, "z11": int(z[0, 0])}
     return z, info
 
-
-def killing_check(cat: CategoryData) -> dict:
-    """Partial trace of the monodromy of each (rho, 1) around the canonical
-    object: annihilates every rho except the unit, where it gives dim(C)."""
-    prod, qr = canonical_qsystem(cat)
-    out = {}
-    for a in cat.labels:
-        obj = ObjectExpr.word(pair_label(a, cat.unit))
-        mono = compose(
-            braiding(prod, qr.theta, obj, "+"), braiding(prod, obj, qr.theta, "+")
-        )
-        k = right_trace(prod, mono, qr.theta, obj, obj)
-        target = cat.global_dim if a == cat.unit else 0.0
-        val = complex(k.scalar()) if a == cat.unit else complex(
-            np.max(np.abs(np.concatenate([b.reshape(-1) for b in k.blocks.values()])))
-            if k.blocks
-            else 0.0
-        )
-        out[a] = {"value": val, "target": target, "ok": abs(val - target) < 1e3 * cat.tol}
-    return out

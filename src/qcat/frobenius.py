@@ -237,7 +237,7 @@ def iterate_specialize(
     return out
 
 
-# ---- linear solving of morphism spaces -------------------------------
+# ---- linear maps on morphism spaces ---------------------------------
 
 
 def _condition_matrix(basis: list[Morphism], conditions) -> np.ndarray:
@@ -252,24 +252,16 @@ def _condition_matrix(basis: list[Morphism], conditions) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def solve_morphism_space(
-    cat: CategoryData,
-    dom: ObjectExpr,
-    cod: ObjectExpr,
-    conditions,
-) -> list[Morphism]:
-    """Orthonormal basis of {t in Hom(dom, cod): cond(t) = 0 for all conditions}.
-
-    Each condition maps a Morphism linearly to a Morphism; solved by SVD
-    thresholding in the coordinates of `hom_basis`.
-    """
+def image_basis(cat: CategoryData, dom: ObjectExpr, cod: ObjectExpr, linear) -> list[Morphism]:
+    """Orthonormal basis of the range of a linear map of Hom(dom, cod) into
+    itself, from one SVD of the coordinates of its images of `hom_basis`."""
     basis = hom_basis(cat, dom, cod)
     if not basis:
         return []
-    _, s, vh = np.linalg.svd(_condition_matrix(basis, conditions))
+    u, s, _ = np.linalg.svd(_condition_matrix(basis, [linear]))
     # singular values at most max(tol, 1e-10 s_max) count as zero
     rank = int(np.sum(s > max(cat.tol, 1e-10 * s[0])))
-    return [morphism_from_vector(cat, dom, cod, v) for v in vh[rank:].conj()]
+    return [morphism_from_vector(cat, dom, cod, v) for v in u[:, :rank].T]
 
 
 # ---- finite dimensional algebras -------------------------------------
@@ -315,26 +307,31 @@ class AlgebraPresentation:
         return [Morphism(h.cat, h.dom, h.dom, blocks) for blocks in out]
 
 
-def _right_multiplications(q: QSystem, phis: list[Morphism]) -> AlgebraPresentation:
-    """The maps x* (1 (x) phi), phi in Hom(1, theta): by Frobenius
-    reciprocity, phi -> x* (1 (x) phi) is a bijection of Hom(1, theta) onto
-    End_A(A), whose inverse is t -> t w."""
-    idt = identity(q.cat, q.theta)
-    return AlgebraPresentation([compose(q.x.adjoint(), tensor(idt, phi)) for phi in phis])
+def _right_multiplication(q: QSystem, phi: Morphism) -> Morphism:
+    """R_phi = x* (1 (x) phi), phi in Hom(1, theta): by Frobenius
+    reciprocity, phi -> R_phi is a bijection of Hom(1, theta) onto End_A(A),
+    whose inverse is t -> t w."""
+    return compose(q.x.adjoint(), tensor(identity(q.cat, q.theta), phi))
 
 
 def hom0_algebra(cat: CategoryData, q: QSystem) -> AlgebraPresentation:
     """The algebra {t in Hom(theta,theta): (1 x t) x = x t = (t x 1) x}: the
-    right multiplications by the central phi, x* (1 x phi) = x* (phi x 1)."""
+    right multiplications R_phi by the central phi, which are the range of
+    P(phi) = x* (R_phi x 1) r on Hom(1, theta).  P is the conditional
+    expectation of A as an A-A bimodule, read through reciprocity; in M_n it
+    is phi -> sum_ij e_ij phi e_ji, and it fixes a central phi up to the
+    factor d, since x* x = d."""
     idt = identity(cat, q.theta)
-    cond = [lambda phi: compose(q.x.adjoint(), tensor(idt, phi) - tensor(phi, idt))]
-    return _right_multiplications(q, solve_morphism_space(cat, ObjectExpr.unit(), q.theta, cond))
+    r = q.r
+    average = lambda phi: compose(q.x.adjoint(), compose(tensor(_right_multiplication(q, phi), idt), r))
+    centre = image_basis(cat, ObjectExpr.unit(), q.theta, average)
+    return AlgebraPresentation([_right_multiplication(q, phi) for phi in centre])
 
 
 def left_endo_algebra(cat: CategoryData, q: QSystem) -> AlgebraPresentation:
     """The algebra {t in Hom(theta,theta): (1 x t) x = x t} of left module
     endomorphisms of the Q-system over itself: its right multiplications."""
-    return _right_multiplications(q, hom_basis(cat, ObjectExpr.unit(), q.theta))
+    return AlgebraPresentation([_right_multiplication(q, phi) for phi in hom_basis(cat, ObjectExpr.unit(), q.theta)])
 
 
 # ---- constructors ----------------------------------------------------

@@ -19,7 +19,7 @@ from .decompose import ReducedQSystem
 from .frobenius import (
     AlgebraPresentation,
     QSystem,
-    solve_morphism_space,
+    image_basis,
     trivial_qsystem_in,
 )
 from .morphisms import (
@@ -130,15 +130,34 @@ def _action_slot(mod: Module):
     return lambda k: tensor(tensor(id_a, k), id_b)
 
 
-def _intertwiner_condition(mod1: Module, mod2: Module):
-    if any(q1.theta != q2.theta for q1, q2 in zip(mod1.parents, mod2.parents)):
-        raise MismatchError("modules must share their parent Q-systems")
-    slot = _action_slot(mod1)
-    return [lambda t: compose(slot(t), mod1.m) - compose(mod2.m, t)]
+def _require_same_qsystems(pairs, message: str) -> None:
+    """MismatchError unless each pair holds the same Q-system twice: equal
+    theta, with w and x equal within cat.tol."""
+    for q1, q2 in pairs:
+        tol = q1.cat.tol
+        if not (q1.theta == q2.theta and (q1.w - q2.w).max_abs() < tol and (q1.x - q2.x).max_abs() < tol):
+            raise MismatchError(message)
+
+
+def _expectation(mod1: Module, mod2: Module):
+    """E(f) = (d_A d_B)^-1 mod2.m* (1 (x) f (x) 1) mod1.m on Hom(beta1, beta2)
+    for standard A-B bimodules: the conditional expectation onto the
+    intertwiners.  Its range is Hom_{A-B}(mod1, mod2), and it fixes every
+    intertwiner, since m* m = d_A d_B 1 (cf. the module-morphism projectors
+    of Fuchs-Runkel-Schweigert); a module that is not standard raises
+    NonStandardizableError."""
+    _require_same_qsystems(zip(mod1.parents, mod2.parents), "modules must share their parent Q-systems")
+    _require_standard(mod1)
+    _require_standard(mod2)
+    slot, m_star = _action_slot(mod1), mod2.m.adjoint()
+    scale = 1.0 / (mod1.parents[0].d * mod1.parents[1].d)
+    return lambda f: scale * compose(m_star, compose(slot(f), mod1.m))
 
 
 def morphism_space(mod1: Module, mod2: Module) -> list[Morphism]:
-    return solve_morphism_space(mod1.cat, mod1.beta, mod2.beta, _intertwiner_condition(mod1, mod2))
+    """An orthonormal basis (in `hom_basis` coordinates) of the A-B
+    intertwiners from mod1 to mod2: the range of the expectation E."""
+    return image_basis(mod1.cat, mod1.beta, mod2.beta, _expectation(mod1, mod2))
 
 
 def _reciprocity_basis(rho: ObjectExpr, n: Module) -> list[Morphism]:
@@ -152,8 +171,11 @@ def _reciprocity_basis(rho: ObjectExpr, n: Module) -> list[Morphism]:
 
 
 def module_end_algebra(mod: Module) -> AlgebraPresentation:
-    """The algebra of A-B intertwiners of mod with itself: the reciprocity
-    basis for a free module, a solve for any other."""
+    """The algebra of A-B intertwiners of mod with itself: the range of the
+    expectation E (`morphism_space`).  For a free module F = theta_A rho
+    theta_B it is the reciprocity basis, which is E's free-module case:
+    E(phi (w_A* (x) 1 (x) w_B*)) = (d_A d_B)^-1 m* (1 (x) phi (x) 1) for phi
+    in Hom(rho, F), and these images are already a basis of the range."""
     if mod.free_on is None:
         return AlgebraPresentation(morphism_space(mod, mod))
     return AlgebraPresentation(_reciprocity_basis(mod.free_on, mod))
@@ -224,8 +246,7 @@ def bimodule_tensor(mod1: Module, mod2: Module) -> Module:
     cat = mod1.cat
     qa, qb = mod1.parents
     qb2, qc = mod2.parents
-    if not (qb.theta == qb2.theta and (qb.w - qb2.w).max_abs() < cat.tol and (qb.x - qb2.x).max_abs() < cat.tol):
-        raise MismatchError("middle Q-systems must coincide")
+    _require_same_qsystems([(qb, qb2)], "middle Q-systems must coincide")
     ida = identity(cat, qa.theta)
     idc = identity(cat, qc.theta)
     id1 = identity(cat, mod1.beta)
@@ -394,21 +415,19 @@ def boundary_conditions(cat: CategoryData, qa: QSystem, qb: QSystem) -> Boundary
         idems.append(coeff * d_rm)
     # residuals of the idempotent system
     unit = compose(za.w, zb.w.adjoint())
-    res_complete = (sum(idems[1:], idems[0]) - unit).max_abs() if idems else np.inf
+    res_complete = (sum(idems[1:], idems[0]) - unit).max_abs()
     zero = zero_morphism(prod, zb.theta, za.theta)
     res_idem = float(np.max([
         (convolution(za, zb, ii, jj) - (ii if i == j else zero)).max_abs()
         for i, ii in enumerate(idems)
         for j, jj in enumerate(idems)
-    ], initial=0.0))
+    ]))
     bound = 1e4 * cat.tol
     if any(ii.max_abs() <= bound for ii in idems):
         raise ConsistencyError("a boundary idempotent is zero")
     if not (res_idem <= bound and res_complete <= bound):
         raise ConsistencyError(f"boundary idempotents: idempotency {res_idem:g}, completeness {res_complete:g}")
-    res_selfadj = max(
-        (frobenius_conj(za, zb, ii) - ii).max_abs() for ii in idems
-    ) if idems else np.inf
+    res_selfadj = max((frobenius_conj(za, zb, ii) - ii).max_abs() for ii in idems)
     pairings = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
@@ -430,7 +449,7 @@ def boundary_conditions(cat: CategoryData, qa: QSystem, qb: QSystem) -> Boundary
     c_matrix = np.zeros_like(smT)
     for row, mod in enumerate(bimods):
         c_matrix[row] = (qa.d * qb.d / mod.dim) * np.conj(smT[row])
-    res_unitary = float(np.abs(smT @ smT.conj().T - np.eye(n)).max()) if n == len(columns) else np.inf
+    res_unitary = float(np.abs(smT @ smT.conj().T - np.eye(n)).max())
     residuals = {
         "completeness": float(res_complete),
         "idempotency": float(res_idem),

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qcat.braided import canonical_qsystem, centre_qsystem, full_centre, killing_check, z_matrix
+from qcat.braided import canonical_qsystem, centre_qsystem, full_centre, z_matrix
 from qcat.category import modular_data, validate_category
 from qcat.decompose import central_decomposition, check_intermediate, direct_sum_qsystems
 from qcat.frobenius import (
@@ -167,6 +167,8 @@ def test_criterion_10c_unit_asso_special_forces_frobenius(ising, iq, tq):
 
 
 def test_criterion_10d_killing_annihilation(ising):
+    from tests_helpers import killing_check
+
     out = killing_check(ising)
     for a, entry in out.items():
         assert entry["ok"]

@@ -10,7 +10,6 @@ from qcat.braided import (
     centre_qsystem,
     embed_left,
     full_centre,
-    killing_check,
     opposite_product_category,
     z_matrix,
 )
@@ -24,6 +23,7 @@ from qcat.frobenius import (
     trivial_qsystem_in,
 )
 from qcat.morphisms import identity
+from tests_helpers import killing_check
 
 
 def test_centre_projections_are_projections(ising, iq):

@@ -26,10 +26,9 @@ from qcat.frobenius import (
     qsystem_as_json,
     qsystem_from_json,
     qsystems_equivalent,
-    solve_morphism_space,
     trivial_qsystem_in,
 )
-from qcat.modules import _intertwiner_condition, free_module, module_end_algebra
+from qcat.modules import free_module, module_end_algebra
 from qcat.morphisms import (
     Morphism,
     ObjectExpr,
@@ -43,6 +42,7 @@ from qcat.morphisms import (
     zero_morphism,
 )
 from test_category import gauged_z3, gauged_z5, vertex_gauge
+from tests_helpers import intertwiner_condition, solve_morphism_space, solved_centre
 
 
 def _random_gauge(cat, theta, rng):
@@ -169,24 +169,31 @@ def test_centre_of_ising_q_is_trivial(ising, iq):
     assert len(hom_basis(ising, wide.theta, ObjectExpr.unit())) == 2
 
 
-@pytest.mark.parametrize("name", ["ising_q", "trivial", "direct sum", "matrix sig+1"])
+@pytest.mark.parametrize("name", ["ising_q", "trivial", "direct sum", "matrix sig+1", "matrix sig+1 + trivial", "R[A]"])
 def test_right_multiplications_span_the_solved_algebras(ising, iq, tq, name):
     """left_endo_algebra and hom0_algebra span the subspaces of End(theta)
-    that a solve over End(theta) finds with the defining conditions."""
+    that a solve over End(theta) finds with the defining conditions, and
+    hom0_algebra is as large as the solved centre in Hom(1, theta)."""
+    sig1 = matrix_qsystem(ising, ObjectExpr.from_words([("sig",), ()]))
     q = {
-        "ising_q": iq,
-        "trivial": tq,
-        "direct sum": direct_sum_qsystems(ising, [iq, tq, tq]),
-        "matrix sig+1": matrix_qsystem(ising, ObjectExpr.from_words([("sig",), ()])),
-    }[name]
-    idt = identity(ising, q.theta)
+        "ising_q": lambda: iq,
+        "trivial": lambda: tq,
+        "direct sum": lambda: direct_sum_qsystems(ising, [iq, tq, tq]),
+        "matrix sig+1": lambda: sig1,
+        "matrix sig+1 + trivial": lambda: direct_sum_qsystems(ising, [sig1, tq]),
+        # the braided product (A x 1) x+ R in Ising x Ising^opp
+        "R[A]": lambda: full_centre(ising, iq)[1].parent,
+    }[name]()
+    cat = q.cat
+    idt = identity(cat, q.theta)
     left = [lambda t: compose(tensor(idt, t), q.x) - compose(q.x, t)]
     right = [lambda t: compose(tensor(t, idt), q.x) - compose(q.x, t)]
     rank = lambda vs: np.linalg.matrix_rank(np.stack(vs, axis=1), tol=1e-8)
-    for alg, conds in ((frobenius.left_endo_algebra(ising, q), left), (hom0_algebra(ising, q), left + right)):
+    for alg, conds in ((frobenius.left_endo_algebra(cat, q), left), (hom0_algebra(cat, q), left + right)):
         got = [morphism_vector(b) for b in alg.basis]
-        want = [morphism_vector(b) for b in solve_morphism_space(ising, q.theta, q.theta, conds)]
+        want = [morphism_vector(b) for b in solve_morphism_space(cat, q.theta, q.theta, conds)]
         assert rank(got) == len(got) == len(want) == rank(got + want)
+    assert hom0_algebra(cat, q).dim == len(solved_centre(q))
 
 
 def test_equivalence_detects_gauge(ising, iq):
@@ -321,7 +328,7 @@ def _condition_sets(ising, iq, tq):
         lambda t: compose(tensor(t, idt), q.x) - compose(q.x, t),
     ]
     free = free_module(ising, iq, ObjectExpr.word("sig"), "left")
-    return [(q.theta, q.theta, centre), (free.beta, free.beta, _intertwiner_condition(free, free))]
+    return [(q.theta, q.theta, centre), (free.beta, free.beta, intertwiner_condition(free, free))]
 
 
 @pytest.mark.parametrize("which", [0, 1])

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 import qcat.modules as modules
-from qcat.braided import centre_projections
+from qcat.braided import centre_projections, full_centre
 from qcat.category import build_category
 from qcat.errors import MismatchError, NonStandardizableError, ShapeError
 from qcat.fixtures import ising_category
 from qcat.frobenius import QSystem, check_qsystem, ising_q, matrix_qsystem, trivial_qsystem_in
 from qcat.modules import (
     Module,
-    _intertwiner_condition,
     _reaches,
     _summands,
     bimodule_tensor,
@@ -24,10 +23,13 @@ from qcat.modules import (
     free_module,
     module_end_algebra,
     morphism_space,
+    r_lift,
+    restrict_bimodule,
     validate_module,
 )
-from qcat.morphisms import Morphism, ObjectExpr, compose, identity, morphism_vector, tensor, trace
-from test_category import gauged_z3, zn_data
+from qcat.morphisms import Morphism, ObjectExpr, compose, hom_basis, identity, morphism_vector, tensor, trace
+from test_category import gauged_z3, vertex_gauge, zn_data
+from tests_helpers import gauge_qsystem, intertwiner_condition, random_gauge, solved_morphism_space
 
 
 def _trivial_bimodule(cat, q):
@@ -66,6 +68,20 @@ def test_left_and_right_modules_do_not_intertwine(ising, iq):
     right = free_module(ising, iq, rho, "right")
     with pytest.raises(MismatchError):
         morphism_space(left, right)
+
+
+def test_modules_over_a_regauged_qsystem_do_not_intertwine(ising, iq):
+    """A unitary regauge keeps theta but moves x: its modules share no
+    parent with the modules over the original, and neither the range of E
+    nor the tensor product over the middle may treat them as one."""
+    gauged = gauge_qsystem(ising, iq, random_gauge(ising, iq.theta, np.random.default_rng(0)))
+    assert gauged.theta == iq.theta and (gauged.x - iq.x).max_abs() > 0.1
+    sig = ObjectExpr.word("sig")
+    left, gauged_left = (free_module(ising, q, sig, "left") for q in (iq, gauged))
+    with pytest.raises(MismatchError):
+        morphism_space(left, gauged_left)
+    with pytest.raises(MismatchError):
+        bimodule_tensor(free_module(ising, (iq, iq), sig, "bi"), free_module(ising, gauged, sig, "left"))
 
 
 def test_scaled_module_fails(ising, iq):
@@ -220,12 +236,12 @@ def test_reciprocity_basis_is_a_basis_of_intertwiners(side, cat, q, words):
         free = free_module(cat, (q, q) if side == "bi" else q, ObjectExpr.word(*w), side)
         assert free.free_on == ObjectExpr.word(*w)
         basis = module_end_algebra(free).basis
-        (cond,) = _intertwiner_condition(free, free)
+        (cond,) = intertwiner_condition(free, free)
         for phi in basis:
             assert cond(phi).max_abs() < 1e2 * cat.tol
         coords = np.stack([morphism_vector(phi) for phi in basis], axis=1)
         assert np.linalg.matrix_rank(coords, tol=1e-8) == len(basis)
-        assert len(basis) == len(morphism_space(free, free))
+        assert len(basis) == len(solved_morphism_space(free, free))
 
 
 def test_cut_and_tensor_modules_are_not_free(ising, iq):
@@ -236,10 +252,12 @@ def test_cut_and_tensor_modules_are_not_free(ising, iq):
 
 
 def test_module_enumeration_solves_nothing(ising, iq, monkeypatch):
-    def no_solve(*args):
-        raise AssertionError("solve_morphism_space called")
+    """Enumeration reads every intertwiner off a reciprocity basis: it takes
+    no range of the expectation E."""
+    def no_range(*args):
+        raise AssertionError("image_basis called")
 
-    monkeypatch.setattr(modules, "solve_morphism_space", no_solve)
+    monkeypatch.setattr(modules, "image_basis", no_range)
     assert len(enumerate_modules(ising, iq, "left")) == 3
     assert len(enumerate_bimodules(ising, iq, iq)) == 3
 
@@ -296,7 +314,76 @@ def test_reciprocity_equivalence_agrees_with_the_solve(cat, q, side):
         rho = ObjectExpr.word(a)
         for part, s in _summands(free_module(cat, q, rho, side)):
             found = [_reaches(rho, s, r) for r in reps]
-            assert found == [len(morphism_space(part, r)) > 0 for r in reps], a
+            assert found == [len(solved_morphism_space(part, r)) > 0 for r in reps], a
             if not any(found):
                 reps.append(part)
     assert [r.beta for r in reps] == [m.beta for m in enumerate_modules(cat, q, side)]
+
+
+def _module_pool(cat, q, side, words, rng) -> list[Module]:
+    """Side left or right: the free modules over two seeded words, and their
+    summands.  Side bi: the tensor product t of a summand of the free left
+    and of the free right module over a seeded word, and the summands of t.
+    Every module of a pool has the same parents."""
+    seed = lambda: int(rng.integers(1 << 16))
+    if side == "bi":
+        rho = ObjectExpr.word(*words[rng.integers(len(words))])
+        left = decompose_module(free_module(cat, q, rho, "left"), seed())[0]
+        t = bimodule_tensor(left, free_module(cat, q, rho, "right"))
+        return [t, *decompose_module(t, seed())]
+    pool = []
+    for i in rng.choice(len(words), size=2, replace=False):
+        free = free_module(cat, q, ObjectExpr.word(*words[i]), side)
+        pool += [free, *decompose_module(free, seed())]
+    return pool
+
+
+def _r_lifted_pools(qa, qb) -> list[list[Module]]:
+    """The lifted R[m] of every A-B bimodule m of Ising, over R[A] and R[B]
+    in Ising x Ising^opp, and their restrictions to the full centres."""
+    cat = qa.cat
+    prod, red_a = full_centre(cat, qa)
+    red_b = red_a if qb is qa else full_centre(cat, qb)[1]
+    lifted = [r_lift(m, red_a.parent, red_b.parent) for m in enumerate_bimodules(cat, qa, qb)]
+    return [lifted, [restrict_bimodule(prod, m, red_a, red_b) for m in lifted]]
+
+
+def _expectation_pools(name, seed) -> list[list[Module]]:
+    rng = np.random.default_rng(seed)
+    if name == "gauged ising":
+        cat = vertex_gauge(build_category(ising_category()), seed)
+        q = [ising_q(cat), matrix_qsystem(cat, ObjectExpr.word("sig", "eps"))][seed % 2]
+        words = [("1",), ("eps",), ("sig",), ("sig", "eps")]
+    elif name == "gauged z3":
+        phase = {(a, b): np.exp(2j * np.pi * rng.random()) for a in range(1, 3) for b in range(1, 3)}
+        cat = build_category(zn_data(3, lambda a, b: phase[(a, b)]))
+        # the matrix Q-system of 1 + 2, a sum of two labels dual to each other
+        q = matrix_qsystem(cat, ObjectExpr.from_words([("1",), ("2",)]))
+        words = [("0",), ("1",), ("2",), ("1", "1")]
+    else:
+        cat = build_category(ising_category())
+        iq, tq = ising_q(cat), trivial_qsystem_in(cat)
+        return _r_lifted_pools(*[(tq, tq), (iq, iq), (tq, iq)][seed % 3])
+    return [_module_pool(cat, q, side, words, rng) for side in ("left", "right", "bi")]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["gauged ising", "gauged z3", "R[m]"])
+def test_the_expectation_projects_onto_the_solved_intertwiners(name, seed):
+    """E of `morphism_space` against the reference solve, on every pair of a
+    pool of modules with equal parents: E o E = E on the images of
+    `hom_basis`, E fixes each solved intertwiner, and E's range has the rank
+    of the solved space and spans it."""
+    for pool in _expectation_pools(name, seed):
+        for m1 in pool:
+            for m2 in pool:
+                e = modules._expectation(m1, m2)
+                for b in hom_basis(m1.cat, m1.beta, m2.beta):
+                    eb = e(b)
+                    assert (e(eb) - eb).max_abs() < 1e-9
+                want = solved_morphism_space(m1, m2)
+                for t in want:
+                    assert (e(t) - t).max_abs() < 1e-9
+                got = morphism_space(m1, m2)
+                vecs = [morphism_vector(t) for t in got + want]
+                assert len(got) == len(want) == (np.linalg.matrix_rank(np.stack(vecs, axis=1), tol=1e-8) if vecs else 0)
