@@ -17,12 +17,14 @@ from .errors import (
 from .frobenius import (
     QSystem,
     _special_standard,
+    frobenius_conj,
     hom0_algebra,
     left_endo_algebra,
 )
 from .morphisms import (
     Morphism,
     ObjectExpr,
+    _spectra,
     compose,
     identity,
     obj_dim,
@@ -38,7 +40,6 @@ class ReducedQSystem:
     projection: Morphism
     isometry: Morphism
     child: QSystem
-    n_p: Morphism
     n_p_scalar: bool
     n_p_spectrum: list[float]
 
@@ -73,11 +74,7 @@ def reduced_qsystem(
     w1 = compose(s.adjoint(), q.w)
     x1 = compose(tensor(s.adjoint(), s.adjoint()), compose(q.x, s))
     n_p = compose(x1.adjoint(), x1)
-    spectrum: list[float] = []
-    for b in n_p.blocks.values():
-        if b.size:
-            spectrum.extend(np.linalg.eigvalsh((b + b.conj().T) / 2.0).tolist())
-    spectrum.sort()
+    spectrum = sorted(lam for _, vals, _ in _spectra(n_p) for lam in vals.tolist())
     scalar = bool(spectrum) and (spectrum[-1] - spectrum[0]) < 1e3 * cat.tol
     dim_p = obj_dim(cat, theta_p)
     r = compose(q.x, q.w)
@@ -93,7 +90,6 @@ def reduced_qsystem(
         projection=p,
         isometry=s,
         child=child,
-        n_p=n_p,
         n_p_scalar=scalar,
         n_p_spectrum=spectrum,
     )
@@ -108,41 +104,24 @@ def central_decomposition(
     return [(p, reduced_qsystem(cat, q, p)) for p in alg.minimal_idempotents(seed)]
 
 
-def _pbar_candidates(q: QSystem, p: Morphism) -> list[Morphism]:
-    cat = q.cat
-    idt = identity(cat, q.theta)
-    r = compose(q.x, q.w)
-    left = compose(
-        tensor(r.adjoint(), idt), compose(tensor(idt, tensor(p, idt)), tensor(idt, r))
-    )
-    right = compose(
-        tensor(idt, r.adjoint()), compose(tensor(tensor(idt, p), idt), tensor(r, idt))
-    )
-    return [left, right]
-
-
 def irreducible_decomposition(
     cat: CategoryData, q: QSystem, seed: int | None = None
 ) -> list[tuple[Morphism, Morphism, Morphism, ReducedQSystem]]:
     """Decompose a simple Q-system into irreducible sub-Q-systems via minimal
-    projections p of the left module endomorphism algebra, their rotated
-    partners pbar, and the compatible projections P = pbar p."""
+    projections p of the left module endomorphism algebra, their Frobenius
+    conjugates pbar (`frobenius_conj`), and the compatible projections
+    P = pbar p."""
     h0 = hom0_algebra(cat, q)
     if h0.dim != 1:
         raise NotSimpleError(f"Q-system is not simple: centre dimension {h0.dim}")
     alg = left_endo_algebra(cat, q)
     out = []
     for p in alg.minimal_idempotents(seed):
-        pbar = None
-        for cand in _pbar_candidates(q, p):
-            comm = (compose(cand, p) - compose(p, cand)).max_abs()
-            prod = compose(cand, p)
-            if comm < 1e2 * cat.tol and _projection_residual(prod) < 1e2 * cat.tol:
-                pbar = cand
-                break
-        if pbar is None:
-            raise ConditionError("no commuting rotated partner projection found")
+        pbar = frobenius_conj(q, q, p)
         big_p = compose(pbar, p)
+        comm = (big_p - compose(p, pbar)).max_abs()
+        if not (comm < 1e2 * cat.tol and _projection_residual(big_p) < 1e2 * cat.tol):
+            raise ConditionError(f"pbar p is not a projection, or |pbar p - p pbar| = {comm:g}")
         out.append((p, pbar, big_p, reduced_qsystem(cat, q, big_p)))
     return out
 
@@ -158,8 +137,8 @@ def check_intermediate(cat: CategoryData, q: QSystem, p: Morphism) -> ReducedQSy
 
 
 def direct_sum_qsystems(cat: CategoryData, parts: list[QSystem]) -> QSystem:
-    """Direct sum of Q-systems: d^2 = sum d_i^2, with the weighted unit and
-    multiplication of the summands."""
+    """Direct sum of Q-systems: d^2 = sum d_i^2, with unit sum_i (d_i/d)^(1/2) w_i
+    and multiplication sum_i (d/d_i)^(1/2) x_i over the summands."""
     for part in parts:
         if part.cat is not cat:
             raise CategoryMismatchError("all parts must live in the same category")

@@ -11,31 +11,13 @@ from .errors import UnknownFixtureError
 _SQRT2 = float(np.sqrt(2.0))
 
 
-def _fseries(entries):
+def _series(key_name, entries):
+    """F or R symbols as documents: each key under key_name ("abc_d" or
+    "ab_c") with the real and imaginary parts of its matrix."""
     out = []
     for key, mat in entries:
         arr = np.asarray(mat, dtype=complex)
-        out.append(
-            {
-                "abc_d": list(key),
-                "re": np.real(arr).tolist(),
-                "im": np.imag(arr).tolist(),
-            }
-        )
-    return out
-
-
-def _rseries(entries):
-    out = []
-    for key, mat in entries:
-        arr = np.asarray(mat, dtype=complex)
-        out.append(
-            {
-                "ab_c": list(key),
-                "re": np.real(arr).tolist(),
-                "im": np.imag(arr).tolist(),
-            }
-        )
+        out.append({key_name: list(key), "re": np.real(arr).tolist(), "im": np.imag(arr).tolist()})
     return out
 
 
@@ -82,8 +64,8 @@ def ising_category() -> dict:
         "labels": [one, e, s],
         "dual": {one: one, e: e, s: s},
         "fusion": fusion,
-        "F": _fseries(f),
-        "R": _rseries(r),
+        "F": _series("abc_d", f),
+        "R": _series("ab_c", r),
         "tol": 1e-9,
     }
 
@@ -113,8 +95,8 @@ def z2_category() -> dict:
         "labels": [one, g],
         "dual": {one: one, g: g},
         "fusion": fusion,
-        "F": _fseries([((g, g, g, g), [[1]])]),
-        "R": _rseries([((g, g, one), [[1]])]),
+        "F": _series("abc_d", [((g, g, g, g), [[1]])]),
+        "R": _series("ab_c", [((g, g, one), [[1]])]),
         "tol": 1e-9,
     }
 

@@ -20,6 +20,7 @@ from .morphisms import (
     Morphism,
     ObjectExpr,
     _check_labels,
+    _spectra,
     braiding,
     compose,
     endo_power,
@@ -134,10 +135,24 @@ def check_commutative(cat: CategoryData, q: QSystem, sign: str = "+") -> tuple[b
     return res < cat.tol, float(res)
 
 
+def frobenius_conj(qa: QSystem, qb: QSystem, t: Morphism) -> Morphism:
+    """The antilinear Frobenius conjugation on Hom(theta_B, theta_A):
+    t -> (r_B* (x) 1) (1 (x) t* (x) 1) (1 (x) r_A), the rotation of t* by
+    the standard solutions r = x w of the conjugate equations."""
+    ida = identity(qa.cat, qa.theta)
+    idb = identity(qa.cat, qb.theta)
+    return compose(
+        tensor(qb.r.adjoint(), ida),
+        compose(tensor(idb, tensor(t.adjoint(), ida)), tensor(idb, qa.r)),
+    )
+
+
 def _special_standard(q: QSystem, n: Morphism) -> QSystem:
-    """The n-deformation of a Frobenius triple with n = x* x to special
-    standard form: w -> dim^(-1/4) n^(1/2) w and
-    x -> dim^(1/4) (n^(-1/2) (x) n^(-1/2)) x n^(1/2)."""
+    """The n-deformation of a Frobenius triple by a positive n:
+    w -> dim^(-1/4) n^(1/2) w and x -> dim^(1/4) (n^(-1/2) (x) n^(-1/2)) x n^(1/2).
+    The result has x* x = d when x* (n^-1 (x) n^-1) x = n^-1;
+    `make_special_standard` takes n = x* x, and `iterate_specialize` takes
+    n = m^-1 for the fixed point m of its recursion."""
     n_half = endo_power(n, 0.5)
     n_mhalf = endo_power(n, -0.5)
     dim = obj_dim(q.cat, q.theta)
@@ -189,16 +204,13 @@ def _power_iterate(step, start: Morphism, max_iter: int, tol: float) -> tuple[Mo
     return g, it + 1
 
 
-def iterate_specialize(
-    cat: CategoryData,
-    q: QSystem,
-    max_iter: int = 200,
-    scale: float | None = None,
-):
+def iterate_specialize(cat: CategoryData, q: QSystem):
     """Run the specialization recursion m_{k+1} = x* (m_k x m_k) x.
 
-    Starting from a multiple of the identity; if the limit is invertible,
-    deform by its square root and normalize.  Returns a QSystem or Diverged.
+    Starting from 1/d times the identity, for at most 200 steps; if the limit
+    m, scaled to the fixed point x* (m x m) x = m, is positive, return the
+    n-deformation `_special_standard` with n = m^-1.  Returns a QSystem or
+    Diverged.
     """
     idt = identity(cat, q.theta)
 
@@ -207,7 +219,7 @@ def iterate_specialize(
 
     # the scalar direction of the quadratic map is unstable, so iterate the
     # normalized direction and put the scale back at the end
-    m, steps = _power_iterate(step, (scale if scale is not None else 1.0 / q.d) * idt, max_iter, cat.tol)
+    m, steps = _power_iterate(step, (1.0 / q.d) * idt, 200, cat.tol)
     if m is None:
         return Diverged(spectrum=[], iterations=steps)
     fm = step(m)
@@ -216,25 +228,10 @@ def iterate_specialize(
     if abs(c) < 1e3 * cat.tol:
         return Diverged(spectrum=[], iterations=steps)
     m = (1.0 / c) * m
-    eigs: list[float] = []
-    for b in m.blocks.values():
-        eigs.extend(np.linalg.eigvalsh((b + b.conj().T) / 2.0).tolist())
-    if not eigs or min(eigs) < 1e3 * cat.tol:
-        return Diverged(spectrum=sorted(eigs), iterations=steps)
-    n = endo_power(m, 0.5)
-    n_inv = endo_power(m, -0.5)
-    w1 = compose(n_inv, q.w)
-    x1 = compose(tensor(n, n), compose(q.x, n_inv))
-    # fix the two scalar normalizations
-    d = q.d
-    nw = complex(compose(w1.adjoint(), w1).scalar())
-    alpha = np.sqrt(d / np.real(nw))
-    w1 = alpha * w1
-    nx = _mean_eigen(compose(x1.adjoint(), x1))
-    beta = np.sqrt(d / np.real(nx))
-    x1 = beta * x1
-    out = QSystem(cat, q.theta, w1, x1)
-    return out
+    eigs = sorted(lam for _, vals, _ in _spectra(m) for lam in vals.tolist())
+    if not eigs or eigs[0] < 1e3 * cat.tol:
+        return Diverged(spectrum=eigs, iterations=steps)
+    return _special_standard(q, endo_power(m, -1.0))
 
 
 # ---- linear maps on morphism spaces ---------------------------------
@@ -291,10 +288,7 @@ class AlgebraPresentation:
         a = sum((c * b for c, b in zip(coeffs[1:], self.basis[1:])), coeffs[0] * self.basis[0])
         h = a + a.adjoint()
         # (eigenvalue, sector, eigenvector) over every sector of the object
-        spectrum = []
-        for c in engine(h.cat).sectors(h.dom):
-            vals, vecs = np.linalg.eigh(h.block(c))
-            spectrum.extend((lam, c, vecs[:, k]) for k, lam in enumerate(vals))
+        spectrum = [(lam, c, vecs[:, k]) for c, vals, vecs in _spectra(h) for k, lam in enumerate(vals)]
         spectrum.sort(key=lambda t: -t[0])
         # one projection per cluster of eigenvalues, in descending order
         out: list[dict] = []

@@ -19,6 +19,7 @@ from .decompose import ReducedQSystem
 from .frobenius import (
     AlgebraPresentation,
     QSystem,
+    frobenius_conj,
     image_basis,
     trivial_qsystem_in,
 )
@@ -106,7 +107,7 @@ def validate_module(cat: CategoryData, mod: Module) -> ModuleReport:
     return ModuleReport(unit=unit, representation=float(rep), standard=standard, e_projection=e_proj, tol=1e2 * cat.tol)
 
 
-def free_module(cat: CategoryData, q, rho: ObjectExpr, side: str = "left", label: str = "") -> Module:
+def free_module(cat: CategoryData, q, rho: ObjectExpr, side: str = "left") -> Module:
     """The free module theta_A rho theta_B with m = x_A (x) 1 (x) x_B over
     (q, 1), (1, q) or q = (qa, qb) for side left, right or bi.  It records
     rho as `free_on`, from which `module_end_algebra` reads its
@@ -121,7 +122,7 @@ def free_module(cat: CategoryData, q, rho: ObjectExpr, side: str = "left", label
         raise ShapeError(f"unknown module side {side!r}")
     qa, qb = parents
     m = tensor(tensor(qa.x, identity(cat, rho)), qb.x)
-    return Module(qa.theta @ rho @ qb.theta, m, parents, label, free_on=rho)
+    return Module(qa.theta @ rho @ qb.theta, m, parents, free_on=rho)
 
 
 def _action_slot(mod: Module):
@@ -227,7 +228,7 @@ def enumerate_modules(cat: CategoryData, q, side: str = "left") -> list[Module]:
     reps: list[Module] = []
     for a in cat.labels:
         rho = ObjectExpr.word(a)
-        for part, s in _summands(free_module(cat, q, rho, side, label=f"free[{a}]")):
+        for part, s in _summands(free_module(cat, q, rho, side)):
             if not any(_reaches(rho, s, r) for r in reps):
                 part.label = f"m{len(reps)}[{a}]"
                 reps.append(part)
@@ -263,25 +264,16 @@ def bimodule_tensor(mod1: Module, mod2: Module) -> Module:
     return _require_standard(Module(beta, m12, (qa, qc), f"{mod1.label}(x){mod2.label}"))
 
 
-def d_intertwiner(cat: CategoryData, mod: Module, rho: ObjectExpr | None = None) -> Morphism:
-    """The beta-traced braided intertwiner of an A-B bimodule, with an object
-    rho (default the unit) threaded through the trace loop."""
-    rho = ObjectExpr.unit() if rho is None else rho
+def d_intertwiner(cat: CategoryData, mod: Module) -> Morphism:
+    """The beta-traced braided intertwiner of an A-B bimodule."""
     qa, qb = mod.parents
     beta = mod.beta
-    ida = identity(cat, qa.theta)
-    idr = identity(cat, rho)
+    ida, idbeta = identity(cat, qa.theta), identity(cat, beta)
     t = compose(
-        braiding(cat, qa.theta @ rho, beta, "+"),
-        compose(
-            tensor(ida, braiding(cat, beta, rho, "-")),
-            compose(
-                tensor(tensor(tensor(ida, identity(cat, beta)), qb.r.adjoint()), idr),
-                tensor(tensor(mod.m, identity(cat, qb.theta)), idr),
-            ),
-        ),
+        braiding(cat, qa.theta, beta, "+"),
+        compose(tensor(tensor(ida, idbeta), qb.r.adjoint()), tensor(mod.m, identity(cat, qb.theta))),
     )
-    return left_trace(cat, t, beta, qb.theta @ rho, qa.theta @ rho)
+    return left_trace(cat, t, beta, qb.theta, qa.theta)
 
 
 # ---- the boundary machinery ------------------------------------------
@@ -335,17 +327,6 @@ def restrict_bimodule(prod: CategoryData, mod: Module, red_a: ReducedQSystem, re
 def convolution(qa: QSystem, qb: QSystem, t1: Morphism, t2: Morphism) -> Morphism:
     """The convolution product on Hom(theta_B, theta_A) for commutative parents."""
     return compose(qa.x.adjoint(), compose(tensor(t1, t2), qb.x))
-
-
-def frobenius_conj(qa: QSystem, qb: QSystem, t: Morphism) -> Morphism:
-    """The antilinear Frobenius conjugation on Hom(theta_B, theta_A)."""
-    cat = qa.cat
-    ida = identity(cat, qa.theta)
-    idb = identity(cat, qb.theta)
-    return compose(
-        tensor(qb.r.adjoint(), ida),
-        compose(tensor(idb, tensor(t.adjoint(), ida)), tensor(idb, qa.r)),
-    )
 
 
 def trace_pairing(cat: CategoryData, t1: Morphism, t2: Morphism) -> complex:

@@ -629,7 +629,6 @@ def braiding(cat: CategoryData, x: ObjectExpr, y: ObjectExpr, sign: str = "+") -
 
 @dataclass
 class StandardPair:
-    obj: ObjectExpr
     conj: ObjectExpr
     r: Morphism
     rbar: Morphism
@@ -689,7 +688,7 @@ def standard_pair(cat: CategoryData, x: ObjectExpr) -> StandardPair:
     pairs = [_word_pair(cat, w) for w in x.summands]
     r = summand_matrix(cat, ObjectExpr.unit(), xbar @ x, {(i * n + i, 0): rw for i, (rw, _) in enumerate(pairs)})
     rbar = summand_matrix(cat, ObjectExpr.unit(), x @ xbar, {(i * n + i, 0): rb for i, (_, rb) in enumerate(pairs)})
-    return StandardPair(obj=x, conj=xbar, r=r, rbar=rbar)
+    return StandardPair(conj=xbar, r=r, rbar=rbar)
 
 
 def left_trace(cat: CategoryData, f: Morphism, x: ObjectExpr, rest_dom: ObjectExpr, rest_cod: ObjectExpr) -> Morphism:
@@ -728,14 +727,18 @@ def trace(cat: CategoryData, f: Morphism) -> complex:
 # ---- numeric helpers on endomorphisms --------------------------------
 
 
+def _spectra(f: Morphism):
+    """(c, eigenvalues, eigenvectors) of (b + b*)/2 for the block b of the
+    endomorphism f in each sector c of f.dom, in label order; a sector
+    without a block reads as zero."""
+    for c in engine(f.cat).sectors(f.dom):
+        b = f.block(c)
+        yield c, *np.linalg.eigh((b + b.conj().T) / 2.0)
+
+
 def endo_function(f: Morphism, fn) -> Morphism:
     """Apply a real spectral function to a self-adjoint endomorphism."""
-    blocks = {}
-    for c, b in f.blocks.items():
-        if b.size == 0:
-            continue
-        vals, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
-        blocks[c] = vecs @ np.diag(fn(vals)) @ vecs.conj().T
+    blocks = {c: vecs @ np.diag(fn(vals)) @ vecs.conj().T for c, vals, vecs in _spectra(f)}
     return Morphism(f.cat, f.dom, f.cod, blocks)
 
 
@@ -759,17 +762,10 @@ def range_isometry(cat: CategoryData, p: Morphism) -> tuple[ObjectExpr, Morphism
     """
     words = []
     cols: dict[str, np.ndarray] = {}
-    for c in cat.labels:
-        b = p.blocks.get(c)
-        if b is None or b.size == 0:
-            continue
-        vals, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
-        order = np.argsort(-vals)
-        vals = vals[order]
-        vecs = vecs[:, order]
+    for c, vals, vecs in _spectra(p):
         rank = int(np.sum(vals > 0.5))
         if rank:
             words.extend([(c,)] * rank)
-            cols[c] = vecs[:, :rank]
+            cols[c] = vecs[:, np.argsort(-vals)[:rank]]
     sub = ObjectExpr.from_words(words)
     return sub, Morphism(cat, sub, p.dom, cols)

@@ -11,11 +11,10 @@ from qcat.category import build_category
 from qcat.cli import _diff, run
 from qcat.errors import ConsistencyError, MismatchError
 from qcat.fixtures import ising_category
-from qcat.frobenius import ising_q, trivial_qsystem_in
+from qcat.frobenius import frobenius_conj, ising_q, trivial_qsystem_in
 from qcat.modules import (
     boundary_conditions,
     convolution,
-    frobenius_conj,
     r_lift,
     restrict_bimodule,
     validate_module,

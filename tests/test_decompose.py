@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qcat.category import build_category
 from qcat.decompose import (
     central_decomposition,
     check_intermediate,
@@ -11,8 +12,10 @@ from qcat.decompose import (
     reduced_qsystem,
 )
 from qcat.errors import ConditionError, NotProjectionError, NotSimpleError
-from qcat.frobenius import check_qsystem, matrix_qsystem, qsystems_equivalent
-from qcat.morphisms import ObjectExpr, compose, identity, inclusion, random_morphism
+from qcat.fixtures import ising_category
+from qcat.frobenius import check_qsystem, frobenius_conj, left_endo_algebra, matrix_qsystem, qsystems_equivalent
+from qcat.morphisms import ObjectExpr, compose, hom_basis, identity, inclusion, obj_dim, random_morphism, tensor
+from test_category import vertex_gauge, zn_data
 
 
 def _summand_projection(cat, theta, idxs):
@@ -71,6 +74,37 @@ def test_irreducible_decomposition_of_matrix_qsystem(ising):
     assert np.allclose(ds, [1.0, np.sqrt(2.0)], atol=1e-8)
     for _, _, _, red in parts:
         assert check_qsystem(ising, red.child).ok
+
+
+def _gauged_matrix_qsystems(seed):
+    """Matrix Q-systems of sums of two and three simples, in a seeded vertex
+    gauge of Ising and of Z3."""
+    rng = np.random.default_rng(seed)
+    phase = {(a, b): np.exp(2j * np.pi * rng.random()) for a in range(1, 3) for b in range(1, 3)}
+    ising = vertex_gauge(build_category(ising_category()), seed)
+    z3 = build_category(zn_data(3, lambda a, b: phase[(a, b)]))
+    sums = [(ising, ["sig", "1"]), (ising, ["eps", "sig"]), (ising, ["1", "eps", "sig"]),
+            (z3, ["1", "2"]), (z3, ["0", "1", "2"])]
+    return [(cat, labels, matrix_qsystem(cat, ObjectExpr.from_words([(a,) for a in labels]))) for cat, labels in sums]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_irreducible_decomposition_of_gauged_matrix_qsystems(seed):
+    """The matrix Q-system of a sum of k simples splits into the k matrix
+    Q-systems of its summands.  The rotations of a minimal projection p by
+    r = x w from the left (`frobenius_conj`) and from the right agree, and
+    each part is an irreducible Q-system: Hom(1, theta_child) is one-dimensional."""
+    for cat, labels, q in _gauged_matrix_qsystems(seed):
+        idt = identity(cat, q.theta)
+        for p in left_endo_algebra(cat, q).minimal_idempotents(seed):
+            right = compose(tensor(idt, q.r.adjoint()), compose(tensor(tensor(idt, p), idt), tensor(q.r, idt)))
+            assert (frobenius_conj(q, q, p) - right).max_abs() < 1e-10
+        parts = irreducible_decomposition(cat, q, seed)
+        assert len(parts) == len(labels)
+        assert np.allclose(sorted(red.child.d for *_, red in parts), sorted(obj_dim(cat, ObjectExpr.word(a)) for a in labels))
+        for *_, red in parts:
+            assert check_qsystem(cat, red.child).ok
+            assert len(hom_basis(cat, ObjectExpr.unit(), red.child.theta)) == 1
 
 
 def test_irreducible_decomposition_requires_simple(ising, iq, tq):

@@ -138,26 +138,35 @@ def test_unit_asso_special_implies_frobenius(ising, iq, tq, seed):
     assert rep.frobenius < 1e-9
 
 
+@pytest.fixture(scope="module")
+def z3_matrix_q():
+    """The matrix Q-system of the word 1 1 in the gauged Z3: an irreducible
+    one, whose multiplication reads the gauge phases of the F-moves."""
+    return matrix_qsystem(gauged_z3(), ObjectExpr.word("1", "1"))
+
+
 @pytest.mark.parametrize("seed", range(100))
-def test_specialize_round_trip(ising, iq, seed):
+def test_specialize_round_trip(iq, z3_matrix_q, seed):
     """Deform a Q-system by an invertible n, then recover a special standard
     one equivalent to the original."""
     rng = np.random.default_rng(seed)
-    h = random_morphism(ising, iq.theta, iq.theta, rng)
-    n = endo_power(
-        identity(ising, iq.theta) + 0.3 * compose(h.adjoint(), h) * (1.0 / max(h.max_abs() ** 2, 1.0)),
-        1.0,
-    )
-    n_inv = endo_power(n, -1.0)
-    w2 = compose(n_inv, iq.w)
-    x2 = compose(tensor(n, n), compose(iq.x, n_inv))
-    deformed = QSystem(ising, iq.theta, w2, x2)
-    rep = check_qsystem(ising, deformed)
-    assert rep.unit < 1e-9 and rep.associativity < 1e-9
-    assert not rep.ok  # speciality broken by the deformation in general
-    fixed = iterate_specialize(ising, deformed)
-    assert isinstance(fixed, QSystem)
-    assert check_qsystem(ising, fixed).ok
+    for q in (iq, z3_matrix_q):
+        cat = q.cat
+        h = random_morphism(cat, q.theta, q.theta, rng)
+        n = endo_power(
+            identity(cat, q.theta) + 0.3 * compose(h.adjoint(), h) * (1.0 / max(h.max_abs() ** 2, 1.0)),
+            1.0,
+        )
+        n_inv = endo_power(n, -1.0)
+        w2 = compose(n_inv, q.w)
+        x2 = compose(tensor(n, n), compose(q.x, n_inv))
+        deformed = QSystem(cat, q.theta, w2, x2)
+        rep = check_qsystem(cat, deformed)
+        assert rep.unit < 1e-9 and rep.associativity < 1e-9
+        assert not rep.ok  # speciality broken by the deformation in general
+        fixed = iterate_specialize(cat, deformed)
+        assert isinstance(fixed, QSystem)
+        assert check_qsystem(cat, fixed).ok
 
 
 def test_centre_of_ising_q_is_trivial(ising, iq):

@@ -27,7 +27,7 @@ from qcat.modules import (
     restrict_bimodule,
     validate_module,
 )
-from qcat.morphisms import Morphism, ObjectExpr, compose, hom_basis, identity, morphism_vector, tensor, trace
+from qcat.morphisms import Morphism, ObjectExpr, compose, hom_basis, identity, morphism_vector, tensor
 from test_category import gauged_z3, vertex_gauge, zn_data
 from tests_helpers import gauge_qsystem, intertwiner_condition, random_gauge, solved_morphism_space
 
@@ -170,19 +170,6 @@ def test_d_multiplicative_over_tensor(ising, tq):
     lhs = compose(d_intertwiner(ising, sig), d_intertwiner(ising, sig))
     rhs = d_intertwiner(ising, tt)  # d_B = 1 for the trivial middle
     assert (lhs - rhs).max_abs() < 1e-9
-
-
-def test_d_with_threaded_object(ising, tq):
-    mods = enumerate_bimodules(ising, tq, tq)
-    for m in mods:
-        for a in ising.labels:
-            rho = ObjectExpr.word(a)
-            d = d_intertwiner(ising, m, rho)
-            assert d.dom == ObjectExpr.word("1", a) or d.dom == rho
-            # threading the unit agrees with no threading
-        d0 = d_intertwiner(ising, m, ObjectExpr.word("1"))
-        dn = d_intertwiner(ising, m)
-        assert abs(trace(ising, d0) - trace(ising, dn)) < 1e-9
 
 
 def test_module_decomposition_of_wide_bimodule(ising):
