@@ -77,7 +77,7 @@ def reduced_qsystem(
     spectrum = sorted(lam for _, vals, _ in _spectra(n_p) for lam in vals.tolist())
     scalar = bool(spectrum) and (spectrum[-1] - spectrum[0]) < 1e3 * cat.tol
     dim_p = obj_dim(cat, theta_p)
-    r = compose(q.x, q.w)
+    r = q.r
     norm_val = complex(compose(r.adjoint(), compose(tensor(p, p), r)).scalar())
     if require_normalized and abs(norm_val - dim_p) > 1e3 * cat.tol * max(1.0, dim_p):
         raise NormalizationError(

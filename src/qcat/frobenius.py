@@ -210,7 +210,9 @@ def iterate_specialize(cat: CategoryData, q: QSystem):
     Starting from 1/d times the identity, for at most 200 steps; if the limit
     m, scaled to the fixed point x* (m x m) x = m, is positive, return the
     n-deformation `_special_standard` with n = m^-1.  Returns a QSystem or
-    Diverged.
+    Diverged.  Only a theta with dim Hom(1, theta) = 1 is recovered: on a
+    reducible theta the deformed triple fails its axioms (standard_w), and
+    NonStandardizableError names the failing residuals.
     """
     idt = identity(cat, q.theta)
 
@@ -231,7 +233,11 @@ def iterate_specialize(cat: CategoryData, q: QSystem):
     eigs = sorted(lam for _, vals, _ in _spectra(m) for lam in vals.tolist())
     if not eigs or eigs[0] < 1e3 * cat.tol:
         return Diverged(spectrum=eigs, iterations=steps)
-    return _special_standard(q, endo_power(m, -1.0))
+    out = _special_standard(q, endo_power(m, -1.0))
+    failing = {k: r for k, r in check_qsystem(cat, out).residuals().items() if not r < cat.tol}
+    if failing:
+        raise NonStandardizableError(f"the specialized triple fails its axioms: {failing}")
+    return out
 
 
 # ---- linear maps on morphism spaces ---------------------------------

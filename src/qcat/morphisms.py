@@ -200,9 +200,9 @@ class Engine:
 
     It keeps one sector table per word (`trees`) and per object (`sectors`),
     holding only the sectors they reach, and every walk goes over those.
-    Object tables, recouplings, braidings and standard pairs are built for
-    unit-free words only (`unit_free`); a word with unit letters reads the
-    table of its unit-free word, so `split` never sees a unit letter.
+    Object tables, recouplings and standard pairs are built for unit-free
+    words only (`unit_free`); a word with unit letters reads the table of
+    its unit-free word, so `split` never sees a unit letter.
     """
 
     def __init__(self, cat: CategoryData):
@@ -212,7 +212,6 @@ class Engine:
         self._tree_index: dict[tuple[Word, str], dict] = {}
         self._sectors: dict[ObjectExpr, dict[str, list[int]]] = {}
         self._split: dict[tuple[Word, Word], dict] = {}
-        self._word_braid: dict[tuple[Word, Word, str], Morphism] = {}
         self._word_pair: dict[Word, tuple[Morphism, Morphism]] = {}
         self._pair_index: dict[tuple[ObjectExpr, ObjectExpr], dict[str, _SectorIndex]] = {}
 
@@ -427,6 +426,10 @@ def engine(cat: CategoryData) -> Engine:
 # ---- basic constructors ----------------------------------------------
 
 
+def _word_obj(w: Word) -> ObjectExpr:
+    return ObjectExpr((w,))
+
+
 def zero_morphism(cat: CategoryData, dom: ObjectExpr, cod: ObjectExpr) -> Morphism:
     return Morphism(cat, dom, cod, {})
 
@@ -576,52 +579,34 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
 # ---- braiding --------------------------------------------------------
 
 
-def _word_obj(w: Word) -> ObjectExpr:
-    return ObjectExpr((w,))
-
-
-def word_braiding(cat: CategoryData, u: Word, v: Word, sign: str) -> Morphism:
-    """The braiding u (x) v -> v (x) u of two words: the blocks of the
-    unit-free words' braiding, placed on u v and v u."""
+def braiding(cat: CategoryData, x: ObjectExpr, y: ObjectExpr, sign: str = "+") -> Morphism:
+    """The braiding x (x) y -> y (x) x, one R-move per fusion channel; sign
+    '-' gives the opposite braiding.  Tree pair (i, j) of channel (c, d, mu)
+    of x (x) y at e goes to tree pair (j, i) of channel (d, c, nu) of
+    y (x) x with coefficient R^{cd}_e[nu, mu], in the split bases of
+    `Engine.pair_index`, recoupled as in `tensor`: natural for any unitary
+    F and R, and the identity with a unit factor."""
     if sign not in ("+", "-"):
         raise ValueError(f"braiding sign must be '+' or '-', not {sign!r}")
     eng = engine(cat)
-    key = (u, v, sign)
-    got = eng._word_braid.get(key)
-    if got is not None:
-        return got
-    bare = (unit_free(cat, u), unit_free(cat, v))
-    if bare != (u, v):
-        out = Morphism(cat, _word_obj(u + v), _word_obj(v + u), word_braiding(cat, *bare, sign).blocks)
-    elif len(u) == 0 or len(v) == 0:
-        out = identity(cat, _word_obj(u + v))
-    elif len(u) == 1 and len(v) == 1:
-        a, b = u[0], v[0]
-        blocks = {e: cat.rmat(a, b, e, sign) for e, _ in cat.fuse(a, b)}
-        out = Morphism(cat, _word_obj((a, b)), _word_obj((b, a)), blocks)
-    elif len(v) > 1:
-        v1, b = v[:-1], (v[-1],)
-        e1 = tensor(word_braiding(cat, u, v1, sign), identity(cat, _word_obj(b)))
-        e2 = tensor(identity(cat, _word_obj(v1)), word_braiding(cat, u, b, sign))
-        out = compose(e2, e1)
-    else:
-        u1, a = u[:-1], (u[-1],)
-        e1 = tensor(identity(cat, _word_obj(u1)), word_braiding(cat, a, v, sign))
-        e2 = tensor(word_braiding(cat, u1, v, sign), identity(cat, _word_obj(a)))
-        out = compose(e2, e1)
-    eng._word_braid[key] = out
-    return out
-
-
-def braiding(cat: CategoryData, x: ObjectExpr, y: ObjectExpr, sign: str = "+") -> Morphism:
-    """The braiding x (x) y -> y (x) x; sign '-' gives the opposite braiding."""
-    nx, ny = len(x.summands), len(y.summands)
-    parts = {
-        (j * nx + i, i * ny + j): word_braiding(cat, u, v, sign)
-        for i, u in enumerate(x.summands)
-        for j, v in enumerate(y.summands)
-    }
-    return summand_matrix(cat, x @ y, y @ x, parts)
+    x_sectors, y_sectors = eng.sectors(x), eng.sectors(y)
+    cod_index = eng.pair_index(y, x)
+    blocks: dict[str, np.ndarray] = {}
+    for e, dom_e in eng.pair_index(x, y).items():
+        cod_e = cod_index[e]
+        rows, cols, coeffs = [], [], []
+        for (c, d, mu), k in dom_e.groups.items():
+            nx, ny = x_sectors[c][-1], y_sectors[d][-1]
+            # column k + i ny + j holds trees (i, j); row j nx + i of a y (x) x group
+            for nu, coeff in enumerate(cat.rmat(c, d, e, sign)[:, mu].tolist()):
+                r = cod_e.groups[(d, c, nu)]
+                rows += [r + j * nx + i for i in range(nx) for j in range(ny)]
+                cols += range(k, k + nx * ny)
+                coeffs += [coeff] * (nx * ny)
+        mid = np.zeros((cod_e.dim, dom_e.dim), dtype=complex)
+        mid[rows, cols] = coeffs
+        blocks[e] = cod_e.rows_to_canonical(dom_e.cols_to_canonical(mid))
+    return Morphism(cat, x @ y, y @ x, blocks)
 
 
 # ---- standard pairs, traces, rotations -------------------------------

@@ -9,7 +9,7 @@ from qcat import frobenius
 from qcat.braided import canonical_qsystem, full_centre
 from qcat.category import build_category
 from qcat.decompose import direct_sum_qsystems
-from qcat.errors import CategoryMismatchError, ShapeError
+from qcat.errors import CategoryMismatchError, NonStandardizableError, ShapeError
 from qcat.fixtures import ising_category
 from qcat.frobenius import (
     DEFAULT_SEED,
@@ -145,6 +145,19 @@ def z3_matrix_q():
     return matrix_qsystem(gauged_z3(), ObjectExpr.word("1", "1"))
 
 
+def _deformed(q, rng):
+    """q deformed by a seeded invertible positive n: w -> n^-1 w and
+    x -> (n (x) n) x n^-1."""
+    cat = q.cat
+    h = random_morphism(cat, q.theta, q.theta, rng)
+    n = endo_power(
+        identity(cat, q.theta) + 0.3 * compose(h.adjoint(), h) * (1.0 / max(h.max_abs() ** 2, 1.0)),
+        1.0,
+    )
+    n_inv = endo_power(n, -1.0)
+    return QSystem(cat, q.theta, compose(n_inv, q.w), compose(tensor(n, n), compose(q.x, n_inv)))
+
+
 @pytest.mark.parametrize("seed", range(100))
 def test_specialize_round_trip(iq, z3_matrix_q, seed):
     """Deform a Q-system by an invertible n, then recover a special standard
@@ -152,21 +165,24 @@ def test_specialize_round_trip(iq, z3_matrix_q, seed):
     rng = np.random.default_rng(seed)
     for q in (iq, z3_matrix_q):
         cat = q.cat
-        h = random_morphism(cat, q.theta, q.theta, rng)
-        n = endo_power(
-            identity(cat, q.theta) + 0.3 * compose(h.adjoint(), h) * (1.0 / max(h.max_abs() ** 2, 1.0)),
-            1.0,
-        )
-        n_inv = endo_power(n, -1.0)
-        w2 = compose(n_inv, q.w)
-        x2 = compose(tensor(n, n), compose(q.x, n_inv))
-        deformed = QSystem(cat, q.theta, w2, x2)
+        deformed = _deformed(q, rng)
         rep = check_qsystem(cat, deformed)
         assert rep.unit < 1e-9 and rep.associativity < 1e-9
         assert not rep.ok  # speciality broken by the deformation in general
         fixed = iterate_specialize(cat, deformed)
         assert isinstance(fixed, QSystem)
         assert check_qsystem(cat, fixed).ok
+
+
+def test_specialize_of_a_reducible_theta_raises():
+    """On the vertex-gauged Ising sig + 1, dim Hom(1, theta) = 2: the
+    recursion's limit does not recover a standard w, and that raises."""
+    cat = vertex_gauge(build_category(ising_category()), 1)
+    q = matrix_qsystem(cat, ObjectExpr.from_words([("sig",), ()]))
+    assert len(hom_basis(cat, ObjectExpr.unit(), q.theta)) == 2
+    for seed in range(3):
+        with pytest.raises(NonStandardizableError, match="standard_w"):
+            iterate_specialize(cat, _deformed(q, np.random.default_rng(seed)))
 
 
 def test_centre_of_ising_q_is_trivial(ising, iq):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcat.braided import canonical_qsystem
-from qcat.category import build_category, load_category
+from qcat.category import build_category, deligne_product, load_category
 from qcat.errors import ParseError, ShapeError, UnknownLabelError
 from qcat.fixtures import ising_category
 from qcat.frobenius import ising_q
@@ -36,7 +36,9 @@ from qcat.morphisms import (
     unit_free,
     zero_morphism,
 )
-from test_category import gauged_z3
+from test_category import gauged_z3, vertex_gauge
+from test_golden import GAUGED_Z3
+from tests_helpers import reference_braiding
 
 SIG2 = ObjectExpr.word("sig", "sig")
 SSS = ObjectExpr.word("sig", "sig", "sig")
@@ -57,26 +59,6 @@ def test_tensor_functorial(ising):
     lhs = compose(tensor(a, c), tensor(b, d))
     rhs = tensor(compose(a, b), compose(c, d))
     assert (lhs - rhs).max_abs() < 1e-12
-
-
-def test_braiding_unitary_and_inverse(ising):
-    for sign in ("+", "-"):
-        eps = braiding(ising, SIG2, SSS, sign)
-        assert (compose(eps, eps.adjoint()) - identity(ising, SSS @ SIG2)).max_abs() < 1e-12
-    plus = braiding(ising, SIG2, SSS, "+")
-    minus = braiding(ising, SSS, SIG2, "-")
-    assert (minus - plus.adjoint()).max_abs() < 1e-12
-    for a, b, c in ising.fusion:
-        assert np.array_equal(ising.rmat(a, b, c, "-"), ising.rmat(b, a, c).conj().T)
-
-
-def test_braiding_naturality(ising):
-    rng = np.random.default_rng(2)
-    f = random_morphism(ising, SIG2, SSS, rng)
-    g = random_morphism(ising, SIG2, SIG2, rng)
-    lhs = compose(braiding(ising, SSS, SIG2, "+"), tensor(f, g))
-    rhs = compose(tensor(g, f), braiding(ising, SIG2, SIG2, "+"))
-    assert (lhs - rhs).max_abs() < 1e-10
 
 
 def test_standard_pair_zigzag(ising):
@@ -533,7 +515,7 @@ def test_engine_tables_hold_no_unit_letter():
 
 def test_braiding_with_a_unit_factor_checks_its_sign():
     """A braiding whose factor is the unit, or a word of unit letters, is an
-    identity, but a bad sign still raises, and nothing is cached under it."""
+    identity, but a bad sign still raises."""
     cat = build_category(ising_category())
     sig, unit, one = ObjectExpr.word("sig"), ObjectExpr.unit(), ObjectExpr.word("1")
     for x, y in ((sig, unit), (unit, sig), (unit, unit), (sig, one), (one, ObjectExpr.word("sig", "1"))):
@@ -541,7 +523,79 @@ def test_braiding_with_a_unit_factor_checks_its_sign():
             braiding(cat, x, y, "left")
         got, want = braiding(cat, x, y, "-"), identity(cat, x @ y)
         assert all(np.array_equal(got.blocks[c], b) for c, b in want.blocks.items())
-    assert not [key for key in engine(cat)._word_braid if key[2] == "left"]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_braiding_unitary_and_inverse(name):
+    """For any unitary R the braiding is unitary, and the opposite braiding
+    of y, x is its adjoint; `rmat`'s '-' sign is the adjoint R-move."""
+    cat, (x, y, z) = KERNEL_CASES[name]
+    for a, b in ((x, y), (y, z), (z, x)):
+        for sign in ("+", "-"):
+            eps = braiding(cat, a, b, sign)
+            assert (compose(eps, eps.adjoint()) - identity(cat, b @ a)).max_abs() < 1e-12
+            assert (compose(eps.adjoint(), eps) - identity(cat, a @ b)).max_abs() < 1e-12
+        assert (braiding(cat, b, a, "-") - braiding(cat, a, b, "+").adjoint()).max_abs() < 1e-12
+    for a, b, c in cat.fusion:
+        assert np.array_equal(cat.rmat(a, b, c, "-"), cat.rmat(b, a, c).conj().T)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_braiding_naturality(name):
+    """eps(y, x) (f (x) g) = (g (x) f) eps(x, z) for any unitary F and R:
+    on MULT2 neither the pentagon nor the hexagon holds."""
+    cat, (x, y, z) = KERNEL_CASES[name]
+    rng = np.random.default_rng(2)
+    f = random_morphism(cat, x, y, rng)
+    g = random_morphism(cat, z, x, rng)
+    for sign in ("+", "-"):
+        lhs = compose(braiding(cat, y, x, sign), tensor(f, g))
+        rhs = compose(tensor(g, f), braiding(cat, x, z, sign))
+        assert lhs.norm() > 1.0
+        assert (lhs - rhs).max_abs() < 1e-11
+
+
+def test_braiding_of_a_multiplicity_two_channel_is_its_r_move():
+    """On MULT2 the x block of eps(x, x) is R^{xx}_x itself: row nu is the
+    vertex of x x -> x on the codomain, column mu that on the domain."""
+    x = ObjectExpr.word("x")
+    for sign in ("+", "-"):
+        got = braiding(MULT2, x, x, sign)
+        assert got.blocks["x"].shape == (2, 2)
+        assert np.array_equal(got.blocks["x"], MULT2.rmat("x", "x", "x", sign))
+
+
+def _braiding_categories() -> dict:
+    ising = build_category(ising_category())
+    return {
+        "gauged_ising": vertex_gauge(ising, 11),
+        "gauged_z3": load_category(GAUGED_Z3),
+        "ising_x_ising_opp": deligne_product(ising, ising, reverse_right=True),
+    }
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("name", ["gauged_ising", "gauged_z3", "ising_x_ising_opp"])
+def test_braiding_matches_the_hexagon_recursion(name, sign):
+    """Where R satisfies the hexagon, the R-move per channel is the braiding
+    that the hexagon builds from single letters, on seeded multi-summand
+    objects with the empty word and unit letters."""
+    cat = _braiding_categories()[name]
+    rng = np.random.default_rng(30)
+    a, b = (c for c in cat.labels[1:3])
+
+    def random_object():
+        sizes = rng.integers(0, 4, size=rng.integers(1, 4))
+        return ObjectExpr.from_words([[cat.labels[i] for i in rng.integers(len(cat.labels), size=n)] for n in sizes])
+
+    objects = [ObjectExpr.from_words([(), (cat.unit, a), (a, cat.unit, b)]), ObjectExpr.word(a, b, a)]
+    objects += [random_object() for _ in range(4)]
+    memo: dict = {}
+    for x, y in itertools.product(objects, repeat=2):
+        got, want = braiding(cat, x, y, sign), reference_braiding(cat, x, y, sign, memo)
+        assert (got.dom, got.cod) == (want.dom, want.cod)
+        assert (got - want).max_abs() < 1e-12
+    assert got.norm() > 0.5 and any(len(x.summands) > 1 for x in objects[2:])
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))

@@ -9,6 +9,7 @@ from qcat.frobenius import QSystem, _condition_matrix
 from qcat.modules import _action_slot
 from qcat.morphisms import (
     Morphism,
+    _word_obj,
     ObjectExpr,
     braiding,
     compose,
@@ -17,7 +18,9 @@ from qcat.morphisms import (
     morphism_from_vector,
     random_morphism,
     right_trace,
+    summand_matrix,
     tensor,
+    unit_free,
 )
 
 
@@ -107,3 +110,52 @@ def killing_check(cat: CategoryData) -> dict:
         )
         out[a] = {"value": val, "target": target, "ok": abs(val - target) < 1e3 * cat.tol}
     return out
+
+
+# ---- the reference braiding: a hexagon recursion on word length -------
+
+
+def word_braiding(cat: CategoryData, u, v, sign: str, memo: dict) -> Morphism:
+    """The braiding u (x) v -> v (x) u of two words, built through the
+    hexagon from the R-moves of single letters: the blocks of the unit-free
+    words' braiding, placed on u v and v u.  `memo` caches it per word pair
+    and sign.  It equals the braiding only where R satisfies the hexagon."""
+    if sign not in ("+", "-"):
+        raise ValueError(f"braiding sign must be '+' or '-', not {sign!r}")
+    key = (u, v, sign)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    bare = (unit_free(cat, u), unit_free(cat, v))
+    if bare != (u, v):
+        out = Morphism(cat, _word_obj(u + v), _word_obj(v + u), word_braiding(cat, *bare, sign, memo).blocks)
+    elif len(u) == 0 or len(v) == 0:
+        out = identity(cat, _word_obj(u + v))
+    elif len(u) == 1 and len(v) == 1:
+        a, b = u[0], v[0]
+        blocks = {e: cat.rmat(a, b, e, sign) for e, _ in cat.fuse(a, b)}
+        out = Morphism(cat, _word_obj((a, b)), _word_obj((b, a)), blocks)
+    elif len(v) > 1:
+        v1, b = v[:-1], (v[-1],)
+        e1 = tensor(word_braiding(cat, u, v1, sign, memo), identity(cat, _word_obj(b)))
+        e2 = tensor(identity(cat, _word_obj(v1)), word_braiding(cat, u, b, sign, memo))
+        out = compose(e2, e1)
+    else:
+        u1, a = u[:-1], (u[-1],)
+        e1 = tensor(identity(cat, _word_obj(u1)), word_braiding(cat, a, v, sign, memo))
+        e2 = tensor(word_braiding(cat, u1, v, sign, memo), identity(cat, _word_obj(a)))
+        out = compose(e2, e1)
+    memo[key] = out
+    return out
+
+
+def reference_braiding(cat: CategoryData, x: ObjectExpr, y: ObjectExpr, sign: str, memo: dict) -> Morphism:
+    """The braiding x (x) y -> y (x) x assembled from the word braidings of
+    its summand pairs."""
+    nx, ny = len(x.summands), len(y.summands)
+    parts = {
+        (j * nx + i, i * ny + j): word_braiding(cat, u, v, sign, memo)
+        for i, u in enumerate(x.summands)
+        for j, v in enumerate(y.summands)
+    }
+    return summand_matrix(cat, x @ y, y @ x, parts)
