@@ -324,23 +324,13 @@ def _dispatch(args) -> int:
     if args.verb == "modules":
         _, q_spec = _need(args, 2, "modules <category> <qsystem> [--side left|right]")
         mods = enumerate_modules(cat, _load_q(cat, q_spec), args.side)
-        _emit(
-            {"count": len(mods), "modules": [
-                {"label": m.label, "beta": m.beta.as_json(), "dim": m.dim} for m in mods
-            ]},
-            fmt,
-        )
+        _emit({"count": len(mods), "modules": [m.as_json() for m in mods]}, fmt)
         return 0
 
     if args.verb == "bimodules":
         _, qa_spec, qb_spec = _need(args, 3, "bimodules <category> <qA> <qB>")
         mods = enumerate_bimodules(cat, _load_q(cat, qa_spec), _load_q(cat, qb_spec))
-        _emit(
-            {"count": len(mods), "bimodules": [
-                {"label": m.label, "beta": m.beta.as_json(), "dim": m.dim} for m in mods
-            ]},
-            fmt,
-        )
+        _emit({"count": len(mods), "bimodules": [m.as_json() for m in mods]}, fmt)
         return 0
 
     if args.verb == "boundary":

@@ -76,14 +76,15 @@ def reduced_qsystem(
     n_p = compose(x1.adjoint(), x1)
     spectrum = sorted(lam for _, vals, _ in _spectra(n_p) for lam in vals.tolist())
     scalar = bool(spectrum) and (spectrum[-1] - spectrum[0]) < 1e3 * cat.tol
-    dim_p = obj_dim(cat, theta_p)
-    r = q.r
-    norm_val = complex(compose(r.adjoint(), compose(tensor(p, p), r)).scalar())
-    if require_normalized and abs(norm_val - dim_p) > 1e3 * cat.tol * max(1.0, dim_p):
-        raise NormalizationError(
-            f"trace normalization fails: r*(PxP)r = {norm_val:g}, dim = {dim_p:g}; "
-            f"n_p spectrum {np.round(spectrum, 10).tolist()}"
-        )
+    if require_normalized:
+        dim_p = obj_dim(cat, theta_p)
+        r = q.r
+        norm_val = complex(compose(r.adjoint(), compose(tensor(p, p), r)).scalar())
+        if abs(norm_val - dim_p) > 1e3 * cat.tol * max(1.0, dim_p):
+            raise NormalizationError(
+                f"trace normalization fails: r*(PxP)r = {norm_val:g}, dim = {dim_p:g}; "
+                f"n_p spectrum {np.round(spectrum, 10).tolist()}"
+            )
     child = _special_standard(QSystem(cat, theta_p, w1, x1), n_p)
     return ReducedQSystem(
         parent=q,

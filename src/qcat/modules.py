@@ -26,16 +26,16 @@ from .frobenius import (
 from .morphisms import (
     Morphism,
     ObjectExpr,
+    _shared_sectors,
     braiding,
     compose,
-    engine,
     hom_basis,
     identity,
     left_trace,
+    morphism_vector,
     obj_dim,
     range_isometry,
     tensor,
-    trace,
     zero_morphism,
 )
 
@@ -61,6 +61,9 @@ class Module:
     @property
     def dim(self) -> float:
         return obj_dim(self.cat, self.beta)
+
+    def as_json(self) -> dict:
+        return {"label": self.label, "beta": self.beta.as_json(), "dim": self.dim}
 
 
 @dataclass
@@ -329,11 +332,6 @@ def convolution(qa: QSystem, qb: QSystem, t1: Morphism, t2: Morphism) -> Morphis
     return compose(qa.x.adjoint(), compose(tensor(t1, t2), qb.x))
 
 
-def trace_pairing(cat: CategoryData, t1: Morphism, t2: Morphism) -> complex:
-    """(t2, t1) = Tr(t1* t2)."""
-    return trace(cat, compose(t1.adjoint(), t2))
-
-
 @dataclass
 class BoundaryReport:
     bimodules: list
@@ -347,10 +345,7 @@ class BoundaryReport:
 
     def as_dict(self) -> dict:
         return {
-            "bimodules": [
-                {"label": m.label, "beta": m.beta.as_json(), "dim": m.dim}
-                for m in self.bimodules
-            ],
+            "bimodules": [m.as_json() for m in self.bimodules],
             "idempotents": [i.as_json() for i in self.idempotents],
             "smT": [[_c(v) for v in row] for row in self.smT],
             "smT_columns": self.smT_columns,
@@ -382,16 +377,22 @@ def boundary_conditions(cat: CategoryData, qa: QSystem, qb: QSystem) -> Boundary
     d_r = float(np.sqrt(cat.global_dim))
     bimods = enumerate_bimodules(cat, qa, qb)
     n = len(bimods)
-    dim = len(hom_basis(prod, zb.theta, za.theta))
-    if n != dim:
-        raise ConsistencyError(f"{n} A-B bimodules, but the convolution algebra has dimension {dim}")
+    # the coordinates of Hom(Z[B], Z[A]), in `morphism_vector` order
+    columns = [
+        (c, i, j)
+        for c, co, do in _shared_sectors(prod, zb.theta, za.theta)
+        for i in range(co[-1])
+        for j in range(do[-1])
+    ]
+    if n != len(columns):
+        raise ConsistencyError(f"{n} A-B bimodules, but the convolution algebra has dimension {len(columns)}")
     idems = []
-    dvals = []
+    coords = []
     for mod in bimods:
         lifted = r_lift(mod, red_a.parent, red_b.parent)
         restricted = restrict_bimodule(prod, lifted, red_a, red_b)
         d_rm = d_intertwiner(prod, restricted)
-        dvals.append(d_rm)
+        coords.append(morphism_vector(d_rm))
         coeff = mod.dim / (qa.d ** 2 * qb.d ** 2 * d_r ** 2)
         idems.append(coeff * d_rm)
     # residuals of the idempotent system
@@ -409,28 +410,15 @@ def boundary_conditions(cat: CategoryData, qa: QSystem, qb: QSystem) -> Boundary
     if not (res_idem <= bound and res_complete <= bound):
         raise ConsistencyError(f"boundary idempotents: idempotency {res_idem:g}, completeness {res_complete:g}")
     res_selfadj = max((frobenius_conj(za, zb, ii) - ii).max_abs() for ii in idems)
-    pairings = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            pairings[i, j] = trace_pairing(prod, dvals[j], dvals[i])
-    # S_{mT} against the common sector channels
-    eng = engine(prod)
-    columns = [
-        (c, i, j)
-        for c, offs in eng.sectors(za.theta).items()
-        for i in range(offs[-1])
-        for j in range(eng.obj_sector_dim(zb.theta, c))
-    ]
-    # S_mT[c, i, j] = Tr(D (tb_j ta_i*)) / (d_A d_B d_R^2 sqrt(d_c)) = sqrt(d_c) D_c[i, j] / (d_A d_B d_R^2)
-    smT = np.zeros((n, len(columns)), dtype=complex)
-    for row, d_rm in enumerate(dvals):
-        for col, (c, i, j) in enumerate(columns):
-            smT[row, col] = np.sqrt(prod.dims[c]) * d_rm.block(c)[i, j]
-    smT /= qa.d * qb.d * d_r ** 2
-    c_matrix = np.zeros_like(smT)
-    for row, mod in enumerate(bimods):
-        c_matrix[row] = (qa.d * qb.d / mod.dim) * np.conj(smT[row])
-    res_unitary = float(np.abs(smT @ smT.conj().T - np.eye(n)).max())
+    # S_mT[c, i, j] = Tr(D (tb_j ta_i*)) / N = sqrt(d_c) D_c[i, j] / N, N = d_A d_B d_R^2
+    big_n = qa.d * qb.d * d_r ** 2
+    smT = np.sqrt([prod.dims[c] for c, _, _ in columns]) * np.array(coords) / big_n
+    dims = np.array([mod.dim for mod in bimods])
+    c_matrix = (qa.d * qb.d / dims)[:, None] * smT.conj()
+    # Tr(D_j* D_i) = sum_c d_c tr(D_j,c* D_i,c) = N^2 (S_mT S_mT*)_ij
+    gram = smT @ smT.conj().T
+    pairings = big_n ** 2 * gram
+    res_unitary = float(np.abs(gram - np.eye(n)).max())
     residuals = {
         "completeness": float(res_complete),
         "idempotency": float(res_idem),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .category import CategoryData, _complex_array, _f_row, _json_int
+from .category import CategoryData, _complex_array, _f_row, _json_int, _r_col
 from .errors import ConjugacyError, ParseError, ShapeError, UnknownLabelError
 
 Word = tuple[str, ...]
@@ -583,9 +583,10 @@ def braiding(cat: CategoryData, x: ObjectExpr, y: ObjectExpr, sign: str = "+") -
     """The braiding x (x) y -> y (x) x, one R-move per fusion channel; sign
     '-' gives the opposite braiding.  Tree pair (i, j) of channel (c, d, mu)
     of x (x) y at e goes to tree pair (j, i) of channel (d, c, nu) of
-    y (x) x with coefficient R^{cd}_e[nu, mu], in the split bases of
-    `Engine.pair_index`, recoupled as in `tensor`: natural for any unitary
-    F and R, and the identity with a unit factor."""
+    y (x) x with coefficient R^{cd}_e[nu, mu], read from the R-move table
+    (`_r_col`), in the split bases of `Engine.pair_index`, recoupled as in
+    `tensor`: natural for any unitary F and R, and the identity with a unit
+    factor."""
     if sign not in ("+", "-"):
         raise ValueError(f"braiding sign must be '+' or '-', not {sign!r}")
     eng = engine(cat)
@@ -598,7 +599,7 @@ def braiding(cat: CategoryData, x: ObjectExpr, y: ObjectExpr, sign: str = "+") -
         for (c, d, mu), k in dom_e.groups.items():
             nx, ny = x_sectors[c][-1], y_sectors[d][-1]
             # column k + i ny + j holds trees (i, j); row j nx + i of a y (x) x group
-            for nu, coeff in enumerate(cat.rmat(c, d, e, sign)[:, mu].tolist()):
+            for nu, coeff in _r_col(cat, (c, d, e), sign, mu):
                 r = cod_e.groups[(d, c, nu)]
                 rows += [r + j * nx + i for i in range(nx) for j in range(ny)]
                 cols += range(k, k + nx * ny)

@@ -8,7 +8,7 @@ import pytest
 import qcat.modules as modules
 from qcat.braided import full_centre
 from qcat.category import build_category
-from qcat.cli import _diff, run
+from qcat.cli import _diff, _load_cat, _load_q, run
 from qcat.errors import ConsistencyError, MismatchError
 from qcat.fixtures import ising_category
 from qcat.frobenius import frobenius_conj, ising_q, trivial_qsystem_in
@@ -20,6 +20,8 @@ from qcat.modules import (
     validate_module,
 )
 from qcat.morphisms import compose, hom_basis, morphism_from_vector, morphism_vector, random_morphism
+from test_golden import GAUGED_Z3
+from tests_helpers import reference_boundary
 
 
 def _convolution_idempotents(qa, qb, seed):
@@ -107,6 +109,36 @@ def test_mixed_case(ising, iq, tq):
     for v in rep.residuals.values():
         assert v < 1e-8
     assert np.max(np.abs(rep.smT @ rep.smT.conj().T - np.eye(3))) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "category, a, b",
+    [
+        ("ising", "trivial", "trivial"),
+        ("ising", "trivial", "ising_q"),
+        ("ising", "ising_q", "trivial"),
+        ("ising", "ising_q", "ising_q"),
+        ("gauged_z3", "trivial", "trivial"),
+    ],
+)
+def test_boundary_numbers_match_the_block_walk(category, a, b):
+    """The pairings are Tr(D_j* D_i), one trace per pair; S_mT is the
+    sector-by-sector walk of each D_m's blocks; its columns are the
+    coordinates of `hom_basis(Z[B], Z[A])`, in order."""
+    cat = _load_cat(GAUGED_Z3 if category == "gauged_z3" else category)
+    qa, qb = _load_q(cat, a), _load_q(cat, b)
+    rep = boundary_conditions(cat, qa, qb)
+    pairings, smT = reference_boundary(cat, qa, qb)
+    assert np.max(np.abs(rep.pairings - pairings)) <= 1e-12 * np.max(np.abs(pairings))
+    assert np.max(np.abs(rep.smT - smT)) <= 1e-14
+    prod, red_a = full_centre(cat, qa)
+    zb = full_centre(cat, qb)[1].child
+    entries = []
+    for e in hom_basis(prod, zb.theta, red_a.child.theta):
+        ((c, block),) = e.blocks.items()
+        ((i, j),) = np.argwhere(block != 0)
+        entries.append({"sector": c, "slot_a": int(i), "slot_b": int(j)})
+    assert rep.smT_columns == entries
 
 
 def test_lifted_bimodules_are_bimodules(ising, tq):

@@ -11,9 +11,9 @@ from qcat.decompose import (
     irreducible_decomposition,
     reduced_qsystem,
 )
-from qcat.errors import ConditionError, NotProjectionError, NotSimpleError
+from qcat.errors import ConditionError, NormalizationError, NotProjectionError, NotSimpleError
 from qcat.fixtures import ising_category
-from qcat.frobenius import check_qsystem, frobenius_conj, left_endo_algebra, matrix_qsystem, qsystems_equivalent
+from qcat.frobenius import QSystem, check_qsystem, frobenius_conj, left_endo_algebra, matrix_qsystem, qsystems_equivalent
 from qcat.morphisms import ObjectExpr, compose, hom_basis, identity, inclusion, obj_dim, random_morphism, tensor
 from test_category import vertex_gauge, zn_data
 
@@ -31,6 +31,17 @@ def test_trivial_projection_is_intermediate(ising, iq):
     red = check_intermediate(ising, iq, identity(ising, iq.theta))
     assert check_qsystem(ising, red.child).ok
     assert abs(red.child.d - iq.d) < 1e-9
+
+
+def test_unnormalized_unit_rejected_unless_intermediate(ising, iq):
+    """With w doubled, r*(PxP)r = 8 for P = 1 against dim theta = 2: the
+    normalized reduction refuses it; the intermediate check, which asks for
+    no normalization, accepts it."""
+    q = QSystem(ising, iq.theta, 2.0 * iq.w, iq.x)
+    p = identity(ising, iq.theta)
+    with pytest.raises(NormalizationError, match=r"r\*\(PxP\)r = 8\+0j, dim = 2"):
+        reduced_qsystem(ising, q, p)
+    assert check_intermediate(ising, q, p).n_p_scalar
 
 
 def test_not_projection_rejected(ising, iq):

@@ -2,17 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from qcat.braided import canonical_qsystem
+from qcat.braided import canonical_qsystem, full_centre
 from qcat.category import CategoryData, pair_label
 from qcat.errors import MismatchError
 from qcat.frobenius import QSystem, _condition_matrix
-from qcat.modules import _action_slot
+from qcat.modules import _action_slot, d_intertwiner, enumerate_bimodules, r_lift, restrict_bimodule
 from qcat.morphisms import (
     Morphism,
     _word_obj,
     ObjectExpr,
     braiding,
     compose,
+    engine,
     hom_basis,
     identity,
     morphism_from_vector,
@@ -20,6 +21,7 @@ from qcat.morphisms import (
     right_trace,
     summand_matrix,
     tensor,
+    trace,
     unit_free,
 )
 
@@ -159,3 +161,45 @@ def reference_braiding(cat: CategoryData, x: ObjectExpr, y: ObjectExpr, sign: st
         for j, v in enumerate(y.summands)
     }
     return summand_matrix(cat, x @ y, y @ x, parts)
+
+
+# ---- the reference boundary numbers: block traces and the sector walk --
+
+
+def trace_pairing(cat: CategoryData, t1: Morphism, t2: Morphism) -> complex:
+    """(t2, t1) = Tr(t1* t2)."""
+    return trace(cat, compose(t1.adjoint(), t2))
+
+
+def reference_boundary(cat: CategoryData, qa: QSystem, qb: QSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(pairings, S_mT) of the boundary conditions between Z[A] and Z[B]:
+    Tr(D_j* D_i) by one trace per pair, and S_mT by walking the (sector,
+    row, column) entries of each D_m's blocks."""
+    prod, red_a = full_centre(cat, qa)
+    red_b = full_centre(cat, qb)[1]
+    za, zb = red_a.child, red_b.child
+    d_r = float(np.sqrt(cat.global_dim))
+    dvals = [
+        d_intertwiner(prod, restrict_bimodule(prod, r_lift(mod, red_a.parent, red_b.parent), red_a, red_b))
+        for mod in enumerate_bimodules(cat, qa, qb)
+    ]
+    n = len(dvals)
+    pairings = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            pairings[i, j] = trace_pairing(prod, dvals[j], dvals[i])
+    # S_{mT} against the common sector channels
+    eng = engine(prod)
+    columns = [
+        (c, i, j)
+        for c, offs in eng.sectors(za.theta).items()
+        for i in range(offs[-1])
+        for j in range(eng.obj_sector_dim(zb.theta, c))
+    ]
+    # S_mT[c, i, j] = Tr(D (tb_j ta_i*)) / (d_A d_B d_R^2 sqrt(d_c)) = sqrt(d_c) D_c[i, j] / (d_A d_B d_R^2)
+    smT = np.zeros((n, len(columns)), dtype=complex)
+    for row, d_rm in enumerate(dvals):
+        for col, (c, i, j) in enumerate(columns):
+            smT[row, col] = np.sqrt(prod.dims[c]) * d_rm.block(c)[i, j]
+    smT /= qa.d * qb.d * d_r ** 2
+    return pairings, smT
