@@ -88,11 +88,12 @@ def opposite_product_category(cat: CategoryData) -> CategoryData:
     return prod
 
 
-def _conj_hom_matrix(cat: CategoryData, rho: str, sigma: str, tau: str, sign: str = "-") -> np.ndarray:
+def _conj_hom_matrix(cat: CategoryData, rho: str, sigma: str, tau: str) -> np.ndarray:
     """Matrix of the antiunitary map Hom(tau, rho sigma) -> Hom(taubar, rhobar sigmabar)
-    realized by entrywise conjugation followed by Frobenius rotation, unitarized.
-    Column mu holds the `morphism_vector` coordinates of the image of
-    hom_basis(tau, rho sigma)[mu]."""
+    realized by entrywise conjugation followed by Frobenius rotation and the
+    opposite braiding, unitarized.  Column mu holds the `morphism_vector`
+    coordinates of the image of hom_basis(tau, rho sigma)[mu]; that basis is
+    of real 0/1 matrices, so each element is its own entrywise conjugate."""
     rb, sb = cat.dual[rho], cat.dual[sigma]
     dom = ObjectExpr.word(tau)
     cod = ObjectExpr.word(rho, sigma)
@@ -102,11 +103,10 @@ def _conj_hom_matrix(cat: CategoryData, rho: str, sigma: str, tau: str, sign: st
     pair_w = standard_pair(cat, cod)          # conj = (sigmabar rhobar)
     pair_t = standard_pair(cat, dom)          # conj = taubar
     id_c = identity(cat, pair_w.conj)
-    eps = braiding(cat, ObjectExpr.word(sb), ObjectExpr.word(rb), sign)
+    eps = braiding(cat, ObjectExpr.word(sb), ObjectExpr.word(rb), "-")
     cols = []
     for t in basis:
-        tc = Morphism(cat, t.dom, t.cod, {c: np.conj(b) for c, b in t.blocks.items()})
-        g = compose(tensor(id_c, tc.adjoint()), pair_w.r)      # Hom(1, sb rb tau)
+        g = compose(tensor(id_c, t.adjoint()), pair_w.r)       # Hom(1, sb rb tau)
         rot0 = compose(
             tensor(id_c, pair_t.rbar.adjoint()),
             tensor(g, identity(cat, pair_t.conj)),

@@ -198,8 +198,9 @@ def _check_labels(cat: CategoryData, objects, sectors=()) -> None:
 class Engine:
     """Per-category fusion-tree machinery with recoupling caches.
 
-    It keeps one sector table per word (`trees`) and per object (`sectors`),
-    holding only the sectors they reach, and every walk goes over those.
+    It keeps one sector table per word (`trees`, the tree counts) and per
+    object (`sectors`), holding only the sectors they reach, and every walk
+    goes over those.  A tree's place is read off the counts (`_blocks`).
     Object tables, recouplings and standard pairs are built for unit-free
     words only (`unit_free`); a word with unit letters reads the table of
     its unit-free word, so `split` never sees a unit letter.
@@ -208,8 +209,7 @@ class Engine:
     def __init__(self, cat: CategoryData):
         self.cat = cat
         self._rank = {c: i for i, c in enumerate(cat.labels)}
-        self._trees: dict[Word, dict[str, list]] = {}
-        self._tree_index: dict[tuple[Word, str], dict] = {}
+        self._trees: dict[Word, dict[str, int]] = {}
         self._sectors: dict[ObjectExpr, dict[str, list[int]]] = {}
         self._split: dict[tuple[Word, Word], dict] = {}
         self._word_pair: dict[Word, tuple[Morphism, Morphism]] = {}
@@ -220,36 +220,34 @@ class Engine:
 
     # ---- fusion trees -------------------------------------------------
 
-    def trees(self, w: Word) -> dict[str, list]:
-        """The canonical trees of w in each sector c it reaches: a tree of
-        w[:-1] at b, then a vertex mu of b x w[-1] -> c, ordered by b (in
-        label order), then the sub-tree, then mu."""
+    def trees(self, w: Word) -> dict[str, int]:
+        """How many canonical trees w has in each sector c it reaches: a tree
+        of w[:-1] at b, then a vertex mu of b x w[-1] -> c, placed by `_blocks`."""
         got = self._trees.get(w)
         if got is not None:
             return got
         cat = self.cat
         if not w:
-            out = {cat.unit: [()]}
+            out = {cat.unit: 1}
         elif w[-1] not in cat.dual:
             raise UnknownLabelError(f"unknown label {w[-1]!r}")
         elif len(w) == 1:
-            out = {w[0]: [()]}
+            out = {w[0]: 1}
         else:
-            grown: dict[str, list] = {}
-            for b, sub in self.trees(w[:-1]).items():
-                for c, m in cat.fuse(b, w[-1]):
-                    grown.setdefault(c, []).extend(t + ((b, mu),) for t in sub for mu in range(m))
-            out = self._in_label_order(grown)
+            out = self._in_label_order(self._blocks(w)[0])
         self._trees[w] = out
         return out
 
-    def tree_index(self, w: Word, c: str) -> dict:
-        key = (w, c)
-        got = self._tree_index.get(key)
-        if got is None:
-            got = {t: i for i, t in enumerate(self.trees(w)[c])}
-            self._tree_index[key] = got
-        return got
+    def _blocks(self, w: Word) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
+        """(size, start) for a word of two or more letters: tree k of w[:-1] at
+        b, then vertex mu of b x w[-1] -> c, is tree start[c][b] + k N_{b w[-1]}^c
+        + mu of the size[c] trees of w at c, ordered by b (in label order), k, mu."""
+        size, start = {}, {}
+        for b, n in self.trees(w[:-1]).items():
+            for c, m in self.cat.fuse(b, w[-1]):
+                start.setdefault(c, {})[b] = size.get(c, 0)
+                size[c] = size.get(c, 0) + n * m
+        return size, start
 
     def sectors(self, x: ObjectExpr) -> dict[str, list[int]]:
         """Per sector c that x reaches: the offsets of x's summands in c,
@@ -266,7 +264,7 @@ class Engine:
         for c in self._in_label_order({c: None for t in tables for c in t}):
             offs = [0]
             for t in tables:
-                offs.append(offs[-1] + len(t.get(c, ())))
+                offs.append(offs[-1] + t.get(c, 0))
             out[c] = offs
         self._sectors[x] = out
         return out
@@ -300,27 +298,27 @@ class Engine:
         else:
             cat = self.cat
             v, a = w2[:-1], w2[-1]
-            prev = self.split(w1, v)
-            wv, v_trees = w1 + v, self.trees(v)
+            prev, n_wv = self.split(w1, v), self.trees(w1 + v)
+            (_, start), (_, start2) = self._blocks(w1 + w2), self._blocks(w2)
             out = {}
-            for e, can in self.trees(w1 + w2).items():
+            for e, n_e in self.trees(w1 + w2).items():
                 split_list = split_lists[e]
                 sidx = {t: i for i, t in enumerate(split_list)}
-                s = np.zeros((len(split_list), len(can)), dtype=complex)
-                for col, tt in enumerate(can):
-                    b, mu = tt[-1]
-                    prev_s, prev_list = prev[b]
-                    k = self.tree_index(wv, b)[tt[:-1]]
-                    if prev_s is None:  # a one-hot column
-                        vec = [(prev_list[k], 1.0)]
-                    else:
-                        column = prev_s[:, k].tolist()
-                        vec = [(t, x) for t, x in zip(prev_list, column) if not abs(x) < 1e-15]  # a NaN stays
-                    # F^{c d' a}_e at the vertices (nu, mu) of each split tree
-                    for (c, i1, dp, i2p, nu), x in vec:
-                        for (d, sig, tau), y in _f_row(cat, (c, dp, a, e), (b, nu, mu)):
-                            i2 = self.tree_index(w2, d)[v_trees[dp][i2p] + ((dp, sig),)]
-                            s[sidx[c, i1, d, i2, tau], col] += x * y
+                s = np.zeros((len(split_list), n_e), dtype=complex)
+                for b, j in start[e].items():
+                    prev_s, prev_list, m = *prev[b], cat.n(b, a, e)
+                    for k in range(n_wv[b]):
+                        if prev_s is None:  # a one-hot column
+                            vec = [(prev_list[k], 1.0)]
+                        else:
+                            column = prev_s[:, k].tolist()
+                            vec = [(t, x) for t, x in zip(prev_list, column) if not abs(x) < 1e-15]  # a NaN stays
+                        for mu in range(m):
+                            # F^{c d' a}_e at the vertices (nu, mu) of each split tree
+                            for (c, i1, dp, i2p, nu), x in vec:
+                                for (d, sig, tau), y in _f_row(cat, (c, dp, a, e), (b, nu, mu)):
+                                    i2 = start2[d][dp] + i2p * cat.n(dp, a, d) + sig
+                                    s[sidx[c, i1, d, i2, tau], j + k * m + mu] += x * y
                 out[e] = (s, split_list)
         self._split[key] = out
         return out
@@ -330,11 +328,11 @@ class Engine:
         by c, then d (in label order), then i1, i2, mu."""
         out: dict[str, list] = {}
         t2 = self.trees(w2)
-        for c, s1 in self.trees(w1).items():
-            for d, s2 in t2.items():
+        for c, n1 in self.trees(w1).items():
+            for d, n2 in t2.items():
                 for e, m in self.cat.fuse(c, d):
                     out.setdefault(e, []).extend(
-                        (c, i1, d, i2, mu) for i1 in range(len(s1)) for i2 in range(len(s2)) for mu in range(m)
+                        (c, i1, d, i2, mu) for i1 in range(n1) for i2 in range(n2) for mu in range(m)
                     )
         return self._in_label_order(out)
 
@@ -639,21 +637,18 @@ def _word_pair(cat: CategoryData, w: Word) -> tuple[Morphism, Morphism]:
         a = w[0]
         abar = cat.dual[a]
         d = cat.dims[a]
-        r = Morphism(cat, unit_obj, _word_obj((abar, a)), {cat.unit: np.array([[np.sqrt(d)]], dtype=complex)})
-        rbar0 = Morphism(cat, unit_obj, _word_obj((a, abar)), {cat.unit: np.array([[np.sqrt(d)]], dtype=complex)})
-        ida = identity(cat, _word_obj((a,)))
-        zig = compose(tensor(ida, r.adjoint()), tensor(rbar0, ida))
-        zeta = complex(zig.blocks[a][0, 0])
+        # the zig-zags of r = rbar = sqrt(d): d F^{a abar a}_a[0, 0], d conj(F^{abar a abar}_abar[0, 0])
+        zeta = d * complex(cat.fmat(a, abar, a, a)[0, 0])
         if abs(zeta) < 1e-12:
             raise ConjugacyError(f"zig-zag vanishes for label {a!r}")
         phi = 1.0 / zeta
         if abs(abs(phi) - 1.0) > 1e2 * cat.tol:
             raise ConjugacyError(f"no unimodular conjugacy phase for {a!r}: |phi| = {abs(phi)}")
-        rbar = phi * rbar0
-        idab = identity(cat, _word_obj((abar,)))
-        zig2 = compose(tensor(r.adjoint(), idab), tensor(idab, rbar))
-        if (zig2 - idab).max_abs() > 1e2 * cat.tol:
+        if abs(d * phi * np.conj(cat.fmat(abar, a, abar, abar)[0, 0]) - 1.0) > 1e2 * cat.tol:
             raise ConjugacyError(f"conjugacy relations unsolvable for {a!r}")
+        root = np.array([[np.sqrt(d)]], dtype=complex)
+        r = Morphism(cat, unit_obj, _word_obj((abar, a)), {cat.unit: root})
+        rbar = Morphism(cat, unit_obj, _word_obj((a, abar)), {cat.unit: phi * root})
     else:
         v, a = w[:-1], (w[-1],)
         rv, rvbar = _word_pair(cat, v)

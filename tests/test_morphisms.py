@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from qcat.braided import canonical_qsystem
 from qcat.category import build_category, deligne_product, load_category
-from qcat.errors import ParseError, ShapeError, UnknownLabelError
+from qcat.errors import ConjugacyError, ParseError, ShapeError, UnknownLabelError
 from qcat.fixtures import ising_category
 from qcat.frobenius import ising_q
 from qcat.modules import boundary_conditions
@@ -363,6 +364,9 @@ def _reference_split_list(cat, w1, w2, e):
 
 @pytest.mark.parametrize("name", ["ising", "mult2", "gauged_z3"])
 def test_sector_tables_match_label_scan(name):
+    """The engine's tree counts are those of the label scan, and tree k of
+    w[:-1] at b with vertex mu of b x w[-1] -> c sits at place
+    start[c][b] + k N + mu of the scan's trees of w at c."""
     cat = {"ising": KERNEL_CASES["ising"][0], "mult2": MULT2, "gauged_z3": gauged_z3()}[name]
     eng = engine(cat)
     words = [w for n in range(5) for w in itertools.product(cat.labels, repeat=n)]
@@ -370,7 +374,19 @@ def test_sector_tables_match_label_scan(name):
         want = {c: _reference_trees(cat, w, c) for c in cat.labels}
         got = eng.trees(w)
         assert list(got) == [c for c in cat.labels if want[c]]
-        assert got == {c: t for c, t in want.items() if t}
+        assert got == {c: len(t) for c, t in want.items() if t}
+        if len(w) < 2:
+            continue
+        size, start = eng._blocks(w)
+        assert size == got and set(start) == set(got)
+        for c, firsts in start.items():
+            placed = [None] * size[c]
+            for b, j in firsts.items():
+                m = cat.n(b, w[-1], c)
+                for k, t in enumerate(_reference_trees(cat, w[:-1], b)):
+                    for mu in range(m):
+                        placed[j + k * m + mu] = t + ((b, mu),)
+            assert placed == want[c], (w, c)
     for w1, w2 in itertools.product(words, repeat=2):
         if len(w1) + len(w2) > 4:
             continue
@@ -384,67 +400,55 @@ def test_sector_tables_match_label_scan(name):
         assert eng.sectors(x) == {c: list(itertools.accumulate(n, initial=0)) for c, n in dims.items() if sum(n)}
 
 
-def _reference_split(eng, w1, w2, memo):
-    """An independent `Engine.split`: the empty-word and one-letter splits
-    built entry by entry, then one inline F-move per further letter of w2,
-    read from `fmat` by its row and column lists.  `memo` caches it per word
-    pair."""
+def _reference_split(cat, w1, w2, memo):
+    """An independent `Engine.split`, on the trees of the label scan
+    (`_reference_trees`) with no engine table read: the empty-word and
+    one-letter splits built entry by entry, then one inline F-move per
+    further letter of w2, read from `fmat` by its row and column lists.
+    `memo` caches it per word pair."""
     key = (w1, w2)
     got = memo.get(key)
     if got is not None:
         return got
-    cat = eng.cat
     unit = cat.unit
+    trees = functools.cache(lambda w, c: _reference_trees(cat, w, c))
+    index = functools.cache(lambda w, c: {t: i for i, t in enumerate(trees(w, c))})
     out = {}
-    if len(w2) == 0:
-        for e, ts in eng.trees(w1).items():
-            out[e] = (np.eye(len(ts), dtype=complex), [(e, i, unit, 0, 0) for i in range(len(ts))])
-    elif len(w1) == 0:
-        for e, ts in eng.trees(w2).items():
-            out[e] = (np.eye(len(ts), dtype=complex), [(unit, 0, e, i, 0) for i in range(len(ts))])
-    elif len(w2) == 1:
-        a = w2[0]
-        split_lists = eng._enumerate_split(w1, w2)
-        for e, can in eng.trees(w1 + w2).items():
-            split_list = split_lists[e]
-            sidx = {t: i for i, t in enumerate(split_list)}
-            s = np.zeros((len(split_list), len(can)), dtype=complex)
-            for col, tt in enumerate(can):
-                b, mu = tt[-1]
-                i1 = eng.tree_index(w1, b)[tt[:-1]]
-                s[sidx[(b, i1, a, 0, mu)], col] = 1.0
-            out[e] = (s, split_list)
-    else:
+    for e in (e for e in cat.labels if trees(w1 + w2, e)):
+        n = len(trees(w1 + w2, e))
+        if len(w2) == 0:
+            out[e] = (np.eye(n, dtype=complex), [(e, i, unit, 0, 0) for i in range(n)])
+            continue
+        if len(w1) == 0:
+            out[e] = (np.eye(n, dtype=complex), [(unit, 0, e, i, 0) for i in range(n)])
+            continue
+        split_list = _reference_split_list(cat, w1, w2, e)
+        sidx = {t: i for i, t in enumerate(split_list)}
+        s = np.zeros((len(split_list), n), dtype=complex)
         v, a = w2[:-1], w2[-1]
-        prev = _reference_split(eng, w1, v, memo)
-        wv = w1 + v
-        v_trees = eng.trees(v)
-        split_lists = eng._enumerate_split(w1, w2)
-        for e, can in eng.trees(w1 + w2).items():
-            split_list = split_lists[e]
-            sidx = {t: i for i, t in enumerate(split_list)}
-            s = np.zeros((len(split_list), len(can)), dtype=complex)
-            for col, tt in enumerate(can):
-                b, mu = tt[-1]
-                prev_s, prev_list = prev[b]
-                t_pre_idx = eng.tree_index(wv, b)[tt[:-1]]
-                for row_idx, (c, i1, dp, i2p, nu) in enumerate(prev_list):
-                    coeff = prev_s[row_idx, t_pre_idx]
-                    if abs(coeff) < 1e-15:
+        for col, tt in enumerate(trees(w1 + w2, e)):
+            b, mu = tt[-1]
+            if not v:
+                s[sidx[(b, index(w1, b)[tt[:-1]], a, 0, mu)], col] = 1.0
+                continue
+            prev_s, prev_list = _reference_split(cat, w1, v, memo)[b]
+            t_pre_idx = index(w1 + v, b)[tt[:-1]]
+            for row_idx, (c, i1, dp, i2p, nu) in enumerate(prev_list):
+                coeff = prev_s[row_idx, t_pre_idx]
+                if abs(coeff) < 1e-15:
+                    continue
+                fm = cat.fmat(c, dp, a, e)
+                rows = cat.f_rows(c, dp, a, e)
+                cols = cat.f_cols(c, dp, a, e)
+                ri = rows.index((b, nu, mu))
+                t2p = trees(v, dp)[i2p]
+                for ci, (dd, sig, tau) in enumerate(cols):
+                    val = fm[ri, ci]
+                    if abs(val) < 1e-15:
                         continue
-                    fm = cat.fmat(c, dp, a, e)
-                    rows = cat.f_rows(c, dp, a, e)
-                    cols = cat.f_cols(c, dp, a, e)
-                    ri = rows.index((b, nu, mu))
-                    t2p = v_trees[dp][i2p]
-                    for ci, (dd, sig, tau) in enumerate(cols):
-                        val = fm[ri, ci]
-                        if abs(val) < 1e-15:
-                            continue
-                        t2 = t2p + ((dp, sig),)
-                        i2 = eng.tree_index(w2, dd)[t2]
-                        s[sidx[(c, i1, dd, i2, tau)], col] += coeff * val
-            out[e] = (s, split_list)
+                    i2 = index(w2, dd)[t2p + ((dp, sig),)]
+                    s[sidx[(c, i1, dd, i2, tau)], col] += coeff * val
+        out[e] = (s, split_list)
     memo[key] = out
     return out
 
@@ -459,7 +463,7 @@ def test_split_matches_inline_f_move_reference(name):
     for w1, w2 in itertools.product(words, repeat=2):
         if len(w1) + len(w2) > 4:
             continue
-        got, want = eng.split(w1, w2), _reference_split(eng, w1, w2, memo)
+        got, want = eng.split(w1, w2), _reference_split(cat, w1, w2, memo)
         assert list(got) == list(want)
         for e, (s, split_list) in got.items():
             s = np.eye(len(split_list), dtype=complex) if s is None else s  # None: no recoupling
@@ -493,7 +497,7 @@ def test_split_of_words_with_unit_letters_is_that_of_the_unit_free_words(name):
     for w1, w2 in itertools.product(words, repeat=2):
         if len(w1) + len(w2) > 4 or cat.unit not in w1 + w2:
             continue
-        got, want = eng.split(unit_free(cat, w1), unit_free(cat, w2)), _reference_split(eng, w1, w2, memo)
+        got, want = eng.split(unit_free(cat, w1), unit_free(cat, w2)), _reference_split(cat, w1, w2, memo)
         assert list(got) == list(want)
         for e, (s, split_list) in got.items():
             s = np.eye(len(split_list), dtype=complex) if s is None else s  # None: no recoupling
@@ -611,6 +615,24 @@ def test_summand_matrix_reassembles_sliced_parts(name):
     assert f.norm() > 1.0
     with pytest.raises(ShapeError):
         summand_matrix(cat, x, y, {(1, 0): parts[(0, 0)]})
+
+
+@pytest.mark.parametrize(
+    "f_sss, message",
+    [
+        ([[0, 1], [1, 0]], "zig-zag vanishes for label 'sig'"),
+        ([[1, 1], [1, -1]], "no unimodular conjugacy phase for 'sig'"),
+        (np.array([[1j, 1], [1, 1j]]) / np.sqrt(2), "conjugacy relations unsolvable for 'sig'"),
+    ],
+)
+def test_standard_pair_of_a_bad_f_symbol_raises(f_sss, message):
+    """F^{sig sig sig}_sig fixes both zig-zags of sig's standard pair: a
+    vanishing one, a non-unimodular phase and an unsolvable second relation
+    each raise."""
+    cat = build_category(ising_category())
+    cat.f_symbols[("sig", "sig", "sig", "sig")] = np.array(f_sss, dtype=complex)
+    with pytest.raises(ConjugacyError, match=message):
+        standard_pair(cat, ObjectExpr.word("sig"))
 
 
 def test_unknown_label_anywhere_in_a_word_raises(ising):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from qcat.category import build_category, deligne_product
 from qcat.cli import run
 from qcat.fixtures import ising_category
-from qcat.morphisms import ObjectExpr, compose, left_trace, random_morphism, right_trace, tensor, trace
+from qcat.morphisms import ObjectExpr, compose, identity, left_trace, random_morphism, right_trace, tensor, trace
 
 CAT = build_category(ising_category())
 X = ObjectExpr.word("sig", "sig")
@@ -75,6 +75,34 @@ def test_block_trace_matches_the_standard_pair_traces(case):
     for ref in (left_trace(cat, f, f.dom, u, u), right_trace(cat, f, f.dom, u, u)):
         want = ref.scalar()
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@st.composite
+def partial_trace_cases(draw):
+    """A category of `TRACE_CATS` and three objects x, y, z, each a sum of one
+    or two words of one or two letters, with a seeded generator."""
+    cat = TRACE_CATS[draw(st.sampled_from(sorted(TRACE_CATS)))]
+    word = st.lists(st.sampled_from(cat.labels), min_size=1, max_size=2)
+    x, y, z = (ObjectExpr.from_words(draw(st.lists(word, min_size=1, max_size=2))) for _ in range(3))
+    return cat, x, y, z, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(partial_trace_cases())
+def test_partial_traces_split_off_and_commute_with_the_rest(case):
+    """left_trace(f (x) g) = Tr(f) g = right_trace(g (x) f), and
+    left_trace((1 (x) a) h) = a left_trace(h), for f: x -> x, g: y -> z,
+    h: x y -> x z and a: z -> y."""
+    cat, x, y, z, rng = case
+    f, g = random_morphism(cat, x, x, rng), random_morphism(cat, y, z, rng)
+    h, a = random_morphism(cat, x @ y, x @ z, rng), random_morphism(cat, z, y, rng)
+    want = trace(cat, f) * g
+    tol = 1e-11 * max(1.0, want.max_abs())
+    assert (left_trace(cat, tensor(f, g), x, y, z) - want).max_abs() <= tol
+    assert (right_trace(cat, tensor(g, f), x, y, z) - want).max_abs() <= tol
+    got = left_trace(cat, compose(tensor(identity(cat, x), a), h), x, y, y)
+    want = compose(a, left_trace(cat, h, x, y, z))
+    assert (got - want).max_abs() <= 1e-11 * max(1.0, want.max_abs())
 
 
 # ---- malformed category documents -------------------------------------------
