@@ -218,7 +218,11 @@ def _dispatch(args) -> int:
 
     if args.verb == "emit-fixture":
         (name,) = _need(args, 1, "emit-fixture <name> [--dir DIR]")
-        paths = emit_fixture(name, args.dir)
+        try:
+            paths = emit_fixture(name, args.dir)
+        except OSError as exc:
+            print(f"qcat: error: cannot write to --dir {args.dir}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
         _emit({"written": paths}, fmt)
         return 0
 

@@ -13,6 +13,7 @@ from .errors import (
     NormalizationError,
     NotProjectionError,
     NotSimpleError,
+    ShapeError,
 )
 from .frobenius import (
     QSystem,
@@ -131,6 +132,8 @@ def check_intermediate(cat: CategoryData, q: QSystem, p: Morphism) -> ReducedQSy
     """Verify that p cuts out an intermediate Q-system and build it: p must
     preserve the unit, p w = w; `reduced_qsystem` checks that p is a
     projection compatible with the multiplication."""
+    if p.dom != q.theta or p.cod != q.theta:
+        raise ShapeError(f"p must lie in Hom(theta, theta), not in Hom({p.dom.as_json()}, {p.cod.as_json()})")
     res_pw = (compose(p, q.w) - q.w).max_abs()
     if res_pw > 1e2 * cat.tol:
         raise ConditionError(f"unit preservation p w = w fails (residual {res_pw:g})")

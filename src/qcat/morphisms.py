@@ -14,6 +14,7 @@ a tree of y at d and a vertex mu of c x d -> e.  Grouped by fusion channel
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,7 +201,7 @@ class Engine:
 
     It keeps one sector table per word (`trees`, the tree counts) and per
     object (`sectors`), holding only the sectors they reach, and every walk
-    goes over those.  A tree's place is read off the counts (`_blocks`).
+    goes over those.  Trees and split bases are placed by the counts (`_blocks`).
     Object tables, recouplings and standard pairs are built for unit-free
     words only (`unit_free`); a word with unit letters reads the table of
     its unit-free word, so `split` never sees a unit letter.
@@ -211,7 +212,7 @@ class Engine:
         self._rank = {c: i for i, c in enumerate(cat.labels)}
         self._trees: dict[Word, dict[str, int]] = {}
         self._sectors: dict[ObjectExpr, dict[str, list[int]]] = {}
-        self._split: dict[tuple[Word, Word], dict] = {}
+        self._split: dict[tuple[Word, Word], dict[str, np.ndarray | None]] = {}
         self._word_pair: dict[Word, tuple[Morphism, Morphism]] = {}
         self._pair_index: dict[tuple[ObjectExpr, ObjectExpr], dict[str, _SectorIndex]] = {}
 
@@ -234,19 +235,23 @@ class Engine:
         elif len(w) == 1:
             out = {w[0]: 1}
         else:
-            out = self._in_label_order(self._blocks(w)[0])
+            out = self._in_label_order(self._blocks(w[:-1], w[-1:])[0])
         self._trees[w] = out
         return out
 
-    def _blocks(self, w: Word) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
-        """(size, start) for a word of two or more letters: tree k of w[:-1] at
-        b, then vertex mu of b x w[-1] -> c, is tree start[c][b] + k N_{b w[-1]}^c
-        + mu of the size[c] trees of w at c, ordered by b (in label order), k, mu."""
+    def _blocks(self, w1: Word, w2: Word) -> tuple[dict[str, int], dict[str, dict[tuple[str, str], int]]]:
+        """(size, start) for the split basis of w1 w2 at each sector e: tree i1
+        of w1 at c, tree i2 of w2 at d (n2 of them) and vertex mu of c x d -> e
+        is entry start[e][c, d] + (i1 n2 + i2) N_{cd}^e + mu of the size[e]
+        entries, ordered by c, then d (in label order), then i1, i2, mu.  For
+        a one-letter w2 these are the canonical trees of w1 w2."""
         size, start = {}, {}
-        for b, n in self.trees(w[:-1]).items():
-            for c, m in self.cat.fuse(b, w[-1]):
-                start.setdefault(c, {})[b] = size.get(c, 0)
-                size[c] = size.get(c, 0) + n * m
+        t2 = self.trees(w2)
+        for c, n1 in self.trees(w1).items():
+            for d, n2 in t2.items():
+                for e, m in self.cat.fuse(c, d):
+                    start.setdefault(e, {})[c, d] = size.get(e, 0)
+                    size[e] = size.get(e, 0) + n1 * n2 * m
         return size, start
 
     def sectors(self, x: ObjectExpr) -> dict[str, list[int]]:
@@ -262,10 +267,7 @@ class Engine:
         tables = [self.trees(w) for w in x.summands]
         out = {}
         for c in self._in_label_order({c: None for t in tables for c in t}):
-            offs = [0]
-            for t in tables:
-                offs.append(offs[-1] + t.get(c, 0))
-            out[c] = offs
+            out[c] = list(itertools.accumulate((t.get(c, 0) for t in tables), initial=0))
         self._sectors[x] = out
         return out
 
@@ -278,63 +280,48 @@ class Engine:
 
     # ---- recoupling ---------------------------------------------------
 
-    def split(self, w1: Word, w2: Word) -> dict:
-        """Per sector e: (S, split_list) with |canonical t> = sum_s S[s,t] |split s>.
+    def split(self, w1: Word, w2: Word) -> dict[str, np.ndarray | None]:
+        """Per sector e: S with |canonical t> = sum_s S[s,t] |split s>.
 
-        The split basis entries are (c, i1, d, i2, mu): tree i1 of w1 at c,
-        tree i2 of w2 at d, fusion vertex mu of c x d -> e.  When w1 is empty
-        or w2 has at most one letter, the canonical trees of w1 w2 are the
-        split basis in the same order, and S is None: no identity is stored.
-        Otherwise a tree of (w1 v) a, with v = w2[:-1], is split as a tree of
-        w1 v, and one F-move recouples (c v) a -> c (v a).
+        Split entry s is (c, i1, d, i2, mu): tree i1 of w1 at c, tree i2 of
+        w2 at d, fusion vertex mu of c x d -> e, placed by `_blocks(w1, w2)`.
+        When w1 is empty or w2 has at most one letter, the canonical trees of
+        w1 w2 are the split basis in the same order, and S is None: no
+        identity is stored.  Otherwise a tree of (w1 v) a, with v = w2[:-1],
+        is split as a tree of w1 v, and one F-move recouples (c v) a -> c (v a).
         """
         key = (w1, w2)
         got = self._split.get(key)
         if got is not None:
             return got
-        split_lists = self._enumerate_split(w1, w2)
         if not w1 or len(w2) <= 1:
-            out = {e: (None, sl) for e, sl in split_lists.items()}
+            out = {e: None for e in self.trees(w1 + w2)}
         else:
-            cat = self.cat
-            v, a = w2[:-1], w2[-1]
-            prev, n_wv = self.split(w1, v), self.trees(w1 + v)
-            (_, start), (_, start2) = self._blocks(w1 + w2), self._blocks(w2)
-            out = {}
-            for e, n_e in self.trees(w1 + w2).items():
-                split_list = split_lists[e]
-                sidx = {t: i for i, t in enumerate(split_list)}
-                s = np.zeros((len(split_list), n_e), dtype=complex)
-                for b, j in start[e].items():
-                    prev_s, prev_list, m = *prev[b], cat.n(b, a, e)
-                    for k in range(n_wv[b]):
-                        if prev_s is None:  # a one-hot column
-                            vec = [(prev_list[k], 1.0)]
-                        else:
-                            column = prev_s[:, k].tolist()
-                            vec = [(t, x) for t, x in zip(prev_list, column) if not abs(x) < 1e-15]  # a NaN stays
-                        for mu in range(m):
-                            # F^{c d' a}_e at the vertices (nu, mu) of each split tree
-                            for (c, i1, dp, i2p, nu), x in vec:
+            cat, v, a = self.cat, w2[:-1], w2[-1]
+            n1, nv, n2 = self.trees(w1), self.trees(v), self.trees(w2)
+            place, prev_place = self._blocks(w1, w2)[1], self._blocks(w1, v)[1]
+            start, start2 = self._blocks(w1 + v, (a,))[1], self._blocks(v, (a,))[1]
+            out = {e: np.zeros((n, n), dtype=complex) for e, n in self.trees(w1 + w2).items()}
+            for b, prev_s in self.split(w1, v).items():
+                rows = None if prev_s is None else [  # its nonzero (tree, coefficient) pairs per row, a NaN kept
+                    [(k, x) for k, x in enumerate(xs) if not abs(x) < 1e-15] for xs in prev_s.tolist()
+                ]
+                for e, m in cat.fuse(b, a):
+                    s, j = out[e], start[e][b, a]
+                    for (c, dp), base in prev_place[b].items():
+                        n_nu = cat.n(c, dp, b)
+                        for i1, i2p, nu in itertools.product(range(n1[c]), range(nv[dp]), range(n_nu)):
+                            t = base + (i1 * nv[dp] + i2p) * n_nu + nu
+                            row = [(t, 1.0)] if rows is None else rows[t]  # None: row t is tree t
+                            for mu in range(m):
+                                # F^{c d' a}_e at the vertices (nu, mu) of each split tree
                                 for (d, sig, tau), y in _f_row(cat, (c, dp, a, e), (b, nu, mu)):
-                                    i2 = start2[d][dp] + i2p * cat.n(dp, a, d) + sig
-                                    s[sidx[c, i1, d, i2, tau], j + k * m + mu] += x * y
-                out[e] = (s, split_list)
+                                    i2 = start2[d][dp, a] + i2p * cat.n(dp, a, d) + sig
+                                    r = place[e][c, d] + (i1 * n2[d] + i2) * cat.n(c, d, e) + tau
+                                    for k, x in row:
+                                        s[r, j + k * m + mu] += x * y
         self._split[key] = out
         return out
-
-    def _enumerate_split(self, w1: Word, w2: Word) -> dict[str, list]:
-        """Per sector e of w1 w2: its split basis (c, i1, d, i2, mu), ordered
-        by c, then d (in label order), then i1, i2, mu."""
-        out: dict[str, list] = {}
-        t2 = self.trees(w2)
-        for c, n1 in self.trees(w1).items():
-            for d, n2 in t2.items():
-                for e, m in self.cat.fuse(c, d):
-                    out.setdefault(e, []).extend(
-                        (c, i1, d, i2, mu) for i1 in range(n1) for i2 in range(n2) for mu in range(m)
-                    )
-        return self._in_label_order(out)
 
     def pair_index(self, x: ObjectExpr, y: ObjectExpr) -> dict[str, _SectorIndex]:
         """Per sector e of x (x) y: its split basis grouped by fusion channel,
@@ -362,14 +349,19 @@ class Engine:
         recouplings: dict[str, list[tuple[int, int, np.ndarray]]] = {e: [] for e in groups}
         for i, w1 in enumerate(x.summands):
             for j, w2 in enumerate(y.summands):
-                for e, (s, split_list) in self.split(w1, w2).items():
-                    g, start = groups[e], len(order[e])
-                    order[e] += [
-                        g[(c, d, mu)] + (offs_x[c][i] + i1) * offs_y[d][-1] + offs_y[d][j] + i2
-                        for c, i1, d, i2, mu in split_list
-                    ]
+                (span, place), t1, t2 = self._blocks(w1, w2), self.trees(w1), self.trees(w2)
+                for e, s in self.split(w1, w2).items():
+                    g, o = groups[e], order[e]
                     if s is not None:
-                        recouplings[e].append((start, len(order[e]), s))
+                        recouplings[e].append((len(o), len(o) + span[e], s))
+                    # the entries in `_blocks` order: channel (c, d), then i1, i2, mu
+                    for c, d in place[e]:
+                        n1, n2, m, ny = t1[c], t2[d], self.cat.n(c, d, e), offs_y[d][-1]
+                        r = offs_x[c][i] * ny + offs_y[d][j]
+                        if n1 == n2 == m == 1:  # the common case: one entry, and no list built for it
+                            o.append(g[c, d, 0] + r)
+                            continue
+                        o += [g[c, d, mu] + r + i1 * ny + i2 for i1 in range(n1) for i2 in range(n2) for mu in range(m)]
         out = {
             e: _SectorIndex(size[e], g, np.array(order[e], dtype=np.intp), tuple(recouplings[e]))
             for e, g in self._in_label_order(groups).items()
@@ -386,10 +378,10 @@ class _SectorIndex:
     the first row of each group.  Inside a group, row ix * ny + iy holds tree
     ix of x at c and tree iy of y at d, which is the row order of
     kron(f_c, g_d).  The summand pairs (w1, w2) of x (x) y own consecutive
-    spans of canonical trees, and entry s of the split list of the pair whose
-    span starts at a is row order[a + s] of the grouped split basis.  A span
-    (start, stop, S) in `recouplings` is recoupled by the S of
-    `Engine.split(w1, w2)` at e; every other span's split list is already its
+    spans of canonical trees, and entry s (`Engine._blocks`) of the split basis
+    of the pair whose span starts at a is row order[a + s] of the grouped split
+    basis.  A span (start, stop, S) in `recouplings` is recoupled by the S of
+    `Engine.split(w1, w2)` at e; every other span's split basis is already its
     canonical basis, so nothing is stored or applied for it.
     """
 

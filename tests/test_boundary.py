@@ -20,6 +20,7 @@ from qcat.modules import (
     validate_module,
 )
 from qcat.morphisms import compose, hom_basis, morphism_from_vector, morphism_vector, random_morphism
+from test_category import vertex_gauge
 from test_golden import GAUGED_Z3
 from tests_helpers import reference_boundary
 
@@ -72,6 +73,18 @@ def test_cardy_smT_is_the_s_matrix(ising, tq, ising_s):
     rep = boundary_conditions(ising, tq, tq)
     assert _match_rows(rep.smT.real, ising_s) < 1e-8
     assert np.max(np.abs(rep.smT.imag)) < 1e-8
+
+
+@pytest.mark.parametrize("gauge", [None, 5])
+@pytest.mark.parametrize("a, b", [("trivial", "trivial"), ("trivial", "ising_q"), ("ising_q", "trivial"), ("ising_q", "ising_q")])
+def test_abs_smT_is_the_abs_s_matrix_for_every_morita_pair(ising, ising_s, gauge, a, b):
+    """ising_q is Morita equivalent to the trivial Q-system, so for every pair
+    of the two |S_mT| is the Ising |S| up to row order, in a vertex gauge too."""
+    cat = ising if gauge is None else vertex_gauge(ising, gauge)
+    qs = {"trivial": trivial_qsystem_in(cat), "ising_q": ising_q(cat)}
+    rep = boundary_conditions(cat, qs[a], qs[b])
+    assert rep.smT.shape == ising_s.shape
+    assert _match_rows(np.abs(rep.smT), np.abs(ising_s)) < 1e-8
 
 
 def test_cardy_sign_patterns(ising, tq):

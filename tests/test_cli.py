@@ -195,6 +195,17 @@ def test_emit_and_check_fixture_files(tmp_path, capsys):
     assert not rep["commutative"]
 
 
+def test_emit_fixture_into_a_path_under_a_file_is_a_usage_error(tmp_path, capsys):
+    """A --dir that cannot be made (its parent is a regular file) gives one
+    `qcat: error:` line naming it and exit 1, not a traceback."""
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    target = str(blocker / "sub")
+    assert run(["emit-fixture", "ising", "--dir", target]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("qcat: error:") and target in err[0]
+
+
 def test_emit_trivial_and_z2(tmp_path, capsys):
     for name in ("trivial", "z2"):
         assert run(["emit-fixture", name, "--dir", str(tmp_path)]) == 0
@@ -290,6 +301,23 @@ def test_intermediate_verb(tmp_path, capsys):
     assert run(["intermediate", "ising", "ising_q", str(pp)]) == 0
     rep = _capture(capsys)
     assert rep["axioms"]["ok"] is True
+
+
+def test_intermediate_of_a_map_outside_end_theta_names_its_shape(tmp_path, capsys):
+    """p: sig -> sig is not in End(theta): a ShapeError (exit 3) that names
+    Hom(theta, theta) and p's dom and cod, raised before any composition."""
+    from qcat.category import build_category
+    from qcat.fixtures import ising_category
+    from qcat.morphisms import ObjectExpr, identity
+
+    sig = ObjectExpr.word("sig")
+    pp = tmp_path / "p.json"
+    pp.write_text(json.dumps(identity(build_category(ising_category()), sig).as_json()))
+    assert run(["intermediate", "ising", "ising_q", str(pp)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("qcat: ShapeError:")
+    assert "Hom(theta, theta)" in err and "Hom([['sig']], [['sig']])" in err
+    assert "compose" not in err
 
 
 def test_decompose_and_centre_verbs(capsys):

@@ -240,7 +240,8 @@ def _sliced(cat, f, i, k):
 def _reference_tensor(f, g):
     """f (x) g entry by entry: between each summand pair of the domain and of
     the codomain, f_c[i1', i1] g_d[i2', i2] joins split basis entries of the
-    same channel (c, d, mu), and the S of `Engine.split` recouples it."""
+    same channel (c, d, mu), and the S of `Engine.split` recouples it.  The
+    split bases are those of the label scan (`_reference_split_list`)."""
     cat = f.cat
     eng = engine(cat)
     dom, cod = f.dom @ g.dom, f.cod @ g.cod
@@ -257,8 +258,8 @@ def _reference_tensor(f, g):
         ):
             if e not in eng.split(u1, u2) or e not in eng.split(v1, v2):
                 continue
-            s_dom, dom_list = eng.split(u1, u2)[e]
-            s_cod, cod_list = eng.split(v1, v2)[e]
+            s_dom, dom_list = eng.split(u1, u2)[e], _reference_split_list(cat, u1, u2, e)
+            s_cod, cod_list = eng.split(v1, v2)[e], _reference_split_list(cat, v1, v2, e)
             s_dom = np.eye(len(dom_list)) if s_dom is None else s_dom  # None: no recoupling
             s_cod = np.eye(len(cod_list)) if s_cod is None else s_cod
             m = np.zeros((len(cod_list), len(dom_list)), dtype=complex)
@@ -364,9 +365,11 @@ def _reference_split_list(cat, w1, w2, e):
 
 @pytest.mark.parametrize("name", ["ising", "mult2", "gauged_z3"])
 def test_sector_tables_match_label_scan(name):
-    """The engine's tree counts are those of the label scan, and tree k of
+    """The engine's tree counts are those of the label scan; tree k of
     w[:-1] at b with vertex mu of b x w[-1] -> c sits at place
-    start[c][b] + k N + mu of the scan's trees of w at c."""
+    start[c][b, w[-1]] + k N + mu of the scan's trees of w at c; and split
+    entry (c, i1, d, i2, mu) of w1 w2 at e at place
+    start[e][c, d] + (i1 n2 + i2) N + mu of the scan's split basis."""
     cat = {"ising": KERNEL_CASES["ising"][0], "mult2": MULT2, "gauged_z3": gauged_z3()}[name]
     eng = engine(cat)
     words = [w for n in range(5) for w in itertools.product(cat.labels, repeat=n)]
@@ -377,12 +380,13 @@ def test_sector_tables_match_label_scan(name):
         assert got == {c: len(t) for c, t in want.items() if t}
         if len(w) < 2:
             continue
-        size, start = eng._blocks(w)
+        size, start = eng._blocks(w[:-1], w[-1:])
         assert size == got and set(start) == set(got)
         for c, firsts in start.items():
             placed = [None] * size[c]
-            for b, j in firsts.items():
-                m = cat.n(b, w[-1], c)
+            for (b, a), j in firsts.items():
+                assert a == w[-1]
+                m = cat.n(b, a, c)
                 for k, t in enumerate(_reference_trees(cat, w[:-1], b)):
                     for mu in range(m):
                         placed[j + k * m + mu] = t + ((b, mu),)
@@ -392,9 +396,18 @@ def test_sector_tables_match_label_scan(name):
             continue
         want = {e: _reference_split_list(cat, w1, w2, e) for e in cat.labels}
         want = {e: s for e, s in want.items() if s}
-        got = eng._enumerate_split(w1, w2)
-        assert list(got) == list(want) and got == want
-        assert {e: s for e, (_, s) in eng.split(w1, w2).items()} == want
+        n1 = {c: len(_reference_trees(cat, w1, c)) for c in cat.labels}
+        n2 = {d: len(_reference_trees(cat, w2, d)) for d in cat.labels}
+        size, start = eng._blocks(w1, w2)
+        assert size == {e: len(s) for e, s in want.items()} and set(start) == set(want)
+        placed = {e: [None] * n for e, n in size.items()}
+        for e, firsts in start.items():
+            for (c, d), j in firsts.items():
+                m = cat.n(c, d, e)
+                for i1, i2, mu in itertools.product(range(n1[c]), range(n2[d]), range(m)):
+                    placed[e][j + (i1 * n2[d] + i2) * m + mu] = (c, i1, d, i2, mu)
+        assert placed == want, (w1, w2)
+        assert list(eng.split(w1, w2)) == list(want)
     for x in KERNEL_CASES.get(name, (None, []))[1]:
         dims = {c: [len(_reference_trees(cat, w, c)) for w in x.summands] for c in cat.labels}
         assert eng.sectors(x) == {c: list(itertools.accumulate(n, initial=0)) for c, n in dims.items() if sum(n)}
@@ -456,7 +469,7 @@ def _reference_split(cat, w1, w2, memo):
 @pytest.mark.parametrize("name", ["ising", "mult2", "gauged_z3"])
 def test_split_matches_inline_f_move_reference(name):
     """The identity cases and the F-move recursion of `Engine.split` give the
-    split lists and recouplings of the hand-built cases and inline F-move."""
+    recouplings of the hand-built cases and inline F-move."""
     cat = {"ising": KERNEL_CASES["ising"][0], "mult2": MULT2, "gauged_z3": gauged_z3()}[name]
     eng, memo = engine(cat), {}
     words = [w for n in range(5) for w in itertools.product(cat.labels, repeat=n)]
@@ -465,23 +478,25 @@ def test_split_matches_inline_f_move_reference(name):
             continue
         got, want = eng.split(w1, w2), _reference_split(cat, w1, w2, memo)
         assert list(got) == list(want)
-        for e, (s, split_list) in got.items():
-            s = np.eye(len(split_list), dtype=complex) if s is None else s  # None: no recoupling
-            assert split_list == want[e][1]
+        for e, s in got.items():
+            s = np.eye(len(want[e][1]), dtype=complex) if s is None else s  # None: no recoupling
             assert s.shape == want[e][0].shape
             assert np.max(np.abs(s - want[e][0]), initial=0.0) < 1e-14, (w1, w2, e)
 
 
 def test_split_stores_no_identity_recoupling():
-    """After a cold Ising boundary computation, a cached split has S None
-    exactly when w1 is empty or w2 has at most one letter."""
+    """After a cold Ising boundary computation, a cached split maps each
+    sector to its S, an array, or to None exactly when w1 is empty or w2 has
+    at most one letter."""
     cat = build_category(ising_category())
     q = ising_q(cat)
     boundary_conditions(cat, q, q)
     kinds = set()
     for (w1, w2), per_sector in engine(cat)._split.items():
-        for s, _ in per_sector.values():
+        assert set(per_sector) <= set(cat.labels)
+        for s in per_sector.values():
             assert (s is None) == (not w1 or len(w2) <= 1), (w1, w2)
+            assert s is None or isinstance(s, np.ndarray)
             kinds.add(s is None)
     assert kinds == {True, False}
 
@@ -499,9 +514,9 @@ def test_split_of_words_with_unit_letters_is_that_of_the_unit_free_words(name):
             continue
         got, want = eng.split(unit_free(cat, w1), unit_free(cat, w2)), _reference_split(cat, w1, w2, memo)
         assert list(got) == list(want)
-        for e, (s, split_list) in got.items():
-            s = np.eye(len(split_list), dtype=complex) if s is None else s  # None: no recoupling
-            assert split_list == want[e][1]
+        for e, s in got.items():
+            s = np.eye(len(want[e][1]), dtype=complex) if s is None else s  # None: no recoupling
+            assert s.shape == want[e][0].shape
             assert np.max(np.abs(s - want[e][0]), initial=0.0) < 1e-14, (w1, w2, e)
 
 

@@ -34,7 +34,16 @@ def test_the_walk_sees_the_seeded_functions():
 def test_the_methods_the_benchmark_tracer_patches_exist():
     """perfbench/spans.py patches these methods by name: renaming one breaks
     `perfbench/run.py --trace 1`."""
+    from qcat.category import build_category
+    from qcat.fixtures import ising_category
     from qcat.morphisms import Engine
 
     for owner, name in [(AlgebraPresentation, "minimal_idempotents"), (Engine, "obj_offsets"), (Engine, "split")]:
         assert inspect.isfunction(getattr(owner, name, None)), f"{owner.__name__}.{name}"
+    # its split counter calls split(self, w1, w2) and counts a miss when (w1, w2) is not a key of _split
+    assert list(inspect.signature(Engine.split).parameters) == ["self", "w1", "w2"]
+    eng = Engine(build_category(ising_category()))
+    w1, w2 = ("sig",), ("sig", "sig")
+    assert (w1, w2) not in eng._split
+    eng.split(w1, w2)
+    assert (w1, w2) in eng._split
