@@ -67,7 +67,6 @@ from .morphisms import (
     hom_basis,
     identity,
     left_trace,
-    right_trace,
     standard_pair,
     tensor,
     trace,

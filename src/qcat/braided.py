@@ -19,6 +19,7 @@ from .morphisms import (
     compose,
     hom_basis,
     identity,
+    left_trace,
     morphism_vector,
     standard_pair,
     summand_matrix,
@@ -41,11 +42,14 @@ def braided_product(cat: CategoryData, qa: QSystem, qb: QSystem, sign: str = "+"
 
 def centre_projections(cat: CategoryData, q: QSystem, sign: str = "+") -> Morphism:
     """The left (sign "+") or right ("-") centre projection
-    P = d^-1 (r* x 1)(1 x eps)(x x 1)x, with eps the braiding of that sign."""
-    idt = identity(cat, q.theta)
+    P = d^-1 (r* x 1)(1 x eps)(x x 1)x, with eps the braiding of that sign,
+    as one partial trace on theta theta: P = d^-1 Tr^left_theta(eps x x*).
+    By (x x 1)x = (1 x x)x and x = (1 x x*)(r x 1), P is
+    d^-1 (r* x 1)(1 x eps x x*)(r x 1), the left trace when r is standard,
+    as `check_qsystem` checks (`standard_w`, `standard_x`) and the CLI
+    requires of every loaded Q-system."""
     eps = braiding(cat, q.theta, q.theta, sign)
-    p = compose(tensor(q.r.adjoint(), idt), compose(tensor(idt, eps), compose(tensor(q.x, idt), q.x)))
-    return (1.0 / q.d) * p
+    return (1.0 / q.d) * left_trace(cat, compose(eps, compose(q.x, q.x.adjoint())), q.theta, q.theta, q.theta)
 
 
 def centre_qsystem(cat: CategoryData, q: QSystem, side: str = "+") -> ReducedQSystem:

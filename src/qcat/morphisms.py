@@ -71,7 +71,11 @@ def unit_free(cat: CategoryData, x):
     same canonical trees in every sector, in the same order, and every table
     the engine builds for one serves the other position by position."""
     if isinstance(x, ObjectExpr):
+        if not any(cat.unit in w for w in x.summands):
+            return x
         return ObjectExpr(tuple(unit_free(cat, w) for w in x.summands))
+    if cat.unit not in x:
+        return x
     return tuple(a for a in x if a != cat.unit)
 
 
@@ -404,6 +408,16 @@ class _SectorIndex:
             m[a:b] = s.conj().T @ m[a:b]
         return m
 
+    def rows_to_split(self, m: np.ndarray) -> np.ndarray:
+        """S . m: the rows of m from the canonical to the split basis, the
+        inverse of `rows_to_canonical` (S is unitary)."""
+        m = m.astype(complex)
+        for a, b, s in self.recouplings:
+            m[a:b] = s @ m[a:b]
+        out = np.empty_like(m)
+        out[self.order] = m
+        return out
+
 
 def engine(cat: CategoryData) -> Engine:
     eng = getattr(cat, "_engine", None)
@@ -665,27 +679,35 @@ def standard_pair(cat: CategoryData, x: ObjectExpr) -> StandardPair:
 
 
 def left_trace(cat: CategoryData, f: Morphism, x: ObjectExpr, rest_dom: ObjectExpr, rest_cod: ObjectExpr) -> Morphism:
-    """Partial trace over the left factor x of f in Hom(x rest_dom, x rest_cod)."""
-    pair = standard_pair(cat, x)
-    idb = identity(cat, rest_dom)
-    idc = identity(cat, rest_cod)
-    idxbar = identity(cat, pair.conj)
-    return compose(
-        tensor(pair.r.adjoint(), idc),
-        compose(tensor(idxbar, f), tensor(pair.r, idb)),
-    )
+    """Partial trace over the left factor x of f in Hom(x rest_dom, x rest_cod),
+    read off the split bases of `Engine.pair_index`.  With M_e the block f_e
+    in the split bases of x rest_cod (rows) and x rest_dom (columns),
 
+        (Tr_x f)_d[j', j] = sum_(e, c, mu, i) (d_e / d_d) M_e[(c, d, mu; i, j'), (c, d, mu; i, j)]:
 
-def right_trace(cat: CategoryData, f: Morphism, x: ObjectExpr, rest_dom: ObjectExpr, rest_cod: ObjectExpr) -> Morphism:
-    """Partial trace over the right factor x of f in Hom(rest_dom x, rest_cod x)."""
-    pair = standard_pair(cat, x)
-    idb = identity(cat, rest_dom)
-    idc = identity(cat, rest_cod)
-    idxbar = identity(cat, pair.conj)
-    return compose(
-        tensor(idc, pair.rbar.adjoint()),
-        compose(tensor(f, idxbar), tensor(idb, pair.rbar)),
-    )
+    the left trace over c of T_mu' T_mu*, for orthonormal vertices
+    T: e -> c d, is delta_(mu, mu') d_e / d_d."""
+    if f.dom != x @ rest_dom or f.cod != x @ rest_cod:
+        raise ShapeError("left_trace: f must map x (x) rest_dom to x (x) rest_cod")
+    eng = engine(cat)
+    x_sectors, dom_sectors, cod_sectors = eng.sectors(x), eng.sectors(rest_dom), eng.sectors(rest_cod)
+    dom_index, cod_index = eng.pair_index(x, rest_dom), eng.pair_index(x, rest_cod)
+    blocks: dict[str, np.ndarray] = {}
+    for e, fe in f.blocks.items():
+        dom_e, cod_e = dom_index.get(e), cod_index.get(e)
+        if dom_e is None or cod_e is None:
+            continue
+        # S_cod f_e S_dom^dagger = S_cod (S_dom f_e^dagger)^dagger
+        m = cod_e.rows_to_split(dom_e.rows_to_split(fe.conj().T).conj().T)
+        for (c, d, mu), k in dom_e.groups.items():
+            r = cod_e.groups.get((c, d, mu))
+            if r is None:
+                continue
+            n, nj, nk = x_sectors[c][-1], cod_sectors[d][-1], dom_sectors[d][-1]
+            block = m[r : r + n * nj, k : k + n * nk].reshape(n, nj, n, nk)
+            part = (cat.dims[e] / cat.dims[d]) * block.trace(axis1=0, axis2=2)
+            blocks[d] = blocks[d] + part if d in blocks else part
+    return Morphism(cat, rest_dom, rest_cod, blocks)
 
 
 def trace(cat: CategoryData, f: Morphism) -> complex:

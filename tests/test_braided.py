@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import qcat
 from qcat.braided import (
     braided_product,
     canonical_qsystem,
@@ -15,15 +16,18 @@ from qcat.braided import (
 )
 from qcat.category import build_category
 from qcat.errors import NotModularError
-from qcat.fixtures import z2_category
+from qcat.fixtures import ising_category, z2_category
 from qcat.frobenius import (
     check_commutative,
     check_qsystem,
+    ising_q,
+    matrix_qsystem,
     qsystems_equivalent,
     trivial_qsystem_in,
 )
-from qcat.morphisms import identity
-from tests_helpers import killing_check
+from qcat.morphisms import ObjectExpr, identity, left_trace
+from test_category import gauged_z3, vertex_gauge
+from tests_helpers import killing_check, reference_centre_projection
 
 
 def test_centre_projections_are_projections(ising, iq):
@@ -32,6 +36,67 @@ def test_centre_projections_are_projections(ising, iq):
         from qcat.morphisms import compose
 
         assert (compose(p, p) - p).max_abs() < 1e-10
+
+
+def _centre_projection_cases():
+    """(name, category, Q-system): the Q-systems the suite builds on gauged
+    Ising (seeds 1 and 2) and gauged Z3, the canonical R, and the braided
+    product (A x 1) x+ R in C x C^opp of each A, whose left centre is the
+    full centre."""
+    ising_seeds = [(f"ising{seed}", vertex_gauge(build_category(ising_category()), seed)) for seed in (1, 2)]
+    for name, cat in ising_seeds + [("z3", gauged_z3())]:
+        if "sig" in cat.labels:
+            qs = {
+                "ising_q": ising_q(cat),
+                "sig_eps": matrix_qsystem(cat, ObjectExpr.word("sig", "eps")),
+                "sig+1": matrix_qsystem(cat, ObjectExpr.from_words([("sig",), ()])),
+            }
+        else:
+            qs = {"z1+z2": matrix_qsystem(cat, ObjectExpr.from_words([("1",), ("2",)]))}
+        qs["trivial"] = trivial_qsystem_in(cat)
+        prod, qr = canonical_qsystem(cat)
+        yield from ((f"{name}-{k}", cat, q) for k, q in qs.items())
+        yield f"{name}-R", prod, qr
+        for k, q in qs.items():
+            yield f"{name}-{k}xR", prod, braided_product(prod, embed_left(cat, prod, q), qr, "+")
+
+
+CENTRE_PROJECTION_CASES = list(_centre_projection_cases())
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("name,cat,q", CENTRE_PROJECTION_CASES, ids=[c[0] for c in CENTRE_PROJECTION_CASES])
+def test_centre_projection_is_the_four_morphism_formula(name, cat, q, sign):
+    """d^-1 Tr^left_theta(eps x x*) equals d^-1 (r* x 1)(1 x eps)(x x 1)x,
+    built on theta theta theta, for standard Q-systems."""
+    got, want = centre_projections(cat, q, sign), reference_centre_projection(cat, q, sign)
+    assert (got - want).max_abs() <= 1e-12
+
+
+def test_partial_traces_and_centre_projections_make_no_tensor_product(monkeypatch):
+    """`left_trace` and `centre_projections` build no object three factors
+    long: on a fresh category, neither calls `tensor`, through
+    `qcat.morphisms` or through `qcat.braided`."""
+    calls = []
+
+    def counted(real):
+        def tensor(f, g):
+            calls.append((f.dom, g.dom))
+            return real(f, g)
+
+        return tensor
+
+    for mod in (qcat.morphisms, qcat.braided):
+        monkeypatch.setattr(mod, "tensor", counted(mod.tensor))
+    cat = vertex_gauge(build_category(ising_category()), 3)
+    q = ising_q(cat)  # its matrix_qsystem builds x by tensor products
+    calls.clear()
+    theta = q.theta
+    for sign in ("+", "-"):
+        centre_projections(cat, q, sign)
+    x = ObjectExpr.from_words([("sig", "sig"), ("eps",)])
+    left_trace(cat, identity(cat, x @ theta), x, theta, theta)
+    assert calls == []
 
 
 def test_centre_of_ising_q_is_trivial(ising, iq, tq):

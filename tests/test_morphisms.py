@@ -29,7 +29,6 @@ from qcat.morphisms import (
     obj_dim,
     random_morphism,
     range_isometry,
-    right_trace,
     standard_pair,
     summand_matrix,
     tensor,
@@ -39,7 +38,7 @@ from qcat.morphisms import (
 )
 from test_category import gauged_z3, vertex_gauge
 from test_golden import GAUGED_Z3
-from tests_helpers import reference_braiding
+from tests_helpers import reference_braiding, right_trace
 
 SIG2 = ObjectExpr.word("sig", "sig")
 SSS = ObjectExpr.word("sig", "sig", "sig")

@@ -8,13 +8,15 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcat.category import build_category, deligne_product
+from qcat.category import build_category, deligne_product, validate_category
 from qcat.cli import run
 from qcat.fixtures import ising_category
-from qcat.morphisms import ObjectExpr, compose, identity, left_trace, random_morphism, right_trace, tensor, trace
+from qcat.morphisms import ObjectExpr, compose, engine, identity, left_trace, random_morphism, tensor, trace
+from tests_helpers import reference_left_trace, rep_a4_category, right_trace
 
 CAT = build_category(ising_category())
 X = ObjectExpr.word("sig", "sig")
@@ -49,6 +51,7 @@ def _trace_categories() -> dict:
         "gauged_ising": vertex_gauge(CAT, 11),
         "gauged_z3": build_category(json.loads(golden_z3.read_text(encoding="utf-8"))),
         "ising_x_ising_opp": deligne_product(CAT, CAT, reverse_right=True),
+        "rep_a4": rep_a4_category(),
     }
 
 
@@ -72,7 +75,7 @@ def test_block_trace_matches_the_standard_pair_traces(case):
     cat, f = case
     u = ObjectExpr.unit()
     got = trace(cat, f)
-    for ref in (left_trace(cat, f, f.dom, u, u), right_trace(cat, f, f.dom, u, u)):
+    for ref in (reference_left_trace(cat, f, f.dom, u, u), right_trace(cat, f, f.dom, u, u)):
         want = ref.scalar()
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -103,6 +106,49 @@ def test_partial_traces_split_off_and_commute_with_the_rest(case):
     got = left_trace(cat, compose(tensor(identity(cat, x), a), h), x, y, y)
     want = compose(a, left_trace(cat, h, x, y, z))
     assert (got - want).max_abs() <= 1e-11 * max(1.0, want.max_abs())
+
+
+@settings(max_examples=40, deadline=None)
+@given(partial_trace_cases())
+def test_left_trace_matches_the_standard_pair_reference(case):
+    """The partial trace read off the split bases equals
+    (r* (x) 1)(1 (x) f)(r (x) 1) through the standard pair of x, for
+    f: x y -> x z."""
+    cat, x, y, z, rng = case
+    f = random_morphism(cat, x @ y, x @ z, rng)
+    want = reference_left_trace(cat, f, x, y, z)
+    assert (left_trace(cat, f, x, y, z) - want).max_abs() <= 1e-11 * max(1.0, want.max_abs())
+
+
+@pytest.mark.parametrize(
+    "name,x,y,z",
+    [
+        ("gauged_ising", [("sig",), ("sig", "eps")], [("sig",), ("eps", "sig")], [("eps", "sig"), ()]),
+        # 1 and 2 are dual, and neither is self-dual
+        ("gauged_z3", [("1",), ("1", "1")], [("2",), ("1", "1")], [("1", "2"), ("2", "2")]),
+        # the channels 3 x 3 -> 3 have multiplicity 2
+        ("rep_a4", [("3",), ("1p", "3")], [("3",), ("1pp", "3")], [("3", "3"), ("1p",)]),
+    ],
+)
+def test_left_trace_matches_the_reference_on_pinned_objects(name, x, y, z):
+    """The block contraction against `reference_left_trace` within 1e-11
+    relative, on rest objects of two summands; those of y share a sector."""
+    cat = TRACE_CATS[name]
+    x, y, z = (ObjectExpr.from_words(w) for w in (x, y, z))
+    assert any(0 < offs[1] < offs[2] for offs in engine(cat).sectors(y).values())
+    rng = np.random.default_rng(27)
+    for _ in range(3):
+        f = random_morphism(cat, x @ y, x @ z, rng)
+        want = reference_left_trace(cat, f, x, y, z)
+        assert (left_trace(cat, f, x, y, z) - want).max_abs() <= 1e-11 * max(1.0, want.max_abs())
+
+
+def test_rep_a4_is_a_category_with_a_multiplicity_two_channel():
+    cat = TRACE_CATS["rep_a4"]
+    assert validate_category(cat).ok
+    assert cat.n("3", "3", "3") == 2
+    x = ObjectExpr.word("3")
+    assert ("3", "3", 1) in engine(cat).pair_index(x, x)["3"].groups
 
 
 # ---- malformed category documents -------------------------------------------

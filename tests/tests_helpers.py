@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from qcat.braided import canonical_qsystem, full_centre
-from qcat.category import CategoryData, pair_label
+from qcat.category import CategoryData, load_category, pair_label
 from qcat.errors import MismatchError
 from qcat.frobenius import QSystem, _condition_matrix
 from qcat.modules import _action_slot, d_intertwiner, enumerate_bimodules, r_lift, restrict_bimodule
@@ -18,7 +20,7 @@ from qcat.morphisms import (
     identity,
     morphism_from_vector,
     random_morphism,
-    right_trace,
+    standard_pair,
     summand_matrix,
     tensor,
     trace,
@@ -43,6 +45,82 @@ def gauge_qsystem(cat, q, u):
         q.theta,
         compose(u, q.w),
         compose(tensor(u, u), compose(q.x, u.adjoint())),
+    )
+
+
+# ---- Rep(A4): a category with fusion multiplicity 2 --------------------
+
+
+def rep_a4_category() -> CategoryData:
+    """Rep(A4), the symmetric category of the alternating group on four
+    letters: labels 1, 1p, 1pp (1p and 1pp dual) and 3, with 3 x 3 =
+    1 + 1p + 1pp + 2 (3), so the channel 3 x 3 -> 3 has multiplicity 2.
+
+    Its data are computed from the irreducible representations on the
+    generators s (order 2) and t (order 3): the vertices e -> a b are an
+    orthonormal basis of the intertwiners C^e -> C^a (x) C^b (the identity
+    on a unit leg), F^{abc}_d[(e, al, be), (f, mu, nu)] is the overlap of the
+    tree (v_al (x) 1) v_be with the tree (1 (x) v_mu) v_nu, and R^{ab}_c
+    that of the flip of a b with the vertices of b a."""
+    w = np.exp(2j * np.pi / 3)
+    reps = {
+        "1": (np.eye(1), np.eye(1)),
+        "1p": (np.eye(1), np.array([[w]])),
+        "1pp": (np.eye(1), np.array([[w * w]])),
+        "3": (np.diag([1.0, -1.0, -1.0]), np.roll(np.eye(3), 1, axis=0)),
+    }
+    dim = {a: s.shape[0] for a, (s, _) in reps.items()}
+
+    def vertices(a, b, c):
+        eqs = [
+            np.kron(np.kron(ga, gb), np.eye(dim[c])) - np.kron(np.eye(dim[a] * dim[b]), gc.T)
+            for ga, gb, gc in zip(reps[a], reps[b], reps[c])
+        ]
+        _, s, vh = np.linalg.svd(np.vstack(eqs))
+        return [np.sqrt(dim[c]) * v.reshape(dim[a] * dim[b], dim[c]) for v in vh[int(np.sum(s > 1e-9)) :].conj()]
+
+    v = {}
+    for a, b, c in itertools.product(reps, repeat=3):
+        vs = vertices(a, b, c)
+        if vs:
+            v[a, b, c] = [np.eye(dim[c])] if "1" in (a, b) else vs
+
+    def overlaps(rows, cols, d):
+        """[i, j]: the inner product of cols[j] with rows[i], as maps C^d -> C^n."""
+        return np.array([[np.trace(col.conj().T @ row) / d for col in cols] for row in rows])
+
+    def entry(mat):
+        return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
+
+    f_entries = []
+    for a, b, c, d in itertools.product(reps, repeat=4):
+        rows = [
+            np.kron(va, np.eye(dim[c])) @ vb
+            for e in reps
+            for va in v.get((a, b, e), [])
+            for vb in v.get((e, c, d), [])
+        ]
+        cols = [
+            np.kron(np.eye(dim[a]), vm) @ vn
+            for f in reps
+            for vm in v.get((b, c, f), [])
+            for vn in v.get((a, f, d), [])
+        ]
+        if rows and "1" not in (a, b, c):
+            f_entries.append({"abc_d": [a, b, c, d], **entry(overlaps(rows, cols, dim[d]))})
+    r_entries = []
+    for (a, b, c), vs in v.items():
+        if "1" not in (a, b):
+            flip = np.eye(dim[a] * dim[b])[[i * dim[b] + j for j in range(dim[b]) for i in range(dim[a])]]
+            r_entries.append({"ab_c": [a, b, c], **entry(overlaps([flip @ vm for vm in vs], v[b, a, c], dim[c]).T)})
+    return load_category(
+        {
+            "labels": list(reps),
+            "dual": {"1": "1", "1p": "1pp", "1pp": "1p", "3": "3"},
+            "fusion": [[a, b, c, len(vs)] for (a, b, c), vs in v.items()],
+            "F": f_entries,
+            "R": r_entries,
+        }
     )
 
 
@@ -112,6 +190,40 @@ def killing_check(cat: CategoryData) -> dict:
         )
         out[a] = {"value": val, "target": target, "ok": abs(val - target) < 1e3 * cat.tol}
     return out
+
+
+# ---- the reference partial traces and centre projections: standard pairs --
+
+
+def reference_left_trace(cat: CategoryData, f: Morphism, x: ObjectExpr, rest_dom: ObjectExpr, rest_cod: ObjectExpr) -> Morphism:
+    """Partial trace over the left factor x of f in Hom(x rest_dom, x rest_cod),
+    (r* (x) 1)(1 (x) f)(r (x) 1) through the standard pair of x."""
+    pair = standard_pair(cat, x)
+    idxbar = identity(cat, pair.conj)
+    return compose(
+        tensor(pair.r.adjoint(), identity(cat, rest_cod)),
+        compose(tensor(idxbar, f), tensor(pair.r, identity(cat, rest_dom))),
+    )
+
+
+def right_trace(cat: CategoryData, f: Morphism, x: ObjectExpr, rest_dom: ObjectExpr, rest_cod: ObjectExpr) -> Morphism:
+    """Partial trace over the right factor x of f in Hom(rest_dom x, rest_cod x),
+    (1 (x) rbar*)(f (x) 1)(1 (x) rbar) through the standard pair of x."""
+    pair = standard_pair(cat, x)
+    idxbar = identity(cat, pair.conj)
+    return compose(
+        tensor(identity(cat, rest_cod), pair.rbar.adjoint()),
+        compose(tensor(f, idxbar), tensor(identity(cat, rest_dom), pair.rbar)),
+    )
+
+
+def reference_centre_projection(cat: CategoryData, q: QSystem, sign: str) -> Morphism:
+    """The centre projection P = d^-1 (r* (x) 1)(1 (x) eps)(x (x) 1)x of the
+    given sign, built on theta theta theta."""
+    idt = identity(cat, q.theta)
+    eps = braiding(cat, q.theta, q.theta, sign)
+    p = compose(tensor(q.r.adjoint(), idt), compose(tensor(idt, eps), compose(tensor(q.x, idt), q.x)))
+    return (1.0 / q.d) * p
 
 
 # ---- the reference braiding: a hexagon recursion on word length -------
