@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coherence import axiom_residuals
 from .errors import (
     DataError,
     ParseError,
@@ -74,8 +75,7 @@ class CategoryData:
         """Simple sectors of a x b with multiplicities, in label order.
 
         Built once from `fusion`, this is the one fusion adjacency that the
-        F-symbol bases (`f_rows`, `f_cols`), the Deligne product and the
-        pentagon/hexagon checks walk.
+        F-symbol bases (`f_rows`, `f_cols`) and the Deligne product walk.
         """
         return self._adjacency.get((a, b), ())
 
@@ -397,65 +397,11 @@ def _r_col(cat: CategoryData, key: tuple[str, ...], sign: str, i: int) -> tuple:
     return table[i]
 
 
-def _gaps(lhs: dict, rhs: dict) -> list:
-    """|lhs - rhs| on every tree either side reaches; a NaN stays."""
-    return [abs(lhs.get(t, 0.0) - rhs.get(t, 0.0)) for t in lhs.keys() | rhs.keys()]
-
-
-def _pentagon_residual(cat: CategoryData, a: str, b: str, c: str, d: str) -> float:
-    """The largest gap between the two F-move paths ((ab)c)d -> a(b(cd)) on a
-    ((ab)c)d tree (f, alpha, g, beta, e, gamma): f in a x b, g in f x c, e in
-    g x d.  Nested loops over the `_f_row` tables push each tree down
-    F^{abc}_g, F^{ahd}_e, F^{bcd}_l and down F^{fcd}_e, F^{abk}_e, and sum
-    only the final coefficients, keyed by the a(b(cd)) tree (k, kappa, l,
-    lambda, tau); NaN if any is NaN."""
-    gaps = []
-    for f, n_abf in cat.fuse(a, b):
-        for g, n_fcg in cat.fuse(f, c):
-            for e, n_gde in cat.fuse(g, d):
-                for al, be, ga in itertools.product(range(n_abf), range(n_fcg), range(n_gde)):
-                    lhs: dict = {}
-                    rhs: dict = {}
-                    for (h, mu, nu), x in _f_row(cat, (a, b, c, g), (f, al, be)):
-                        for (l, si, ta), y in _f_row(cat, (a, h, d, e), (g, nu, ga)):
-                            xy = x * y
-                            for (k, ka, lam), z in _f_row(cat, (b, c, d, l), (h, mu, si)):
-                                lhs[k, ka, l, lam, ta] = lhs.get((k, ka, l, lam, ta), 0.0) + xy * z
-                    for (k, ka, ta), x in _f_row(cat, (f, c, d, e), (g, be, ga)):
-                        for (l, lam, nu), y in _f_row(cat, (a, b, k, e), (f, al, ta)):
-                            rhs[k, ka, l, lam, nu] = rhs.get((k, ka, l, lam, nu), 0.0) + x * y
-                    gaps += _gaps(lhs, rhs)
-    return _worst(gaps)
-
-
-def _hexagon_residual(cat: CategoryData, c: str, a: str, b: str, d: str, sign: str) -> float:
-    """The largest gap of the hexagon identity for braiding c over a then b,
-    total d, on a row (e, alpha, beta) of F^{cab}_d: nested loops over the
-    `_r_col` and `_f_row` tables push it down R^{ca}_e, F^{acb}_d, R^{cb}_g
-    and down F^{cab}_d, R^{cf}_d, F^{abc}_d, and sum only the final
-    coefficients, keyed by the column of F^{abc}_d; NaN if any is NaN."""
-    gaps = []
-    for e, alpha, beta in cat.f_rows(c, a, b, d):
-        lhs: dict = {}
-        rhs: dict = {}
-        for j, x in _r_col(cat, (c, a, e), sign, alpha):
-            for (g, mu, nu), y in _f_row(cat, (a, c, b, d), (e, j, beta)):
-                xy = x * y
-                for k, z in _r_col(cat, (c, b, g), sign, mu):
-                    lhs[g, k, nu] = lhs.get((g, k, nu), 0.0) + xy * z
-        for (f, mu, nu), x in _f_row(cat, (c, a, b, d), (e, alpha, beta)):
-            for j, y in _r_col(cat, (c, f, d), sign, nu):
-                xy = x * y
-                for t, z in _f_row(cat, (a, b, c, d), (f, mu, j)):
-                    rhs[t] = rhs.get(t, 0.0) + xy * z
-        gaps += _gaps(lhs, rhs)
-    return _worst(gaps)
-
-
 def _worst(residuals) -> float:
     """The largest of the residuals, 0 if there are none; NaN if any is NaN."""
-    rs = [0.0, *residuals]
-    return float("nan") if any(r != r for r in rs) else float(max(rs))
+    if not isinstance(residuals, np.ndarray):
+        residuals = np.fromiter(residuals, float)
+    return float(np.max(residuals, initial=0.0))
 
 
 def _admissible_tuples(cat: CategoryData) -> list[tuple[str, str, str, str]]:
@@ -472,14 +418,10 @@ def validate_category(cat: CategoryData) -> ValidationReport:
     for every admissible (a, b, c, d) through `fmat`, so a product checks them all."""
     labels = cat.labels
     admissible = _admissible_tuples(cat)
-    f_res = _worst(_unitarity_residual(cat.fmat(*key)) for key in admissible)
+    f_all, pent_all, hexp_all, hexm_all = axiom_residuals(cat, admissible)
+    f_res = _worst(f_all)
     r_res = _worst(_unitarity_residual(mat) for mat in cat.r_symbols.values())
-    quads = list(itertools.product(labels, repeat=4))
-    pent_all = [_pentagon_residual(cat, *q) for q in quads]
-    pent = _worst(pent_all)
-    hex_p = [_hexagon_residual(cat, *key, "+") for key in admissible]
-    hex_m = [_hexagon_residual(cat, *key, "-") for key in admissible]
-    hexp, hexm = _worst(hex_p), _worst(hex_m)
+    pent, hexp, hexm = _worst(pent_all), _worst(hexp_all), _worst(hexm_all)
     dim_res = _worst(
         abs(cat.dims[a] * cat.dims[b] - sum(m * cat.dims[c] for c, m in cat.fuse(a, b)))
         for a, b in itertools.product(labels, repeat=2)
@@ -500,19 +442,21 @@ def validate_category(cat: CategoryData) -> ValidationReport:
         hexagon_plus=hexp,
         hexagon_minus=hexm,
         dim_residual=dim_res,
-        worst_pentagon=_first_worst(quads, pent_all, cat.tol),
-        worst_hexagon=_first_worst(admissible, np.maximum(hex_p, hex_m), cat.tol),
+        worst_pentagon=_first_worst(
+            pent_all, cat.tol, lambda i: tuple(labels[x] for x in np.unravel_index(i, (len(labels),) * 4))
+        ),
+        worst_hexagon=_first_worst(np.maximum(hexp_all, hexm_all), cat.tol, admissible.__getitem__),
     )
 
 
-def _first_worst(keys: list, residuals, tol: float):
-    """None when the worst residual is below tol; otherwise the first key, in
-    walk order, whose residual is NaN or within tol of the worst, so that
-    residuals tied up to rounding name the same key on every platform."""
+def _first_worst(residuals: np.ndarray, tol: float, key):
+    """None when the worst residual is below tol; otherwise the `key` of the
+    first index whose residual is NaN or within tol of the worst, so that
+    residuals tied up to rounding name the same tuple on every platform."""
     worst = _worst(residuals)
     if worst < tol:
         return None
-    return next(k for k, r in zip(keys, residuals) if r != r or r >= worst - tol)
+    return key(int(np.flatnonzero(np.isnan(residuals) | (residuals >= worst - tol))[0]))
 
 
 def modular_data(cat: CategoryData) -> ModularData:

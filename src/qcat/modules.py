@@ -298,17 +298,22 @@ def r_lift(mod: Module, ra: QSystem, rb: QSystem) -> Module:
     m_e = _embed_morphism(cat, prod, mod.m)
     beta_e = _embed_obj(cat, prod, mod.beta)
     x2 = compose(tensor(qr.x, identity(prod, th)), qr.x)
-    ida = identity(prod, theta_a)
-    step1 = tensor(m_e, x2)
-    step2 = tensor(
-        tensor(identity(prod, theta_a @ beta_e), braiding(prod, theta_b, th @ th, "+")),
-        identity(prod, th),
+    # each routing step is composed as soon as it is built, so that no two steps are alive at once
+    m_lift = tensor(m_e, x2)
+    m_lift = compose(
+        tensor(
+            tensor(identity(prod, theta_a @ beta_e), braiding(prod, theta_b, th @ th, "+")),
+            identity(prod, th),
+        ),
+        m_lift,
     )
-    step3 = tensor(
-        ida,
-        tensor(braiding(prod, beta_e, th, "+"), identity(prod, th @ theta_b @ th)),
+    m_lift = compose(
+        tensor(
+            identity(prod, theta_a),
+            tensor(braiding(prod, beta_e, th, "+"), identity(prod, th @ theta_b @ th)),
+        ),
+        m_lift,
     )
-    m_lift = compose(step3, compose(step2, step1))
     return Module(beta_e @ th, m_lift, (ra, rb), f"R[{mod.label}]")
 
 

@@ -12,8 +12,6 @@ from qcat.category import (
     CategoryData,
     _admissible_tuples,
     _f_row,
-    _hexagon_residual,
-    _pentagon_residual,
     _worst,
     build_category,
     deligne_product,
@@ -22,6 +20,7 @@ from qcat.category import (
     pair_label,
     validate_category,
 )
+from qcat.coherence import axiom_residuals
 from qcat.errors import DataError, ParseError
 from qcat.fixtures import ising_category, z2_category
 from qcat.frobenius import ising_q, trivial_qsystem_in
@@ -344,8 +343,9 @@ def test_worst_hexagon_follows_the_minus_hexagon():
     rep = validate_category(cat)
     assert rep.hexagon_plus < 1e-9
     assert rep.hexagon_minus > 1.0
-    worst = max(itertools.product(cat.labels, repeat=4), key=lambda t: _hexagon_residual(cat, *t, "-"))
-    assert rep.worst_hexagon == worst
+    _, _, minus = batch_residuals(cat)
+    worst = max(itertools.product(cat.labels, repeat=4), key=lambda t: reference_hexagon_residual(cat, *t, "-"))
+    assert rep.worst_hexagon == worst == _admissible_tuples(cat)[int(np.argmax(minus))]
 
 
 def test_product_r_symbols_are_kronecker_products(ising):
@@ -400,8 +400,8 @@ def test_nan_r_symbol_in_memory_fails_validation(ising):
 def reference_pentagon_residual(cat: CategoryData, a: str, b: str, c: str, d: str) -> float:
     """Compare the two F-move paths ((ab)c)d -> a(b(cd)), summed over sectors.
 
-    The dense-matrix check that `_pentagon_residual` replaced, kept as its
-    reference: five tree bases per sector, one F-move matrix per step.
+    The dense-matrix check that the batched `_Kernel.pentagon` replaced, kept
+    as its reference: five tree bases per sector, one F-move matrix per step.
     """
     fuse, n = cat.fuse, cat.n
     moves: dict[tuple[str, str, str, str], tuple] = {}
@@ -508,7 +508,8 @@ def reference_hexagon_residual(cat: CategoryData, c: str, a: str, b: str, d: str
 
     Every basis on the two paths is the row or column basis of one of
     F^{cab}_d, F^{acb}_d, F^{abc}_d, so each F-move is its F-matrix transposed.
-    The dense-matrix check that `_hexagon_residual` replaced, kept as its reference.
+    The dense-matrix check that the batched `_Kernel.hexagon` replaced, kept
+    as its reference.
     """
 
     def rb(x: str, y: str, z: str) -> np.ndarray:
@@ -549,6 +550,27 @@ def reference_hexagon_residual(cat: CategoryData, c: str, a: str, b: str, d: str
                 r3[i_m4[(f, mu, nup)], j] += rm[nup, nu]
     rhs = cat.fmat(a, b, c, d).T @ r3 @ cat.fmat(c, a, b, d).T
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def batch_residuals(cat: CategoryData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batched pentagon, + hexagon and - hexagon residual arrays of `cat`."""
+    return axiom_residuals(cat, _admissible_tuples(cat))[1:]
+
+
+def assert_batch_matches_the_reference(cat: CategoryData, res: tuple, quads) -> None:
+    """The batch pentagon residual of each of `quads`, and both batch hexagon
+    residuals of every admissible tuple, agree with the dense references."""
+    pent, plus_all, minus_all = res
+    n = len(cat.labels)
+    index = {l: i for i, l in enumerate(cat.labels)}
+    for quad in quads:
+        at = int(np.ravel_multi_index([index[x] for x in quad], (n,) * 4))
+        got, want = pent[at], reference_pentagon_residual(cat, *quad)
+        assert abs(got - want) < 1e-12, (quad, got, want)
+    for key, plus, minus in zip(_admissible_tuples(cat), plus_all, minus_all, strict=True):
+        for sign, got in (("+", plus), ("-", minus)):
+            want = reference_hexagon_residual(cat, *key, sign)
+            assert abs(got - want) < 1e-12, (key, sign, got, want)
 
 
 def vertex_gauge(cat: CategoryData, seed: int) -> CategoryData:
@@ -638,13 +660,8 @@ def check_categories() -> dict:
 def test_pentagon_and_hexagons_match_the_dense_reference(name):
     cat = check_categories()[name]
     assert name != "gauged_ising" or validate_category(cat).ok
-    for quad in itertools.product(cat.labels, repeat=4):
-        got, want = _pentagon_residual(cat, *quad), reference_pentagon_residual(cat, *quad)
-        assert abs(got - want) < 1e-12, (quad, got, want)
-    for key in _admissible_tuples(cat):
-        for sign in "+-":
-            got, want = _hexagon_residual(cat, *key, sign), reference_hexagon_residual(cat, *key, sign)
-            assert abs(got - want) < 1e-12, (key, sign, got, want)
+    res = batch_residuals(cat)
+    assert_batch_matches_the_reference(cat, res, itertools.product(cat.labels, repeat=4))
 
 
 @pytest.mark.parametrize("name", ["gauged_z3", "mult2", "z3xz3opp"])
@@ -677,8 +694,10 @@ def test_worst_pentagon_is_the_argmax():
     cat = broken_pentagon_ising()
     rep = validate_category(cat)
     assert rep.pentagon > 1e-3
-    worst = max(itertools.product(cat.labels, repeat=4), key=lambda q: _pentagon_residual(cat, *q))
-    assert rep.worst_pentagon == worst
+    quads = list(itertools.product(cat.labels, repeat=4))
+    pent, _, _ = batch_residuals(cat)
+    worst = max(quads, key=lambda q: reference_pentagon_residual(cat, *q))
+    assert rep.worst_pentagon == worst == quads[int(np.argmax(pent))]
 
 
 def test_tied_worst_residuals_name_the_first_tuple_walked():
@@ -686,11 +705,11 @@ def test_tied_worst_residuals_name_the_first_tuple_walked():
     tied, up to rounding, on many tuples; the report names the first one walked."""
     cat = check_categories()["mult2xz3opp"]
     rep = validate_category(cat)
-    pent = [_pentagon_residual(cat, *q) for q in itertools.product(cat.labels, repeat=4)]
+    pent, plus, minus = batch_residuals(cat)
     assert sum(r >= rep.pentagon - cat.tol for r in pent) > 1
     assert rep.worst_pentagon == ("x|0", "x|0", "x|0", "x|0")
     keys = _admissible_tuples(cat)
-    hexes = [max(_hexagon_residual(cat, *key, "+"), _hexagon_residual(cat, *key, "-")) for key in keys]
+    hexes = np.maximum(plus, minus)
     worst = max(rep.hexagon_plus, rep.hexagon_minus)
     tied = [key for key, r in zip(keys, hexes) if r >= worst - cat.tol]
     assert len(tied) > 1
@@ -714,7 +733,6 @@ def test_nan_f_symbol_of_a_product_fails_pentagon():
     key = next(t for t in _admissible_tuples(prod) if prod.unit not in t[:3])
     prod.fmat(*key)
     prod.f_symbols[key][0, 0] = np.nan
-    prod._f_moves.pop(key, None)
     rep = validate_category(prod)
     assert rep.ok is False
     assert np.isnan(rep.pentagon)
@@ -722,17 +740,77 @@ def test_nan_f_symbol_of_a_product_fails_pentagon():
 
 
 def test_validation_gathers_each_f_symbol_once(monkeypatch):
-    """One gather per admissible key without a unit leg, and one F-move table
-    per admissible key: the walk reuses both for every tree it pushes."""
+    """One gather per admissible key without a unit leg; validation reads
+    `fmat` and `rmat` afresh, and no F- or R-move table of `_f_row` or `_r_col`."""
     import qcat.category as category
 
     calls = []
     gather = category._product_fmat
     monkeypatch.setattr(category, "_product_fmat", lambda key, *rest: calls.append(key) or gather(key, *rest))
     prod = deligne_product(gauged_z3(), gauged_z3(), reverse_right=True)
-    assert validate_category(prod).ok
+    rep = validate_category(prod)
+    assert rep.ok
     admissible = _admissible_tuples(prod)
     assert sorted(calls) == sorted(t for t in admissible if prod.unit not in t[:3])
     assert len(calls) == 512
-    assert sorted(prod._f_moves) == sorted(admissible)
     assert len(admissible) == 729
+
+    def refuse(*args):
+        raise AssertionError("validation reads a move table")
+
+    monkeypatch.setattr(category, "_f_row", refuse)
+    monkeypatch.setattr(category, "_r_col", refuse)
+    assert validate_category(deligne_product(gauged_z3(), gauged_z3(), reverse_right=True)) == rep
+
+
+# ---- the batched checks on broken data ----------------------------------------
+
+
+@pytest.mark.filterwarnings("error")
+def test_nan_r_symbol_of_a_product_fails_both_hexagons():
+    prod = deligne_product(gauged_z3(), gauged_z3(), reverse_right=True)
+    key = next(k for k in sorted(prod.r_symbols) if prod.unit not in k[:2])
+    prod.r_symbols[key] = np.full_like(prod.r_symbols[key], np.nan)
+    rep = validate_category(prod)
+    assert np.isnan(rep.hexagon_plus) and np.isnan(rep.hexagon_minus)
+    assert rep.ok is False
+    assert rep.worst_hexagon in set(_admissible_tuples(prod))
+    assert rep.pentagon < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("inf", [complex(np.inf, 0.0), complex(0.0, -np.inf)])
+def test_an_infinite_f_entry_never_validates(ising, inf):
+    key = ("sig", "sig", "sig", "sig")
+    for at in itertools.product(range(2), repeat=2):
+        f_symbols = dict(ising.f_symbols)
+        f_symbols[key] = f_symbols[key].copy()
+        f_symbols[key][at] = inf
+        cat = CategoryData(ising.labels, ising.dual, ising.fusion, f_symbols, ising.r_symbols, ising.dims, ising.twists)
+        rep = validate_category(cat)
+        assert rep.ok is False, at
+        assert not rep.pentagon < cat.tol and not rep.f_unitarity < cat.tol, (at, rep)
+        assert rep.worst_pentagon is not None
+
+
+def test_an_f_symbol_of_the_wrong_shape_raises(ising):
+    f_symbols = dict(ising.f_symbols)
+    f_symbols[("sig", "sig", "sig", "sig")] = np.eye(1, dtype=complex)
+    cat = CategoryData(ising.labels, ising.dual, ising.fusion, f_symbols, ising.r_symbols, ising.dims, ising.twists)
+    with pytest.raises(DataError, match="shapes do not match"):
+        validate_category(cat)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_perturbed_product_f_symbol_matches_the_reference():
+    """One F entry of gauged Z3 x Z3^opp moved by 1e-6 in memory: the batch
+    residuals agree with the dense references on every quadruple with a leg
+    among that key's labels, and on every hexagon."""
+    prod = deligne_product(gauged_z3(), gauged_z3(), reverse_right=True)
+    key = next(t for t in _admissible_tuples(prod) if prod.unit not in t[:3])
+    prod.f_symbols[key] = prod.fmat(*key) + 1e-6
+    res = batch_residuals(prod)
+    assert 1e-7 < np.max(res[0]) < 1e-5
+    quads = [q for q in itertools.product(prod.labels, repeat=4) if set(q) & set(key)]
+    assert_batch_matches_the_reference(prod, res, quads)
+    assert validate_category(prod).ok is False
