@@ -17,11 +17,9 @@ from .morphisms import (
     ObjectExpr,
     braiding,
     compose,
-    hom_basis,
+    conjugacy_phase,
     identity,
     left_trace,
-    morphism_vector,
-    standard_pair,
     summand_matrix,
     tensor,
 )
@@ -92,32 +90,34 @@ def opposite_product_category(cat: CategoryData) -> CategoryData:
     return prod
 
 
+def _bent_leg(cat: CategoryData, key: tuple[str, str, str, str], e: str, rows: bool) -> np.ndarray:
+    """The entries of F^key in its unit-vertex column and the rows (e, i, j)
+    (rows=True), or in its unit-vertex row and the columns (e, i, j), as a
+    matrix over i and j (the unit vertex is row and column 0)."""
+    basis = cat.f_rows(*key) if rows else cat.f_cols(*key)
+    at_e = [k for k, (f, _, _) in enumerate(basis) if f == e]
+    line = cat.fmat(*key)[:, 0] if rows else cat.fmat(*key)[0]
+    return line[at_e].reshape(basis[at_e[-1]][1] + 1, -1)
+
+
 def _conj_hom_matrix(cat: CategoryData, rho: str, sigma: str, tau: str) -> np.ndarray:
-    """Matrix of the antiunitary map Hom(tau, rho sigma) -> Hom(taubar, rhobar sigmabar)
-    realized by entrywise conjugation followed by Frobenius rotation and the
-    opposite braiding, unitarized.  Column mu holds the `morphism_vector`
-    coordinates of the image of hom_basis(tau, rho sigma)[mu]; that basis is
-    of real 0/1 matrices, so each element is its own entrywise conjugate."""
-    rb, sb = cat.dual[rho], cat.dual[sigma]
-    dom = ObjectExpr.word(tau)
-    cod = ObjectExpr.word(rho, sigma)
-    basis = hom_basis(cat, dom, cod)
-    if not basis:
-        return np.zeros((0, 0))
-    pair_w = standard_pair(cat, cod)          # conj = (sigmabar rhobar)
-    pair_t = standard_pair(cat, dom)          # conj = taubar
-    id_c = identity(cat, pair_w.conj)
-    eps = braiding(cat, ObjectExpr.word(sb), ObjectExpr.word(rb), "-")
-    cols = []
-    for t in basis:
-        g = compose(tensor(id_c, t.adjoint()), pair_w.r)       # Hom(1, sb rb tau)
-        rot0 = compose(
-            tensor(id_c, pair_t.rbar.adjoint()),
-            tensor(g, identity(cat, pair_t.conj)),
-        )                                                       # Hom(taubar, sb rb)
-        rot = compose(eps, rot0)                                # Hom(taubar, rb sb)
-        cols.append(morphism_vector(rot))
-    u, _, vh = np.linalg.svd(np.stack(cols, axis=1))
+    """The antiunitary map Hom(tau, rho sigma) -> Hom(taubar, rhobar sigmabar)
+    of the canonical Q-system, vertex mu to column mu: entrywise conjugation,
+    Frobenius rotation and the opposite braiding, unitarized.  The rotation
+    bends one leg per F-symbol, each through a unit vertex,
+
+        P[mu, ka] = F^{rhobar rho sigma}_sigma[0, (tau, mu, ka)]
+        Q[ka, la] = F^{rhobar tau taubar}_rhobar[(sigma, ka, la), 0]
+        W[la, nu] = F^{sigmabar sigma taubar}_taubar[0, (rhobar, la, nu)],
+
+    so the map is the unitary polar part of R^{sigmabar rhobar}_taubar(-)
+    conj(phi_tau) (P Q W)^T, phi_tau the conjugacy phase of tau."""
+    rb, sb, tb = cat.dual[rho], cat.dual[sigma], cat.dual[tau]
+    p = _bent_leg(cat, (rb, rho, sigma, sigma), tau, rows=False)
+    q = _bent_leg(cat, (rb, tau, tb, rb), sigma, rows=True)
+    w = _bent_leg(cat, (sb, sigma, tb, tb), rb, rows=False)
+    rot = cat.rmat(sb, rb, tb, "-") @ (np.conj(conjugacy_phase(cat, tau)) * (p @ q @ w)).T
+    u, _, vh = np.linalg.svd(rot)
     return u @ vh
 
 

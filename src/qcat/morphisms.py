@@ -206,9 +206,10 @@ class Engine:
     It keeps one sector table per word (`trees`, the tree counts) and per
     object (`sectors`), holding only the sectors they reach, and every walk
     goes over those.  Trees and split bases are placed by the counts (`_blocks`).
-    Object tables, recouplings and standard pairs are built for unit-free
-    words only (`unit_free`); a word with unit letters reads the table of
-    its unit-free word, so `split` never sees a unit letter.
+    Object tables and recouplings are built for unit-free words only
+    (`unit_free`); a word with unit letters reads the table of its unit-free
+    word, so `split` never sees a unit letter.  Standard pairs are neither
+    cached nor keyed by unit-free words: `standard_pair` builds them anew.
     """
 
     def __init__(self, cat: CategoryData):
@@ -217,7 +218,6 @@ class Engine:
         self._trees: dict[Word, dict[str, int]] = {}
         self._sectors: dict[ObjectExpr, dict[str, list[int]]] = {}
         self._split: dict[tuple[Word, Word], dict[str, np.ndarray | None]] = {}
-        self._word_pair: dict[Word, tuple[Morphism, Morphism]] = {}
         self._pair_index: dict[tuple[ObjectExpr, ObjectExpr], dict[str, _SectorIndex]] = {}
 
     def _in_label_order(self, table: dict) -> dict:
@@ -624,46 +624,42 @@ class StandardPair:
     rbar: Morphism
 
 
+def conjugacy_phase(cat: CategoryData, a: str) -> complex:
+    """phi_a = 1/(d_a F^{a abar a}_a[0, 0]), the phase of rbar = phi_a r in the
+    standard pair r = sqrt(d_a) of a letter a (the unit vertex is row and
+    column 0): it makes the first zig-zag the identity, and the second,
+    d_a phi_a conj(F^{abar a abar}_abar[0, 0]), must then be 1 too."""
+    abar, d = cat.dual[a], cat.dims[a]
+    zeta = d * complex(cat.fmat(a, abar, a, a)[0, 0])
+    if abs(zeta) < 1e-12:
+        raise ConjugacyError(f"zig-zag vanishes for label {a!r}")
+    phi = 1.0 / zeta
+    if abs(abs(phi) - 1.0) > 1e2 * cat.tol:
+        raise ConjugacyError(f"no unimodular conjugacy phase for {a!r}: |phi| = {abs(phi)}")
+    if abs(d * phi * np.conj(cat.fmat(abar, a, abar, abar)[0, 0]) - 1.0) > 1e2 * cat.tol:
+        raise ConjugacyError(f"conjugacy relations unsolvable for {a!r}")
+    return phi
+
+
 def _word_pair(cat: CategoryData, w: Word) -> tuple[Morphism, Morphism]:
-    """The standard pair (r: 1 -> wbar w, rbar: 1 -> w wbar) of a word: the
-    blocks of the unit-free word's pair, placed on w's objects."""
-    eng = engine(cat)
-    got = eng._word_pair.get(w)
-    if got is not None:
-        return got
+    """The standard pair (r: 1 -> wbar w, rbar: 1 -> w wbar) of a word, built
+    letter by letter from r = sqrt(d_a), rbar = phi_a sqrt(d_a)."""
     unit_obj = ObjectExpr.unit()
-    bare = unit_free(cat, w)
-    if bare != w:
-        (r, rbar), wbar = _word_pair(cat, bare), conj_word(cat, w)
-        r = Morphism(cat, unit_obj, _word_obj(wbar + w), r.blocks)
-        rbar = Morphism(cat, unit_obj, _word_obj(w + wbar), rbar.blocks)
-    elif len(w) == 0:
-        r = rbar = identity(cat, unit_obj)
-    elif len(w) == 1:
+    if len(w) == 0:
+        return identity(cat, unit_obj), identity(cat, unit_obj)
+    if len(w) == 1:
         a = w[0]
-        abar = cat.dual[a]
-        d = cat.dims[a]
-        # the zig-zags of r = rbar = sqrt(d): d F^{a abar a}_a[0, 0], d conj(F^{abar a abar}_abar[0, 0])
-        zeta = d * complex(cat.fmat(a, abar, a, a)[0, 0])
-        if abs(zeta) < 1e-12:
-            raise ConjugacyError(f"zig-zag vanishes for label {a!r}")
-        phi = 1.0 / zeta
-        if abs(abs(phi) - 1.0) > 1e2 * cat.tol:
-            raise ConjugacyError(f"no unimodular conjugacy phase for {a!r}: |phi| = {abs(phi)}")
-        if abs(d * phi * np.conj(cat.fmat(abar, a, abar, abar)[0, 0]) - 1.0) > 1e2 * cat.tol:
-            raise ConjugacyError(f"conjugacy relations unsolvable for {a!r}")
-        root = np.array([[np.sqrt(d)]], dtype=complex)
-        r = Morphism(cat, unit_obj, _word_obj((abar, a)), {cat.unit: root})
-        rbar = Morphism(cat, unit_obj, _word_obj((a, abar)), {cat.unit: phi * root})
-    else:
-        v, a = w[:-1], (w[-1],)
-        rv, rvbar = _word_pair(cat, v)
-        ra, rabar = _word_pair(cat, a)
-        abar_obj = _word_obj(conj_word(cat, a))
-        vbar_obj = _word_obj(conj_word(cat, v))
-        r = compose(tensor(tensor(identity(cat, abar_obj), rv), identity(cat, _word_obj(a))), ra)
-        rbar = compose(tensor(tensor(identity(cat, _word_obj(v)), rabar), identity(cat, vbar_obj)), rvbar)
-    eng._word_pair[w] = (r, rbar)
+        root = np.array([[np.sqrt(cat.dims[a])]], dtype=complex)
+        r = Morphism(cat, unit_obj, _word_obj((cat.dual[a], a)), {cat.unit: root})
+        rbar = Morphism(cat, unit_obj, _word_obj((a, cat.dual[a])), {cat.unit: conjugacy_phase(cat, a) * root})
+        return r, rbar
+    v, a = w[:-1], (w[-1],)
+    rv, rvbar = _word_pair(cat, v)
+    ra, rabar = _word_pair(cat, a)
+    abar_obj = _word_obj(conj_word(cat, a))
+    vbar_obj = _word_obj(conj_word(cat, v))
+    r = compose(tensor(tensor(identity(cat, abar_obj), rv), identity(cat, _word_obj(a))), ra)
+    rbar = compose(tensor(tensor(identity(cat, _word_obj(v)), rabar), identity(cat, vbar_obj)), rvbar)
     return r, rbar
 
 

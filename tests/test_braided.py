@@ -5,6 +5,7 @@ import pytest
 
 import qcat
 from qcat.braided import (
+    _conj_hom_matrix,
     braided_product,
     canonical_qsystem,
     centre_projections,
@@ -26,8 +27,8 @@ from qcat.frobenius import (
     trivial_qsystem_in,
 )
 from qcat.morphisms import ObjectExpr, identity, left_trace
-from test_category import gauged_z3, vertex_gauge
-from tests_helpers import killing_check, reference_centre_projection
+from test_category import gauged_z3, gauged_z5, vertex_gauge, zn_data
+from tests_helpers import killing_check, reference_centre_projection, reference_conj_hom_matrix, rep_a4_category
 
 
 def test_centre_projections_are_projections(ising, iq):
@@ -75,7 +76,8 @@ def test_centre_projection_is_the_four_morphism_formula(name, cat, q, sign):
 
 def test_partial_traces_and_centre_projections_make_no_tensor_product(monkeypatch):
     """`left_trace` and `centre_projections` build no object three factors
-    long: on a fresh category, neither calls `tensor`, through
+    long, and `canonical_qsystem` reads its conjugate vertices off F and R:
+    on a fresh category, none of them calls `tensor`, through
     `qcat.morphisms` or through `qcat.braided`."""
     calls = []
 
@@ -96,6 +98,7 @@ def test_partial_traces_and_centre_projections_make_no_tensor_product(monkeypatc
         centre_projections(cat, q, sign)
     x = ObjectExpr.from_words([("sig", "sig"), ("eps",)])
     left_trace(cat, identity(cat, x @ theta), x, theta, theta)
+    canonical_qsystem(cat)
     assert calls == []
 
 
@@ -129,6 +132,41 @@ def test_canonical_qsystem(ising):
     assert abs(qr.d - 2.0) < 1e-9  # d_R = sqrt(global dim)
     comm, res = check_commutative(prod, qr)
     assert comm and res < 1e-9
+
+
+def test_canonical_qsystem_with_a_multiplicity_two_channel():
+    """Rep(A4) has the channel 3 x 3 -> 3 of multiplicity 2, so its canonical
+    Q-system pairs the two vertices of that channel by a 2 x 2 unitary."""
+    prod, qr = canonical_qsystem(rep_a4_category())
+    assert check_qsystem(prod, qr).ok
+    assert abs(qr.d - np.sqrt(12.0)) < 1e-9  # d_R = sqrt(global dim)
+    comm, res = check_commutative(prod, qr)
+    assert comm and res < 1e-9
+
+
+CONJUGATE_VERTEX_CATEGORIES = {
+    "ising": lambda: build_category(ising_category()),
+    "ising_seed1": lambda: vertex_gauge(build_category(ising_category()), 1),
+    "ising_seed2": lambda: vertex_gauge(build_category(ising_category()), 2),
+    "gauged_z3": gauged_z3,
+    "gauged_z5": gauged_z5,
+    "z5_seed3": lambda: vertex_gauge(build_category(zn_data(5)), 3),
+    "rep_a4": rep_a4_category,
+}
+
+
+@pytest.mark.parametrize("name", list(CONJUGATE_VERTEX_CATEGORIES))
+def test_conjugate_vertex_matches_the_rotation_reference(name):
+    """The conjugate vertices of the canonical Q-system, read off F and R,
+    equal the rotation composed from standard pairs and eps^- on every
+    fusion channel rho sigma -> tau."""
+    cat = CONJUGATE_VERTEX_CATEGORIES[name]()
+    channels = [(r, s, t) for r in cat.labels for s in cat.labels for t in cat.labels if cat.n(r, s, t)]
+    for channel in channels:
+        got, want = _conj_hom_matrix(cat, *channel), reference_conj_hom_matrix(cat, *channel)
+        assert got.shape == want.shape == (cat.n(*channel),) * 2
+        assert np.abs(got - want).max() <= 1e-12, channel
+    assert max(cat.n(*channel) for channel in channels) == (2 if name == "rep_a4" else 1)
 
 
 def test_embed_left_preserves_axioms(ising, iq):

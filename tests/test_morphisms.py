@@ -62,7 +62,8 @@ def test_tensor_functorial(ising):
 
 
 def test_standard_pair_zigzag(ising):
-    for x in (SIG2, SSS, ObjectExpr.word("eps", "sig")):
+    unit_lettered = (ObjectExpr.word("1", "sig"), ObjectExpr.from_words([("sig",), ()]))
+    for x in (SIG2, SSS, ObjectExpr.word("eps", "sig")) + unit_lettered:
         pair = standard_pair(ising, x)
         idx = identity(ising, x)
         idc = identity(ising, pair.conj)
@@ -642,11 +643,14 @@ def test_summand_matrix_reassembles_sliced_parts(name):
 def test_standard_pair_of_a_bad_f_symbol_raises(f_sss, message):
     """F^{sig sig sig}_sig fixes both zig-zags of sig's standard pair: a
     vanishing one, a non-unimodular phase and an unsolvable second relation
-    each raise."""
+    each raise, in `standard_pair` and in the conjugate vertices of
+    `canonical_qsystem`."""
     cat = build_category(ising_category())
     cat.f_symbols[("sig", "sig", "sig", "sig")] = np.array(f_sss, dtype=complex)
     with pytest.raises(ConjugacyError, match=message):
         standard_pair(cat, ObjectExpr.word("sig"))
+    with pytest.raises(ConjugacyError, match=message):
+        canonical_qsystem(cat)
 
 
 def test_unknown_label_anywhere_in_a_word_raises(ising):

@@ -19,6 +19,7 @@ from qcat.morphisms import (
     hom_basis,
     identity,
     morphism_from_vector,
+    morphism_vector,
     random_morphism,
     standard_pair,
     summand_matrix,
@@ -224,6 +225,32 @@ def reference_centre_projection(cat: CategoryData, q: QSystem, sign: str) -> Mor
     eps = braiding(cat, q.theta, q.theta, sign)
     p = compose(tensor(q.r.adjoint(), idt), compose(tensor(idt, eps), compose(tensor(q.x, idt), q.x)))
     return (1.0 / q.d) * p
+
+
+# ---- the reference conjugate vertex: a rotation by standard pairs ------
+
+
+def reference_conj_hom_matrix(cat: CategoryData, rho: str, sigma: str, tau: str) -> np.ndarray:
+    """The antiunitary map Hom(tau, rho sigma) -> Hom(taubar, rhobar sigmabar)
+    of the canonical Q-system, composed: each basis vertex t (a real 0/1
+    matrix, its own entrywise conjugate) is rotated to taubar -> sigmabar rhobar
+    by the standard pairs of rho sigma and of tau, then braided by eps^-.
+    Column mu holds the `morphism_vector` coordinates of the image of
+    hom_basis(tau, rho sigma)[mu]; the matrix is unitarized."""
+    rb, sb = cat.dual[rho], cat.dual[sigma]
+    dom = ObjectExpr.word(tau)
+    cod = ObjectExpr.word(rho, sigma)
+    pair_w = standard_pair(cat, cod)  # conj = (sigmabar rhobar)
+    pair_t = standard_pair(cat, dom)  # conj = taubar
+    id_c = identity(cat, pair_w.conj)
+    eps = braiding(cat, ObjectExpr.word(sb), ObjectExpr.word(rb), "-")
+    cols = []
+    for t in hom_basis(cat, dom, cod):
+        g = compose(tensor(id_c, t.adjoint()), pair_w.r)  # Hom(1, sb rb tau)
+        rot = compose(tensor(id_c, pair_t.rbar.adjoint()), tensor(g, identity(cat, pair_t.conj)))  # Hom(taubar, sb rb)
+        cols.append(morphism_vector(compose(eps, rot)))  # Hom(taubar, rb sb)
+    u, _, vh = np.linalg.svd(np.stack(cols, axis=1))
+    return u @ vh
 
 
 # ---- the reference braiding: a hexagon recursion on word length -------
