@@ -95,8 +95,8 @@ def validate_module(cat: CategoryData, mod: Module) -> ModuleReport:
     id_a, id_beta, id_b = (identity(cat, x) for x in (qa.theta, mod.beta, qb.theta))
     unit = (compose(tensor(tensor(qa.w.adjoint(), id_beta), qb.w.adjoint()), mod.m) - id_beta).max_abs()
     # the left and the right action alone
-    m1 = compose(tensor(tensor(id_a, id_beta), qb.w.adjoint()), mod.m)
-    m2 = compose(tensor(qa.w.adjoint(), tensor(id_beta, id_b)), mod.m)
+    m1 = compose(tensor(identity(cat, qa.theta @ mod.beta), qb.w.adjoint()), mod.m)
+    m2 = compose(tensor(qa.w.adjoint(), identity(cat, mod.beta @ qb.theta)), mod.m)
     rep = np.max([
         (compose(tensor(id_a, m1), m1) - compose(tensor(qa.x, id_beta), m1)).max_abs(),
         (compose(tensor(m2, id_b), m2) - compose(tensor(id_beta, qb.x), m2)).max_abs(),
@@ -251,19 +251,17 @@ def bimodule_tensor(mod1: Module, mod2: Module) -> Module:
     qa, qb = mod1.parents
     qb2, qc = mod2.parents
     _require_same_qsystems([(qb, qb2)], "middle Q-systems must coincide")
-    ida = identity(cat, qa.theta)
-    idc = identity(cat, qc.theta)
-    id1 = identity(cat, mod1.beta)
-    id2 = identity(cat, mod2.beta)
     mhat = compose(
-        tensor(tensor(tensor(ida, id1), tensor(qb.r.adjoint(), id2)), idc),
+        tensor(tensor(identity(cat, qa.theta @ mod1.beta), qb.r.adjoint()), identity(cat, mod2.beta @ qc.theta)),
         tensor(mod1.m, mod2.m),
     )
     p = (1.0 / qb.d) * compose(
-        tensor(tensor(qa.w.adjoint(), tensor(id1, id2)), qc.w.adjoint()), mhat
+        tensor(tensor(qa.w.adjoint(), identity(cat, mod1.beta @ mod2.beta)), qc.w.adjoint()), mhat
     )
     beta, s = range_isometry(cat, p)
-    m12 = (1.0 / qb.d) * compose(tensor(tensor(ida, s.adjoint()), idc), compose(mhat, s))
+    m12 = (1.0 / qb.d) * compose(
+        tensor(tensor(identity(cat, qa.theta), s.adjoint()), identity(cat, qc.theta)), compose(mhat, s)
+    )
     return _require_standard(Module(beta, m12, (qa, qc), f"{mod1.label}(x){mod2.label}"))
 
 
@@ -271,10 +269,9 @@ def d_intertwiner(cat: CategoryData, mod: Module) -> Morphism:
     """The beta-traced braided intertwiner of an A-B bimodule."""
     qa, qb = mod.parents
     beta = mod.beta
-    ida, idbeta = identity(cat, qa.theta), identity(cat, beta)
     t = compose(
         braiding(cat, qa.theta, beta, "+"),
-        compose(tensor(tensor(ida, idbeta), qb.r.adjoint()), tensor(mod.m, identity(cat, qb.theta))),
+        compose(tensor(identity(cat, qa.theta @ beta), qb.r.adjoint()), tensor(mod.m, identity(cat, qb.theta))),
     )
     return left_trace(cat, t, beta, qb.theta, qa.theta)
 
@@ -309,8 +306,8 @@ def r_lift(mod: Module, ra: QSystem, rb: QSystem) -> Module:
     )
     m_lift = compose(
         tensor(
-            identity(prod, theta_a),
-            tensor(braiding(prod, beta_e, th, "+"), identity(prod, th @ theta_b @ th)),
+            tensor(identity(prod, theta_a), braiding(prod, beta_e, th, "+")),
+            identity(prod, th @ theta_b @ th),
         ),
         m_lift,
     )

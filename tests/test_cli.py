@@ -271,6 +271,21 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
+def test_boundary_output_does_not_depend_on_the_hash_seed():
+    """Two processes with different string hashes print the same bytes, so no
+    float sum follows the order of a set of labels.  One process, as in
+    `test_deterministic_output`, cannot see such an order."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = [sys.executable, "-m", "qcat", "boundary", "ising", "--A", "ising_q", "--B", "ising_q"]
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_diff_verb(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -8,6 +8,7 @@ import pytest
 
 from qcat.braided import canonical_qsystem
 from qcat.category import build_category, deligne_product, load_category
+from qcat.engine import _counting_sort
 from qcat.errors import ConjugacyError, ParseError, ShapeError, UnknownLabelError
 from qcat.fixtures import ising_category
 from qcat.frobenius import ising_q
@@ -38,7 +39,7 @@ from qcat.morphisms import (
 )
 from test_category import gauged_z3, vertex_gauge
 from test_golden import GAUGED_Z3
-from tests_helpers import reference_braiding, right_trace
+from tests_helpers import reference_braiding, rep_a4_category, right_trace
 
 SIG2 = ObjectExpr.word("sig", "sig")
 SSS = ObjectExpr.word("sig", "sig", "sig")
@@ -334,6 +335,117 @@ def test_tensor_with_a_unit_factor_matches_reference(name):
                 assert set(got.blocks) == set(want.blocks)
                 assert (got - want).max_abs() < 1e-12 * max(1.0, want.max_abs())
             assert (tensor(f, unit_map) - s * f).max_abs() == 0.0
+
+
+# KERNEL_CASES with gauged Z3 and Rep(A4): unit letters, the empty word, and
+# (on MULT2 and Rep(A4)) chains through multiplicity-2 vertices, whose trees
+# are placed with a slope other than 1 by the first-factor split.
+WHISKER_CASES = {
+    **KERNEL_CASES,
+    "gauged_z3": (
+        gauged_z3(),
+        [
+            ObjectExpr.from_words([("1",), (), ("2", "0", "1"), ("1", "1")]),
+            ObjectExpr.from_words([("2", "2"), ("0",), ("1", "2", "2")]),
+        ],
+    ),
+    "rep_a4": (
+        rep_a4_category(),
+        [
+            ObjectExpr.from_words([("3",), (), ("3", "1p")]),
+            ObjectExpr.from_words([("3", "3"), ("1pp", "1", "3")]),
+            ObjectExpr.from_words([("3", "3", "3")]),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WHISKER_CASES))
+def test_tensor_with_an_identity_factor_matches_reference(name):
+    """An identity on the right (a whisker f (x) 1_z, placed through the
+    first-factor split), on the left, or on both sides gives the entrywise
+    reference product."""
+    cat, objs = WHISKER_CASES[name]
+    rng = np.random.default_rng(26)
+    for x, y, z in itertools.product(objs, repeat=3):
+        f, one = random_morphism(cat, x, y, rng), identity(cat, z)
+        for got, want in (
+            (tensor(f, one), _reference_tensor(f, one)),
+            (tensor(one, f), _reference_tensor(one, f)),
+            (tensor(identity(cat, x), one), identity(cat, x @ z)),
+        ):
+            assert (got.dom, got.cod) == (want.dom, want.cod)
+            assert set(got.blocks) == set(want.blocks)
+            assert (got - want).max_abs() < 1e-12 * max(1.0, want.max_abs())
+    slopes = [engine(cat).prefixed(unit_free(cat, w))[3].max() for z in objs for w in z.summands]
+    assert (max(slopes) > 1) == (name in ("mult2", "rep_a4"))
+
+
+def test_a_right_whisker_makes_no_recoupling():
+    """A cold f (x) 1_y, with a word of y two letters or more long, needs no
+    F-move: it adds no `Engine.split` recoupling and no `Engine.pair_index`
+    entry, on a fresh gauged Ising and on Rep(A4)."""
+    for cat in (vertex_gauge(build_category(ising_category()), 3), rep_a4_category()):
+        a = cat.labels[-1]
+        x = ObjectExpr.from_words([(a, a), (), (a,)])
+        y = ObjectExpr.from_words([(a, a, a), (cat.unit, a), ()])
+        f, one = random_morphism(cat, x, x, np.random.default_rng(27)), identity(cat, y)
+        got = tensor(f, one)
+        assert not engine(cat)._split and not engine(cat)._pair_index
+        assert got.norm() > 1.0
+        assert (got - _reference_tensor(f, one)).max_abs() < 1e-12 * got.max_abs()
+
+
+def test_counting_sort_is_the_stable_argsort():
+    """On seeded series of key-ordered runs, the placement tables' counting
+    sort orders like numpy's stable sort."""
+    rng = np.random.default_rng(28)
+    for _ in range(200):
+        runs = [np.sort(rng.integers(0, 7, size=rng.integers(1, 6))) for _ in range(rng.integers(1, 5))]
+        key, run = np.concatenate(runs), np.repeat(np.arange(len(runs)), [len(x) for x in runs])
+        assert np.array_equal(_counting_sort(key, run), np.argsort(key, kind="stable"))
+
+
+@pytest.mark.parametrize("name", ["gauged_ising", "mult2", "gauged_z3", "rep_a4"])
+def test_recoupling_is_block_diagonal_over_the_first_factor(name):
+    """F-moves never act inside w1: through the first-factor split pi, the
+    recoupling S(w1, w2) is one block S((c,), w2) per tree i1 of w1 at c.
+    Split entry (c, i1, d, i2, mu) of w1 w2 against canonical tree
+    pi[c][i1, t] is split entry (c, 0, d, i2, mu) of c w2 against tree t,
+    and every other entry is zero, for every pair of unit-free words of
+    total length at most 5."""
+    cat = {
+        "gauged_ising": vertex_gauge(build_category(ising_category()), 5),
+        "mult2": MULT2,
+        "gauged_z3": gauged_z3(),
+        "rep_a4": rep_a4_category(),
+    }[name]
+    eng, letters = engine(cat), cat.labels[1:]
+    words = [w for n in range(6) for w in itertools.product(letters, repeat=n)]
+    checked = 0
+    for w1, w2 in itertools.product(words, repeat=2):
+        if len(w1) + len(w2) > 5:
+            continue
+        n1, n2 = eng.trees(w1), eng.trees(w2)
+        start = eng._blocks(w1, w2)[1]
+        for e, (dim, pi) in eng.first_split(ObjectExpr((w1,)), ObjectExpr((w2,))).items():
+            s = eng.split(w1, w2)[e]
+            s = np.eye(dim) if s is None else s  # None: no recoupling
+            want = np.zeros_like(s)
+            for c, p in pi.items():
+                head = () if c == cat.unit else (c,)
+                sc = eng.split(head, w2)[e]
+                sc = np.eye(p.shape[1]) if sc is None else sc
+                head_start = eng._blocks(head, w2)[1][e]
+                for i1 in range(n1[c]):
+                    for d in n2:
+                        m = cat.n(c, d, e)
+                        for i2, mu in itertools.product(range(n2[d]), range(m)):
+                            r = start[e][c, d] + (i1 * n2[d] + i2) * m + mu
+                            want[r, p[i1]] = sc[head_start[cat.unit if not head else c, d] + i2 * m + mu]
+            assert np.max(np.abs(s - want), initial=0.0) < 1e-12, (w1, w2, e)
+            checked += not np.allclose(s, np.eye(len(s)))
+    assert checked > 10
 
 
 def _reference_trees(cat, w, c):
