@@ -305,13 +305,20 @@ def r_lift(mod: Module, ra: QSystem, rb: QSystem) -> Module:
         m_lift,
     )
     m_lift = compose(
-        tensor(
-            tensor(identity(prod, theta_a), braiding(prod, beta_e, th, "+")),
-            identity(prod, th @ theta_b @ th),
-        ),
+        _whisker(tensor(identity(prod, theta_a), braiding(prod, beta_e, th, "+")), th, theta_b, th),
         m_lift,
     )
     return Module(beta_e @ th, m_lift, (ra, rb), f"R[{mod.label}]")
+
+
+def _whisker(f: Morphism, *objects: ObjectExpr) -> Morphism:
+    """f (x) 1_x1 (x) 1_x2 ..., each identity tensored on the right in turn,
+    and that of a one-word object one letter at a time: on a right factor
+    whose words have one letter each, `tensor` needs no F-move."""
+    for x in objects:
+        for y in [ObjectExpr.word(a) for a in x.summands[0]] if len(x.summands) == 1 else [x]:
+            f = tensor(f, identity(f.cat, y))
+    return f
 
 
 def restrict_bimodule(prod: CategoryData, mod: Module, red_a: ReducedQSystem, red_b: ReducedQSystem) -> Module:

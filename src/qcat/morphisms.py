@@ -5,32 +5,55 @@ Morphism stores, for every simple sector c, the matrix of the intertwiner
 between the canonical fusion-tree bases (left-nested coupling paths) of its
 domain and codomain.  Composition is per-sector matrix product.
 
-The monoidal product has one kernel and one placement.  The kernel: a tree
-of x (x) y at sector e is recoupled by F-moves (`Engine.split`) into a split
-basis, a tree of x at c, a tree of y at d and a vertex mu of c x d -> e.
-Grouped by fusion channel (c, d, mu), that basis carries f (x) g as one
-Kronecker block per channel:
+The monoidal product has one kernel.  A tree of x (x) y at sector e is
+recoupled by F-moves (`Engine.split`) into a split basis: a tree of x at c,
+a tree of y at d and a vertex mu of c x d -> e.  Grouped by fusion channel
+(c, d, mu), that basis carries f (x) g as one Kronecker block per channel:
 
     (f (x) g)_e = S_cod^dagger . blockdiag_(c,d,mu) kron(f_c, g_d) . S_dom
-
-The placement: F-moves never act inside the first factor, so a whisker
-f (x) 1_y is placed through the first-factor split pi of x (x) y
-(`Engine.first_split`), a permutation read off tree counts alone:
-
-    (f (x) 1_y)_e = pi_cod^T . blockdiag_c kron(f_c, 1) . pi_dom
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .category import CategoryData, _complex_array, _json_int, _r_col
-# Engine and unit_free are not used here: they are re-exported with the engine's other names
-from .engine import Engine, ObjectExpr, Word, engine, unit_free
-from .errors import ConjugacyError, ParseError, ShapeError
+from .category import CategoryData, _complex_array, _f_row, _json_int, _r_col
+from .errors import ConjugacyError, ParseError, ShapeError, UnknownLabelError
 
+Word = tuple[str, ...]
 _UNIT_WORDS: tuple[Word, ...] = ((),)
+
+
+@dataclass(frozen=True)
+class ObjectExpr:
+    summands: tuple[Word, ...]
+
+    @staticmethod
+    def word(*labels: str) -> "ObjectExpr":
+        return ObjectExpr((tuple(labels),))
+
+    @staticmethod
+    def from_words(words) -> "ObjectExpr":
+        return ObjectExpr(tuple(tuple(w) for w in words))
+
+    @staticmethod
+    def unit() -> "ObjectExpr":
+        return ObjectExpr(((),))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.summands
+
+    def tensor(self, other: "ObjectExpr") -> "ObjectExpr":
+        return ObjectExpr(tuple(w1 + w2 for w1 in self.summands for w2 in other.summands))
+
+    def __matmul__(self, other: "ObjectExpr") -> "ObjectExpr":
+        return self.tensor(other)
+
+    def as_json(self) -> list:
+        return [list(w) for w in self.summands]
 
 
 def conj_word(cat: CategoryData, w: Word) -> Word:
@@ -39,6 +62,21 @@ def conj_word(cat: CategoryData, w: Word) -> Word:
 
 def conj_object(cat: CategoryData, x: ObjectExpr) -> ObjectExpr:
     return ObjectExpr(tuple(conj_word(cat, w) for w in x.summands))
+
+
+def unit_free(cat: CategoryData, x):
+    """A word, or each word of an object, with every unit letter dropped.
+
+    In the canonical gauge the unit is strict: w and unit_free(w) have the
+    same canonical trees in every sector, in the same order, and every table
+    the engine builds for one serves the other position by position."""
+    if isinstance(x, ObjectExpr):
+        if not any(cat.unit in w for w in x.summands):
+            return x
+        return ObjectExpr(tuple(unit_free(cat, w) for w in x.summands))
+    if cat.unit not in x:
+        return x
+    return tuple(a for a in x if a != cat.unit)
 
 
 def word_dim(cat: CategoryData, w: Word) -> float:
@@ -162,6 +200,233 @@ def _check_labels(cat: CategoryData, objects, sectors=()) -> None:
         raise ParseError(f"unknown labels {unknown!r}")
 
 
+class Engine:
+    """Per-category fusion-tree machinery with recoupling caches.
+
+    It keeps one sector table per word (`trees`, the tree counts) and per
+    object (`sectors`), holding only the sectors they reach, and every walk
+    goes over those.  Trees and split bases are placed by the counts (`_blocks`).
+    Object tables and recouplings are built for unit-free words only
+    (`unit_free`); a word with unit letters reads the table of its unit-free
+    word, so `split` never sees a unit letter.  Standard pairs are neither
+    cached nor keyed by unit-free words: `standard_pair` builds them anew.
+    """
+
+    def __init__(self, cat: CategoryData):
+        self.cat = cat
+        self._rank = {c: i for i, c in enumerate(cat.labels)}
+        self._trees: dict[Word, dict[str, int]] = {}
+        self._sectors: dict[ObjectExpr, dict[str, list[int]]] = {}
+        self._split: dict[tuple[Word, Word], dict[str, np.ndarray | None]] = {}
+        self._pair_index: dict[tuple[ObjectExpr, ObjectExpr], dict[str, _SectorIndex]] = {}
+
+    def _in_label_order(self, table: dict) -> dict:
+        return {c: table[c] for c in sorted(table, key=self._rank.__getitem__)}
+
+    # ---- fusion trees -------------------------------------------------
+
+    def trees(self, w: Word) -> dict[str, int]:
+        """How many canonical trees w has in each sector c it reaches: a tree
+        of w[:-1] at b, then a vertex mu of b x w[-1] -> c, placed by `_blocks`."""
+        got = self._trees.get(w)
+        if got is not None:
+            return got
+        cat = self.cat
+        if not w:
+            out = {cat.unit: 1}
+        elif w[-1] not in cat.dual:
+            raise UnknownLabelError(f"unknown label {w[-1]!r}")
+        elif len(w) == 1:
+            out = {w[0]: 1}
+        else:
+            out = self._in_label_order(self._blocks(w[:-1], w[-1:])[0])
+        self._trees[w] = out
+        return out
+
+    def _blocks(self, w1: Word, w2: Word) -> tuple[dict[str, int], dict[str, dict[tuple[str, str], int]]]:
+        """(size, start) for the split basis of w1 w2 at each sector e: tree i1
+        of w1 at c, tree i2 of w2 at d (n2 of them) and vertex mu of c x d -> e
+        is entry start[e][c, d] + (i1 n2 + i2) N_{cd}^e + mu of the size[e]
+        entries, ordered by c, then d (in label order), then i1, i2, mu.  For
+        a one-letter w2 these are the canonical trees of w1 w2."""
+        size, start = {}, {}
+        t2 = self.trees(w2)
+        for c, n1 in self.trees(w1).items():
+            for d, n2 in t2.items():
+                for e, m in self.cat.fuse(c, d):
+                    start.setdefault(e, {})[c, d] = size.get(e, 0)
+                    size[e] = size.get(e, 0) + n1 * n2 * m
+        return size, start
+
+    def sectors(self, x: ObjectExpr) -> dict[str, list[int]]:
+        """Per sector c that x reaches: the offsets of x's summands in c,
+        those of unit_free(x)."""
+        got = self._sectors.get(x)
+        if got is not None:
+            return got
+        bare = unit_free(self.cat, x)
+        if bare != x:
+            out = self._sectors[x] = self.sectors(bare)
+            return out
+        tables = [self.trees(w) for w in x.summands]
+        out = {}
+        for c in self._in_label_order({c: None for t in tables for c in t}):
+            out[c] = list(itertools.accumulate((t.get(c, 0) for t in tables), initial=0))
+        self._sectors[x] = out
+        return out
+
+    def obj_sector_dim(self, x: ObjectExpr, c: str) -> int:
+        offs = self.sectors(x).get(c)
+        return offs[-1] if offs else 0
+
+    def obj_offsets(self, x: ObjectExpr, c: str) -> list[int]:
+        return self.sectors(x).get(c) or [0] * (len(x.summands) + 1)
+
+    # ---- recoupling ---------------------------------------------------
+
+    def split(self, w1: Word, w2: Word) -> dict[str, np.ndarray | None]:
+        """Per sector e: S with |canonical t> = sum_s S[s,t] |split s>.
+
+        Split entry s is (c, i1, d, i2, mu): tree i1 of w1 at c, tree i2 of
+        w2 at d, fusion vertex mu of c x d -> e, placed by `_blocks(w1, w2)`.
+        When w1 is empty or w2 has at most one letter, the canonical trees of
+        w1 w2 are the split basis in the same order, and S is None: no
+        identity is stored.  Otherwise a tree of (w1 v) a, with v = w2[:-1],
+        is split as a tree of w1 v, and one F-move recouples (c v) a -> c (v a).
+        """
+        key = (w1, w2)
+        got = self._split.get(key)
+        if got is not None:
+            return got
+        if not w1 or len(w2) <= 1:
+            out = {e: None for e in self.trees(w1 + w2)}
+        else:
+            cat, v, a = self.cat, w2[:-1], w2[-1]
+            n1, nv, n2 = self.trees(w1), self.trees(v), self.trees(w2)
+            place, prev_place = self._blocks(w1, w2)[1], self._blocks(w1, v)[1]
+            start, start2 = self._blocks(w1 + v, (a,))[1], self._blocks(v, (a,))[1]
+            out = {e: np.zeros((n, n), dtype=complex) for e, n in self.trees(w1 + w2).items()}
+            for b, prev_s in self.split(w1, v).items():
+                rows = None if prev_s is None else [  # its nonzero (tree, coefficient) pairs per row, a NaN kept
+                    [(k, x) for k, x in enumerate(xs) if not abs(x) < 1e-15] for xs in prev_s.tolist()
+                ]
+                for e, m in cat.fuse(b, a):
+                    s, j = out[e], start[e][b, a]
+                    for (c, dp), base in prev_place[b].items():
+                        n_nu = cat.n(c, dp, b)
+                        for i1, i2p, nu in itertools.product(range(n1[c]), range(nv[dp]), range(n_nu)):
+                            t = base + (i1 * nv[dp] + i2p) * n_nu + nu
+                            row = [(t, 1.0)] if rows is None else rows[t]  # None: row t is tree t
+                            for mu in range(m):
+                                # F^{c d' a}_e at the vertices (nu, mu) of each split tree
+                                for (d, sig, tau), y in _f_row(cat, (c, dp, a, e), (b, nu, mu)):
+                                    i2 = start2[d][dp, a] + i2p * cat.n(dp, a, d) + sig
+                                    r = place[e][c, d] + (i1 * n2[d] + i2) * cat.n(c, d, e) + tau
+                                    for k, x in row:
+                                        s[r, j + k * m + mu] += x * y
+        self._split[key] = out
+        return out
+
+    def pair_index(self, x: ObjectExpr, y: ObjectExpr) -> dict[str, _SectorIndex]:
+        """Per sector e of x (x) y: its split basis grouped by fusion channel,
+        that of unit_free(x) (x) unit_free(y)."""
+        key = (x, y)
+        got = self._pair_index.get(key)
+        if got is not None:
+            return got
+        bare = (unit_free(self.cat, x), unit_free(self.cat, y))
+        if bare != key:
+            out = self._pair_index[key] = self.pair_index(*bare)
+            return out
+        offs_x, offs_y = self.sectors(x), self.sectors(y)
+        groups: dict[str, dict[tuple[str, str, int], int]] = {}
+        size: dict[str, int] = {}
+        for c, ox in offs_x.items():
+            for d, oy in offs_y.items():
+                n = ox[-1] * oy[-1]
+                for e, m in self.cat.fuse(c, d):
+                    start = size.get(e, 0)
+                    for mu in range(m):
+                        groups.setdefault(e, {})[(c, d, mu)] = start + mu * n
+                    size[e] = start + m * n
+        order: dict[str, list[int]] = {e: [] for e in groups}
+        recouplings: dict[str, list[tuple[int, int, np.ndarray]]] = {e: [] for e in groups}
+        for i, w1 in enumerate(x.summands):
+            for j, w2 in enumerate(y.summands):
+                (span, place), t1, t2 = self._blocks(w1, w2), self.trees(w1), self.trees(w2)
+                for e, s in self.split(w1, w2).items():
+                    g, o = groups[e], order[e]
+                    if s is not None:
+                        recouplings[e].append((len(o), len(o) + span[e], s))
+                    # the entries in `_blocks` order: channel (c, d), then i1, i2, mu
+                    for c, d in place[e]:
+                        n1, n2, m, ny = t1[c], t2[d], self.cat.n(c, d, e), offs_y[d][-1]
+                        r = offs_x[c][i] * ny + offs_y[d][j]
+                        if n1 == n2 == m == 1:  # the common case: one entry, and no list built for it
+                            o.append(g[c, d, 0] + r)
+                            continue
+                        o += [g[c, d, mu] + r + i1 * ny + i2 for i1 in range(n1) for i2 in range(n2) for mu in range(m)]
+        out = {
+            e: _SectorIndex(size[e], g, np.array(order[e], dtype=np.intp), tuple(recouplings[e]))
+            for e, g in self._in_label_order(groups).items()
+        }
+        self._pair_index[key] = out
+        return out
+
+
+@dataclass(frozen=True, slots=True)
+class _SectorIndex:
+    """Sector e of an object pair x (x) y, in its split and canonical bases.
+
+    The split basis is grouped by fusion channel (c, d, mu); `groups` gives
+    the first row of each group.  Inside a group, row ix * ny + iy holds tree
+    ix of x at c and tree iy of y at d, which is the row order of
+    kron(f_c, g_d).  The summand pairs (w1, w2) of x (x) y own consecutive
+    spans of canonical trees, and entry s (`Engine._blocks`) of the split basis
+    of the pair whose span starts at a is row order[a + s] of the grouped split
+    basis.  A span (start, stop, S) in `recouplings` is recoupled by the S of
+    `Engine.split(w1, w2)` at e; every other span's split basis is already its
+    canonical basis, so nothing is stored or applied for it.
+    """
+
+    dim: int
+    groups: dict[tuple[str, str, int], int]
+    order: np.ndarray
+    recouplings: tuple[tuple[int, int, np.ndarray], ...]
+
+    def cols_to_canonical(self, m: np.ndarray) -> np.ndarray:
+        """m . S: the columns of m from the split to the canonical basis."""
+        m = m[:, self.order]
+        for a, b, s in self.recouplings:
+            m[:, a:b] = m[:, a:b] @ s
+        return m
+
+    def rows_to_canonical(self, m: np.ndarray) -> np.ndarray:
+        """S^dagger . m: the rows of m from the split to the canonical basis."""
+        m = m[self.order]
+        for a, b, s in self.recouplings:
+            m[a:b] = s.conj().T @ m[a:b]
+        return m
+
+    def rows_to_split(self, m: np.ndarray) -> np.ndarray:
+        """S . m: the rows of m from the canonical to the split basis, the
+        inverse of `rows_to_canonical` (S is unitary)."""
+        m = m.astype(complex)
+        for a, b, s in self.recouplings:
+            m[a:b] = s @ m[a:b]
+        out = np.empty_like(m)
+        out[self.order] = m
+        return out
+
+
+def engine(cat: CategoryData) -> Engine:
+    eng = getattr(cat, "_engine", None)
+    if eng is None:
+        eng = Engine(cat)
+        cat._engine = eng
+    return eng
+
+
 # ---- basic constructors ----------------------------------------------
 
 
@@ -273,59 +538,7 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 
 
 def tensor(f: Morphism, g: Morphism) -> Morphism:
-    """The monoidal product f (x) g.
-
-    The unit is strict (words concatenate), so a factor 1 -> 1 only scales
-    the other one.  A right whisker f (x) 1_y, whose identity factor
-    (`_is_identity`) has a word of two letters or more, is placed through
-    the first-factor split (`Engine.first_split`), with no F-move:
-
-        (f (x) 1_y)_e = pi_cod^T . blockdiag_c kron(f_c, 1) . pi_dom
-
-    Every other pair takes the general product (`_product`), which needs no
-    F-move either when each word of the right factor has one letter.
-    """
-    if g.dom.summands == _UNIT_WORDS and g.cod.summands == _UNIT_WORDS:
-        return g.scalar() * f
-    if f.dom.summands == _UNIT_WORDS and f.cod.summands == _UNIT_WORDS:
-        return f.scalar() * g
-    if max(map(len, g.dom.summands), default=0) > 1 and _is_identity(g):
-        return _right_whisker(f, g.dom)
-    return _product(f, g)
-
-
-def _is_identity(f: Morphism) -> bool:
-    """Whether each sector block of the endomorphism f is the identity."""
-    if f.dom != f.cod or f.blocks.keys() != engine(f.cat).sectors(f.dom).keys():
-        return False
-    for b in f.blocks.values():
-        n = len(b)
-        if b.shape[1] != n or np.count_nonzero(b) != n or not (b.diagonal() == 1).all():
-            return False
-    return True
-
-
-def _right_whisker(f: Morphism, y: ObjectExpr) -> Morphism:
-    """f (x) 1_y: f_c[r, k] joins tree r of f.cod at c and tree k of f.dom
-    at c, each followed by the same tree s of c (x) y."""
-    dom_split, cod_split = (engine(f.cat).first_split(x, y) for x in (f.dom, f.cod))
-    blocks: dict[str, np.ndarray] = {}
-    for e, (n_dom, dom_e) in dom_split.items():
-        got = cod_split.get(e)
-        if got is None:
-            continue
-        n_cod, cod_e = got
-        out = np.zeros((n_cod, n_dom), dtype=complex)
-        for c, cols in dom_e.items():
-            rows, fc = cod_e.get(c), f.blocks.get(c)
-            if rows is not None and fc is not None:
-                out[rows[:, None, :], cols[None, :, :]] = fc[:, :, None]
-        blocks[e] = out
-    return Morphism(f.cat, f.dom @ y, f.cod @ y, blocks)
-
-
-def _product(f: Morphism, g: Morphism) -> Morphism:
-    """The general product f (x) g, one Kronecker block per fusion channel.
+    """The monoidal product f (x) g, one Kronecker block per fusion channel.
 
     In each sector e,
 
@@ -336,8 +549,13 @@ def _product(f: Morphism, g: Morphism) -> Morphism:
     f.dom (x) g.dom (`Engine.pair_index`), and S recouples a split basis to
     the canonical one.  S acts only on the summand pairs that need an F-move;
     on the others (`Engine.split` gives S None) the split basis is already
-    canonical and is only reordered.
+    canonical and is only reordered.  The unit is strict (words concatenate),
+    so a factor 1 -> 1 only scales the other one.
     """
+    if g.dom.summands == _UNIT_WORDS and g.cod.summands == _UNIT_WORDS:
+        return g.scalar() * f
+    if f.dom.summands == _UNIT_WORDS and f.cod.summands == _UNIT_WORDS:
+        return f.scalar() * g
     eng = engine(f.cat)
     dom_index = eng.pair_index(f.dom, g.dom)
     cod_index = eng.pair_index(f.cod, g.cod)

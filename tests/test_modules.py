@@ -27,9 +27,19 @@ from qcat.modules import (
     restrict_bimodule,
     validate_module,
 )
-from qcat.morphisms import Morphism, ObjectExpr, compose, hom_basis, identity, morphism_vector, tensor
+from qcat.morphisms import (
+    Morphism,
+    ObjectExpr,
+    compose,
+    engine,
+    hom_basis,
+    identity,
+    morphism_vector,
+    random_morphism,
+    tensor,
+)
 from test_category import gauged_z3, vertex_gauge, zn_data
-from tests_helpers import gauge_qsystem, intertwiner_condition, random_gauge, solved_morphism_space
+from tests_helpers import gauge_qsystem, intertwiner_condition, random_gauge, rep_a4_category, solved_morphism_space
 
 
 def _trivial_bimodule(cat, q):
@@ -170,6 +180,25 @@ def test_d_multiplicative_over_tensor(ising, tq):
     lhs = compose(d_intertwiner(ising, sig), d_intertwiner(ising, sig))
     rhs = d_intertwiner(ising, tt)  # d_B = 1 for the trivial middle
     assert (lhs - rhs).max_abs() < 1e-9
+
+
+def test_whiskering_one_letter_at_a_time_makes_no_recoupling():
+    """`_whisker` tensors 1_y on the right one letter of a one-word y at a
+    time, and against a right factor whose words have one letter `tensor`
+    needs no F-move: on a fresh gauged Ising and on Rep(A4), a cold whisker
+    stores no recoupling, and 1_y in one piece does."""
+    for cat in (vertex_gauge(build_category(ising_category()), 3), rep_a4_category()):
+        a = cat.labels[-1]
+        x = ObjectExpr.from_words([(a, a), (), (a,)])
+        y, z = ObjectExpr.word(a, a, a), ObjectExpr.from_words([(a,), (cat.unit,)])
+        f = random_morphism(cat, x, x, np.random.default_rng(27))
+        split = engine(cat)._split
+        got = modules._whisker(f, z, y)
+        assert all(s is None for per_sector in split.values() for s in per_sector.values())
+        want = tensor(tensor(f, identity(cat, z)), identity(cat, y))
+        assert any(s is not None for per_sector in split.values() for s in per_sector.values())
+        assert (got.dom, got.cod) == (x @ z @ y, x @ z @ y)
+        assert (got - want).max_abs() < 1e-12 * want.max_abs()
 
 
 def test_module_decomposition_of_wide_bimodule(ising):

@@ -8,7 +8,6 @@ import pytest
 
 from qcat.braided import canonical_qsystem
 from qcat.category import build_category, deligne_product, load_category
-from qcat.engine import _counting_sort
 from qcat.errors import ConjugacyError, ParseError, ShapeError, UnknownLabelError
 from qcat.fixtures import ising_category
 from qcat.frobenius import ising_q
@@ -338,8 +337,7 @@ def test_tensor_with_a_unit_factor_matches_reference(name):
 
 
 # KERNEL_CASES with gauged Z3 and Rep(A4): unit letters, the empty word, and
-# (on MULT2 and Rep(A4)) chains through multiplicity-2 vertices, whose trees
-# are placed with a slope other than 1 by the first-factor split.
+# (on MULT2 and Rep(A4)) chains through multiplicity-2 vertices.
 WHISKER_CASES = {
     **KERNEL_CASES,
     "gauged_z3": (
@@ -362,9 +360,8 @@ WHISKER_CASES = {
 
 @pytest.mark.parametrize("name", sorted(WHISKER_CASES))
 def test_tensor_with_an_identity_factor_matches_reference(name):
-    """An identity on the right (a whisker f (x) 1_z, placed through the
-    first-factor split), on the left, or on both sides gives the entrywise
-    reference product."""
+    """An identity on the right (a whisker f (x) 1_z), on the left, or on
+    both sides gives the entrywise reference product."""
     cat, objs = WHISKER_CASES[name]
     rng = np.random.default_rng(26)
     for x, y, z in itertools.product(objs, repeat=3):
@@ -377,43 +374,45 @@ def test_tensor_with_an_identity_factor_matches_reference(name):
             assert (got.dom, got.cod) == (want.dom, want.cod)
             assert set(got.blocks) == set(want.blocks)
             assert (got - want).max_abs() < 1e-12 * max(1.0, want.max_abs())
-    slopes = [engine(cat).prefixed(unit_free(cat, w))[3].max() for z in objs for w in z.summands]
-    assert (max(slopes) > 1) == (name in ("mult2", "rep_a4"))
 
 
-def test_a_right_whisker_makes_no_recoupling():
-    """A cold f (x) 1_y, with a word of y two letters or more long, needs no
-    F-move: it adds no `Engine.split` recoupling and no `Engine.pair_index`
-    entry, on a fresh gauged Ising and on Rep(A4)."""
-    for cat in (vertex_gauge(build_category(ising_category()), 3), rep_a4_category()):
-        a = cat.labels[-1]
-        x = ObjectExpr.from_words([(a, a), (), (a,)])
-        y = ObjectExpr.from_words([(a, a, a), (cat.unit, a), ()])
-        f, one = random_morphism(cat, x, x, np.random.default_rng(27)), identity(cat, y)
-        got = tensor(f, one)
-        assert not engine(cat)._split and not engine(cat)._pair_index
-        assert got.norm() > 1.0
-        assert (got - _reference_tensor(f, one)).max_abs() < 1e-12 * got.max_abs()
+def _first_split(eng, w1, w2):
+    """The first-factor split of two unit-free words, by recursion over the
+    letters of w2: per sector c of w1 and sector e, P[i1, t] is the
+    canonical position in w1 w2 at e of tree i1 of w1 at c followed by tree
+    t of c w2 at e (of w2 when c is the unit).  Returns {e: {c: P}}."""
+    cat = eng.cat
 
+    def position(head, v, i1, e, t):
+        if not v:
+            return i1
+        a, rest = v[-1], v[:-1]
+        for (b, _), start in eng._blocks(head + rest, (a,))[1][e].items():
+            m = cat.n(b, a, e)
+            if start <= t < start + eng.trees(head + rest)[b] * m:
+                k, mu = divmod(t - start, m)
+                return eng._blocks(w1 + rest, (a,))[1][e][b, a] + position(head, rest, i1, b, k) * m + mu
+        raise AssertionError((head, v, e, t))
 
-def test_counting_sort_is_the_stable_argsort():
-    """On seeded series of key-ordered runs, the placement tables' counting
-    sort orders like numpy's stable sort."""
-    rng = np.random.default_rng(28)
-    for _ in range(200):
-        runs = [np.sort(rng.integers(0, 7, size=rng.integers(1, 6))) for _ in range(rng.integers(1, 5))]
-        key, run = np.concatenate(runs), np.repeat(np.arange(len(runs)), [len(x) for x in runs])
-        assert np.array_equal(_counting_sort(key, run), np.argsort(key, kind="stable"))
+    out: dict[str, dict[str, np.ndarray]] = {}
+    for c, n1 in eng.trees(w1).items():
+        head = () if c == cat.unit else (c,)
+        for e, n in eng.trees(head + w2).items():
+            out.setdefault(e, {})[c] = np.array(
+                [[position(head, w2, i1, e, t) for t in range(n)] for i1 in range(n1)], dtype=np.intp
+            )
+    return out
 
 
 @pytest.mark.parametrize("name", ["gauged_ising", "mult2", "gauged_z3", "rep_a4"])
 def test_recoupling_is_block_diagonal_over_the_first_factor(name):
-    """F-moves never act inside w1: through the first-factor split pi, the
-    recoupling S(w1, w2) is one block S((c,), w2) per tree i1 of w1 at c.
-    Split entry (c, i1, d, i2, mu) of w1 w2 against canonical tree
-    pi[c][i1, t] is split entry (c, 0, d, i2, mu) of c w2 against tree t,
-    and every other entry is zero, for every pair of unit-free words of
-    total length at most 5."""
+    """F-moves never act inside w1.  The pairs (tree i1 of w1 at c, tree t
+    of c w2) are the canonical trees of w1 w2 (`_first_split`, a
+    permutation), and through them the recoupling S(w1, w2) is one block
+    S((c,), w2) per tree i1 of w1 at c: split entry (c, i1, d, i2, mu) of
+    w1 w2 against canonical tree pi[c][i1, t] is split entry (c, 0, d, i2,
+    mu) of c w2 against tree t, and every other entry is zero, for every
+    pair of unit-free words of total length at most 5."""
     cat = {
         "gauged_ising": vertex_gauge(build_category(ising_category()), 5),
         "mult2": MULT2,
@@ -428,7 +427,10 @@ def test_recoupling_is_block_diagonal_over_the_first_factor(name):
             continue
         n1, n2 = eng.trees(w1), eng.trees(w2)
         start = eng._blocks(w1, w2)[1]
-        for e, (dim, pi) in eng.first_split(ObjectExpr((w1,)), ObjectExpr((w2,))).items():
+        for e, pi in _first_split(eng, w1, w2).items():
+            dim = eng.trees(w1 + w2)[e]
+            placed = np.concatenate([p.reshape(-1) for p in pi.values()])
+            assert np.array_equal(np.sort(placed), np.arange(dim)), (w1, w2, e)
             s = eng.split(w1, w2)[e]
             s = np.eye(dim) if s is None else s  # None: no recoupling
             want = np.zeros_like(s)
