@@ -24,13 +24,7 @@ from .category import build_category, modular_data, validate_category
 from .decompose import central_decomposition, check_intermediate, irreducible_decomposition
 from .errors import AxiomError, ParseError, QcatError, SchemaMismatch
 from .fixtures import FIXTURE_CATEGORIES, emit_fixture, fixture_category
-from .frobenius import (
-    check_commutative,
-    check_qsystem,
-    ising_q,
-    qsystem_from_json,
-    trivial_qsystem_in,
-)
+from .frobenius import QSYSTEM_BUILDERS, check_commutative, check_qsystem, qsystem_from_json
 from .modules import boundary_conditions, enumerate_bimodules, enumerate_modules
 from .morphisms import morphism_from_json
 
@@ -115,10 +109,8 @@ def _load_cat(spec: str):
 def _load_q(cat, spec: str, check: bool = True):
     """A builtin Q-system by name, or one read from a document; with `check`,
     a document's Q-system must pass its axioms (AxiomError, exit 3)."""
-    if spec in ("trivial", "trivial_q"):
-        return trivial_qsystem_in(cat)
-    if spec in ("ising", "ising_q"):
-        return ising_q(cat)
+    if spec in QSYSTEM_BUILDERS:
+        return QSYSTEM_BUILDERS[spec](cat)
     q = qsystem_from_json(cat, _load_json(spec))
     if check:
         rep = check_qsystem(cat, q)

@@ -143,6 +143,8 @@ def check_intermediate(cat: CategoryData, q: QSystem, p: Morphism) -> ReducedQSy
 def direct_sum_qsystems(cat: CategoryData, parts: list[QSystem]) -> QSystem:
     """Direct sum of Q-systems: d^2 = sum d_i^2, with unit sum_i (d_i/d)^(1/2) w_i
     and multiplication sum_i (d/d_i)^(1/2) x_i over the summands."""
+    if not parts:
+        raise ShapeError("a direct sum needs at least one Q-system")
     for part in parts:
         if part.cat is not cat:
             raise CategoryMismatchError("all parts must live in the same category")

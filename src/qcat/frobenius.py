@@ -151,8 +151,8 @@ def _special_standard(q: QSystem, n: Morphism) -> QSystem:
     """The n-deformation of a Frobenius triple by a positive n:
     w -> dim^(-1/4) n^(1/2) w and x -> dim^(1/4) (n^(-1/2) (x) n^(-1/2)) x n^(1/2).
     The result has x* x = d when x* (n^-1 (x) n^-1) x = n^-1;
-    `make_special_standard` takes n = x* x, and `iterate_specialize` takes
-    n = m^-1 for the fixed point m of its recursion."""
+    `make_special_standard` takes n = x* x, and `decompose.reduced_qsystem`
+    takes n = n_P."""
     n_half = endo_power(n, 0.5)
     n_mhalf = endo_power(n, -0.5)
     dim = obj_dim(q.cat, q.theta)
@@ -175,68 +175,6 @@ def make_special_standard(cat: CategoryData, q: QSystem) -> QSystem:
         raise NonStandardizableError(
             f"standardness norms mismatch: w {rep2.standard_w}, x {rep2.standard_x}"
         )
-    return out
-
-
-@dataclass
-class Diverged:
-    spectrum: list[float]
-    iterations: int
-
-
-def _power_iterate(step, start: Morphism, max_iter: int, tol: float) -> tuple[Morphism | None, int]:
-    """Iterate g -> step(g) / |step(g)| (Hilbert-Schmidt norm) from the
-    normalized start until two iterates agree within tol or max_iter steps
-    are taken.  Returns the last iterate, or None if step(g) vanishes, and
-    the number of steps."""
-    g = (1.0 / start.hs_norm()) * start
-    it = 0
-    for it in range(max_iter):
-        g_next = step(g)
-        nn = g_next.hs_norm()
-        if nn < 1e-300:
-            return None, it + 1
-        g_next = (1.0 / nn) * g_next
-        delta = (g_next - g).max_abs()
-        g = g_next
-        if delta < tol:
-            break
-    return g, it + 1
-
-
-def iterate_specialize(cat: CategoryData, q: QSystem):
-    """Run the specialization recursion m_{k+1} = x* (m_k x m_k) x.
-
-    Starting from 1/d times the identity, for at most 200 steps; if the limit
-    m, scaled to the fixed point x* (m x m) x = m, is positive, return the
-    n-deformation `_special_standard` with n = m^-1.  Returns a QSystem or
-    Diverged.  Only a theta with dim Hom(1, theta) = 1 is recovered: on a
-    reducible theta the deformed triple fails its axioms (standard_w), and
-    NonStandardizableError names the failing residuals.
-    """
-    idt = identity(cat, q.theta)
-
-    def step(g: Morphism) -> Morphism:
-        return compose(q.x.adjoint(), compose(tensor(g, g), q.x))
-
-    # the scalar direction of the quadratic map is unstable, so iterate the
-    # normalized direction and put the scale back at the end
-    m, steps = _power_iterate(step, (1.0 / q.d) * idt, 200, cat.tol)
-    if m is None:
-        return Diverged(spectrum=[], iterations=steps)
-    fm = step(m)
-    c = sum(np.vdot(m.block(ch), fm.block(ch)) for ch in cat.labels if m.blocks.get(ch) is not None)
-    c = np.real(c) / max(m.hs_norm() ** 2, 1e-300)
-    if abs(c) < 1e3 * cat.tol:
-        return Diverged(spectrum=[], iterations=steps)
-    m = (1.0 / c) * m
-    eigs = sorted(lam for _, vals, _ in _spectra(m) for lam in vals.tolist())
-    if not eigs or eigs[0] < 1e3 * cat.tol:
-        return Diverged(spectrum=eigs, iterations=steps)
-    out = _special_standard(q, endo_power(m, -1.0))
-    failing = {k: r for k, r in check_qsystem(cat, out).residuals().items() if not r < cat.tol}
-    if failing:
-        raise NonStandardizableError(f"the specialized triple fails its axioms: {failing}")
     return out
 
 
@@ -361,6 +299,16 @@ def ising_q(cat: CategoryData) -> QSystem:
     return matrix_qsystem(cat, ObjectExpr.word("sig"))
 
 
+# name -> builder(cat): the builtin Q-systems of `qcat` Q-system arguments
+# and of builder documents {"builder": name}.
+QSYSTEM_BUILDERS = {
+    "trivial": trivial_qsystem_in,
+    "trivial_q": trivial_qsystem_in,
+    "ising": ising_q,
+    "ising_q": ising_q,
+}
+
+
 def qsystem_as_json(q: QSystem, category_ref: str = "") -> dict:
     return {
         "category_ref": category_ref,
@@ -374,10 +322,10 @@ def qsystem_from_json(cat: CategoryData, data: dict) -> QSystem:
     if not isinstance(data, dict):
         raise ParseError(f"a Q-system document must be a JSON object, not {type(data).__name__}")
     builder = data.get("builder")
-    if builder == "ising_q":
-        return ising_q(cat)
-    if builder == "trivial_q":
-        return trivial_qsystem_in(cat)
+    if builder is not None:
+        if not isinstance(builder, str) or builder not in QSYSTEM_BUILDERS:
+            raise ParseError(f"unknown Q-system builder {builder!r}; known: {', '.join(QSYSTEM_BUILDERS)}")
+        return QSYSTEM_BUILDERS[builder](cat)
     try:
         theta, w_data, x_data = data["theta"], data["w"], data["x"]
     except KeyError as exc:

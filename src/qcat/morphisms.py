@@ -126,20 +126,9 @@ class Morphism:
 
     __rmul__ = __mul__
 
-    def norm(self) -> float:
-        """Largest operator norm over sectors; NaN if any entry is not finite."""
-        blocks = [b for b in self.blocks.values() if b.size]
-        if not all(np.isfinite(b).all() for b in blocks):
-            return float("nan")
-        return float(np.max([np.linalg.norm(b, 2) for b in blocks], initial=0.0))
-
     def max_abs(self) -> float:
         """Largest entry modulus; NaN if any entry is NaN."""
         return float(np.max([np.max(np.abs(b)) for b in self.blocks.values() if b.size], initial=0.0))
-
-    def hs_norm(self) -> float:
-        """Hilbert-Schmidt norm over all sectors."""
-        return float(np.sqrt(sum(np.sum(np.abs(b) ** 2) for b in self.blocks.values())))
 
     def scalar(self) -> complex:
         """The coefficient of a morphism 1 -> 1."""
@@ -469,12 +458,6 @@ def summand_matrix(cat: CategoryData, dom: ObjectExpr, cod: ObjectExpr, parts: d
                 out[co[i] : co[i + 1], do[j] : do[j + 1]] = b
         blocks[c] = out
     return Morphism(cat, dom, cod, blocks)
-
-
-def inclusion(cat: CategoryData, x: ObjectExpr, i: int) -> Morphism:
-    """The isometry embedding the i-th summand word into x."""
-    sub = _word_obj(x.summands[i])
-    return summand_matrix(cat, sub, x, {(i, 0): identity(cat, sub)})
 
 
 def hom_basis(cat: CategoryData, dom: ObjectExpr, cod: ObjectExpr) -> list[Morphism]:

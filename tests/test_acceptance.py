@@ -17,7 +17,6 @@ from qcat.morphisms import (
     ObjectExpr,
     compose,
     identity,
-    inclusion,
     random_morphism,
     standard_pair,
     tensor,
@@ -189,6 +188,8 @@ def test_criterion_10e_direct_sum_round_trip(ising, iq, tq):
 
 
 def test_criterion_10f_nonscalar_n_p_reported(ising):
+    from tests_helpers import inclusion
+
     q = matrix_qsystem(ising, ObjectExpr(((), ("sig",))))
     p = None
     for i in (0, 3):

@@ -408,6 +408,29 @@ def test_qsystem_document_without_theta_w_x_exit_two(tmp_path, capsys, doc):
     assert "ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("builder", ["foo", ["ising_q"], 3])
+def test_unknown_builder_document_exit_two(tmp_path, capsys, builder):
+    """An unknown builder is named, with the known ones, not read as a
+    document missing theta."""
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"builder": builder}))
+    assert run(["check-qsystem", "ising", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "ParseError" in err and f"unknown Q-system builder {builder!r}" in err
+    assert "theta" not in err and "ising_q" in err
+
+
+@pytest.mark.parametrize("builder", ["trivial", "trivial_q", "ising", "ising_q"])
+def test_builder_document_takes_every_builder_name(tmp_path, capsys, builder):
+    """A builder document and a Q-system argument read the same names."""
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"builder": builder}))
+    assert run(["check-qsystem", "ising", str(path)]) == 0
+    by_document = _capture(capsys)
+    assert run(["check-qsystem", "ising", builder]) == 0
+    assert _capture(capsys) == by_document
+
+
 @pytest.mark.parametrize("cat", ["z2", "trivial"])
 def test_ising_q_on_a_category_without_sig_exit_two(tmp_path, capsys, cat):
     """The ising_q builder, by name or as a builder document, needs a label sig."""

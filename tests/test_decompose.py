@@ -11,11 +11,12 @@ from qcat.decompose import (
     irreducible_decomposition,
     reduced_qsystem,
 )
-from qcat.errors import ConditionError, NormalizationError, NotProjectionError, NotSimpleError
+from qcat.errors import ConditionError, NormalizationError, NotProjectionError, NotSimpleError, ShapeError
 from qcat.fixtures import ising_category
 from qcat.frobenius import QSystem, check_qsystem, frobenius_conj, left_endo_algebra, matrix_qsystem, qsystems_equivalent
-from qcat.morphisms import ObjectExpr, compose, hom_basis, identity, inclusion, obj_dim, random_morphism, tensor
+from qcat.morphisms import ObjectExpr, compose, hom_basis, identity, obj_dim, random_morphism, tensor
 from test_category import vertex_gauge, zn_data
+from tests_helpers import inclusion
 
 
 def _summand_projection(cat, theta, idxs):
@@ -57,6 +58,11 @@ def test_incompatible_projection_rejected(ising, iq, tq):
     p = _summand_projection(ising, total.theta, [1])
     with pytest.raises(ConditionError):
         check_intermediate(ising, total, p)
+
+
+def test_direct_sum_of_no_qsystems_raises(ising):
+    with pytest.raises(ShapeError):
+        direct_sum_qsystems(ising, [])
 
 
 def test_direct_sum_round_trip(ising, iq, tq):

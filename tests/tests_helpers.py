@@ -39,6 +39,20 @@ def random_gauge(cat, theta, rng):
     return Morphism(cat, theta, theta, blocks)
 
 
+def inclusion(cat: CategoryData, x: ObjectExpr, i: int) -> Morphism:
+    """The isometry embedding the i-th summand word into x."""
+    sub = _word_obj(x.summands[i])
+    return summand_matrix(cat, sub, x, {(i, 0): identity(cat, sub)})
+
+
+def op_norm(f: Morphism) -> float:
+    """Largest operator norm over sectors; NaN if any entry is not finite."""
+    blocks = [b for b in f.blocks.values() if b.size]
+    if not all(np.isfinite(b).all() for b in blocks):
+        return float("nan")
+    return float(np.max([np.linalg.norm(b, 2) for b in blocks], initial=0.0))
+
+
 def gauge_qsystem(cat, q, u):
     """Transport a Q-system along a unitary of its object."""
     return QSystem(
