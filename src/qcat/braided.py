@@ -50,9 +50,9 @@ def centre_projections(cat: CategoryData, q: QSystem, sign: str = "+") -> Morphi
     return (1.0 / q.d) * left_trace(cat, compose(eps, compose(q.x, q.x.adjoint())), q.theta, q.theta, q.theta)
 
 
-def centre_qsystem(cat: CategoryData, q: QSystem, side: str = "+") -> ReducedQSystem:
+def centre_qsystem(cat: CategoryData, q: QSystem, sign: str = "+") -> ReducedQSystem:
     """The maximal commutative intermediate Q-system cut out by P+ or P-."""
-    return check_intermediate(cat, q, centre_projections(cat, q, side))
+    return check_intermediate(cat, q, centre_projections(cat, q, sign))
 
 
 # ---- the canonical Q-system in C x C^opp -----------------------------

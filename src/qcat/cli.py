@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -28,25 +29,6 @@ from .frobenius import QSYSTEM_BUILDERS, check_commutative, check_qsystem, qsyst
 from .modules import boundary_conditions, enumerate_bimodules, enumerate_modules
 from .morphisms import morphism_from_json
 
-VERBS = (
-    "validate",
-    "modular",
-    "check-qsystem",
-    "centre",
-    "intermediate",
-    "decompose",
-    "braided-product",
-    "canonical",
-    "full-centre",
-    "zmatrix",
-    "modules",
-    "bimodules",
-    "boundary",
-    "emit-fixture",
-    "diff",
-)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -55,7 +37,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _round(obj):
-    """Normalize a report tree to 12 significant digits for stable output."""
+    """Normalize a report tree to 12 significant digits for stable output; a
+    non-finite float becomes the string "NaN", "Infinity" or "-Infinity",
+    since RFC 8259 JSON has no such numbers."""
     if isinstance(obj, dict):
         return {k: _round(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -65,7 +49,8 @@ def _round(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.12g}")
+        x = float(f"{float(obj):.12g}")
+        return x if math.isfinite(x) else json.dumps(x)
     if isinstance(obj, (complex, np.complexfloating)):
         return [_round(obj.real), _round(obj.imag)]
     return obj
@@ -74,7 +59,7 @@ def _round(obj):
 def _emit(report: dict, fmt: str) -> None:
     report = _round(report)
     if fmt == "json":
-        print(json.dumps(report, indent=1))
+        print(json.dumps(report, indent=1, allow_nan=False))
         return
     _emit_table(report, "")
 
@@ -139,9 +124,121 @@ def _reduced_summary(cat, red) -> dict:
     return out
 
 
+# ---- one handler per category verb -------------------------------------
+# handler(cat, args, *inputs after the category) -> (report, ok); the run
+# exits 3 when ok is false.
+
+
+def _validate(cat, args):
+    rep = validate_category(cat)
+    return rep.as_dict(), rep.ok
+
+
+def _modular(cat, args):
+    md = modular_data(cat)
+    return {
+        "labels": list(md.labels),
+        "dims": md.dims.tolist(),
+        "global_dim": md.global_dim,
+        "twists": [[v.real, v.imag] for v in md.twists],
+        "omega": [md.omega.real, md.omega.imag],
+        "s_matrix": [[[v.real, v.imag] for v in row] for row in md.s_matrix],
+        "t_matrix": [[[v.real, v.imag] for v in row] for row in md.t_matrix],
+        "charge_conjugation": md.charge_conjugation.tolist(),
+        "is_modular": md.is_modular,
+    }, True
+
+
+def _check_qsystem(cat, args, q_spec):
+    q = _load_q(cat, q_spec, check=False)
+    rep = check_qsystem(cat, q)
+    out = rep.as_dict()
+    out["commutative"], out["commutativity_residual"] = check_commutative(cat, q, args.sign)
+    return out, rep.ok
+
+
+def _centre(cat, args, q_spec):
+    return _reduced_summary(cat, centre_qsystem(cat, _load_q(cat, q_spec), args.sign)), True
+
+
+def _intermediate(cat, args, q_spec, p_spec):
+    q = _load_q(cat, q_spec)
+    p = morphism_from_json(cat, _load_json(p_spec))
+    return _reduced_summary(cat, check_intermediate(cat, q, p)), True
+
+
+def _decompose(cat, args, q_spec):
+    q = _load_q(cat, q_spec)
+    if args.mode == "central":
+        parts = [red for _, red in central_decomposition(cat, q, args.seed)]
+    else:
+        parts = [red for _, _, _, red in irreducible_decomposition(cat, q, args.seed)]
+    return {"summands": [_reduced_summary(cat, red) for red in parts]}, True
+
+
+def _braided_product(cat, args, qa_spec, qb_spec):
+    q = braided_product(cat, _load_q(cat, qa_spec), _load_q(cat, qb_spec), args.sign)
+    out = _qsystem_summary(cat, q)
+    return out, out["axioms"]["ok"]
+
+
+def _canonical(cat, args):
+    prod, qr = canonical_qsystem(cat)
+    out = _qsystem_summary(prod, qr)
+    out["product_labels"] = list(prod.labels)
+    return out, out["axioms"]["ok"]
+
+
+def _full_centre(cat, args, q_spec):
+    prod, red = full_centre(cat, _load_q(cat, q_spec))
+    return _reduced_summary(prod, red), True
+
+
+def _zmatrix(cat, args, q_spec):
+    z, info = z_matrix(cat, _load_q(cat, q_spec))
+    return {"z": z.tolist(), **info}, max(info["s_commutator"], info["t_commutator"]) < 1e2 * cat.tol
+
+
+def _modules(cat, args, q_spec):
+    mods = enumerate_modules(cat, _load_q(cat, q_spec), args.side)
+    return {"count": len(mods), "modules": [m.as_json() for m in mods]}, True
+
+
+def _bimodules(cat, args, qa_spec, qb_spec):
+    mods = enumerate_bimodules(cat, _load_q(cat, qa_spec), _load_q(cat, qb_spec))
+    return {"count": len(mods), "bimodules": [m.as_json() for m in mods]}, True
+
+
+def _boundary(cat, args):
+    if not args.qa or not args.qb:
+        raise SystemExit(_usage_error(f"{args.verb} {VERBS[args.verb][1]}"))
+    qa = _load_q(cat, args.qa)
+    qb = qa if args.qb == args.qa else _load_q(cat, args.qb)
+    rep = boundary_conditions(cat, qa, qb)
+    return rep.as_dict(), max(rep.residuals.values()) < 1e2 * cat.tol
+
+
+# verb -> (number of inputs, the category among them; usage after the verb; handler)
+VERBS = {
+    "validate": (1, "<category>", _validate),
+    "modular": (1, "<category>", _modular),
+    "check-qsystem": (2, "<category> <qsystem> [--sign +|-]", _check_qsystem),
+    "centre": (2, "<category> <qsystem> [--sign +|-]", _centre),
+    "intermediate": (3, "<category> <qsystem> <projection>", _intermediate),
+    "decompose": (2, "<category> <qsystem> [--mode central|irreducible] [--seed N]", _decompose),
+    "braided-product": (3, "<category> <qA> <qB> [--sign +|-]", _braided_product),
+    "canonical": (1, "<category>", _canonical),
+    "full-centre": (2, "<category> <qsystem>", _full_centre),
+    "zmatrix": (2, "<category> <qsystem>", _zmatrix),
+    "modules": (2, "<category> <qsystem> [--side left|right]", _modules),
+    "bimodules": (3, "<category> <qA> <qB>", _bimodules),
+    "boundary": (1, "<category> --A <qsystem> --B <qsystem>", _boundary),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="qcat", description=__doc__.splitlines()[0])
-    p.add_argument("verb", choices=VERBS)
+    p.add_argument("verb", choices=[*VERBS, "emit-fixture", "diff"])
     p.add_argument("inputs", nargs="*", help="category / Q-system / report files")
     p.add_argument("--A", dest="qa", help="first Q-system (file or builtin name)")
     p.add_argument("--B", dest="qb", help="second Q-system (file or builtin name)")
@@ -225,122 +322,14 @@ def _dispatch(args) -> int:
         _emit({"differences": out}, fmt)
         return 0 if not out else 4
 
-    cat_spec = args.inputs[0] if args.inputs else None
-    if cat_spec is None:
-        return _usage_error(f"{args.verb} <category> ...")
+    n, usage, handler = VERBS[args.verb]
+    cat_spec, *inputs = _need(args, n, f"{args.verb} {usage}")  # before any file is read
     cat = _load_cat(cat_spec)
     if tol is not None:  # the one tolerance every check of this run reads
         cat.tol = tol
-
-    if args.verb == "validate":
-        rep = validate_category(cat)
-        _emit(rep.as_dict(), fmt)
-        return 0 if rep.ok else 3
-
-    if args.verb == "modular":
-        md = modular_data(cat)
-        _emit(
-            {
-                "labels": list(md.labels),
-                "dims": md.dims.tolist(),
-                "global_dim": md.global_dim,
-                "twists": [[v.real, v.imag] for v in md.twists],
-                "omega": [md.omega.real, md.omega.imag],
-                "s_matrix": [[[v.real, v.imag] for v in row] for row in md.s_matrix],
-                "t_matrix": [[[v.real, v.imag] for v in row] for row in md.t_matrix],
-                "charge_conjugation": md.charge_conjugation.tolist(),
-                "is_modular": md.is_modular,
-            },
-            fmt,
-        )
-        return 0
-
-    if args.verb == "check-qsystem":
-        _, q_spec = _need(args, 2, "check-qsystem <category> <qsystem>")
-        q = _load_q(cat, q_spec, check=False)
-        rep = check_qsystem(cat, q)
-        out = rep.as_dict()
-        comm, res = check_commutative(cat, q, args.sign)
-        out["commutative"] = comm
-        out["commutativity_residual"] = res
-        _emit(out, fmt)
-        return 0 if rep.ok else 3
-
-    if args.verb == "centre":
-        _, q_spec = _need(args, 2, "centre <category> <qsystem> [--sign +|-]")
-        red = centre_qsystem(cat, _load_q(cat, q_spec), args.sign)
-        _emit(_reduced_summary(cat, red), fmt)
-        return 0
-
-    if args.verb == "intermediate":
-        _, q_spec, p_spec = _need(args, 3, "intermediate <category> <qsystem> <projection>")
-        q = _load_q(cat, q_spec)
-        p = morphism_from_json(cat, _load_json(p_spec))
-        red = check_intermediate(cat, q, p)
-        _emit(_reduced_summary(cat, red), fmt)
-        return 0
-
-    if args.verb == "decompose":
-        _, q_spec = _need(args, 2, "decompose <category> <qsystem> [--mode central|irreducible]")
-        q = _load_q(cat, q_spec)
-        if args.mode == "central":
-            parts = [red for _, red in central_decomposition(cat, q, args.seed)]
-        else:
-            parts = [red for _, _, _, red in irreducible_decomposition(cat, q, args.seed)]
-        _emit({"summands": [_reduced_summary(cat, red) for red in parts]}, fmt)
-        return 0
-
-    if args.verb == "braided-product":
-        _, qa_spec, qb_spec = _need(args, 3, "braided-product <category> <qA> <qB> [--sign]")
-        q = braided_product(cat, _load_q(cat, qa_spec), _load_q(cat, qb_spec), args.sign)
-        out = _qsystem_summary(cat, q)
-        _emit(out, fmt)
-        return 0 if out["axioms"]["ok"] else 3
-
-    if args.verb == "canonical":
-        _need(args, 1, "canonical <category>")
-        prod, qr = canonical_qsystem(cat)
-        out = _qsystem_summary(prod, qr)
-        out["product_labels"] = list(prod.labels)
-        _emit(out, fmt)
-        return 0 if out["axioms"]["ok"] else 3
-
-    if args.verb == "full-centre":
-        _, q_spec = _need(args, 2, "full-centre <category> <qsystem>")
-        prod, red = full_centre(cat, _load_q(cat, q_spec))
-        _emit(_reduced_summary(prod, red), fmt)
-        return 0
-
-    if args.verb == "zmatrix":
-        _, q_spec = _need(args, 2, "zmatrix <category> <qsystem>")
-        z, info = z_matrix(cat, _load_q(cat, q_spec))
-        _emit({"z": z.tolist(), **info}, fmt)
-        return 0 if max(info["s_commutator"], info["t_commutator"]) < 1e2 * cat.tol else 3
-
-    if args.verb == "modules":
-        _, q_spec = _need(args, 2, "modules <category> <qsystem> [--side left|right]")
-        mods = enumerate_modules(cat, _load_q(cat, q_spec), args.side)
-        _emit({"count": len(mods), "modules": [m.as_json() for m in mods]}, fmt)
-        return 0
-
-    if args.verb == "bimodules":
-        _, qa_spec, qb_spec = _need(args, 3, "bimodules <category> <qA> <qB>")
-        mods = enumerate_bimodules(cat, _load_q(cat, qa_spec), _load_q(cat, qb_spec))
-        _emit({"count": len(mods), "bimodules": [m.as_json() for m in mods]}, fmt)
-        return 0
-
-    if args.verb == "boundary":
-        _need(args, 1, "boundary <category> --A <qsystem> --B <qsystem>")
-        if not args.qa or not args.qb:
-            return _usage_error("boundary <category> --A <qsystem> --B <qsystem>")
-        qa = _load_q(cat, args.qa)
-        qb = qa if args.qb == args.qa else _load_q(cat, args.qb)
-        rep = boundary_conditions(cat, qa, qb)
-        _emit(rep.as_dict(), fmt)
-        worst = max(rep.residuals.values())
-        return 0 if worst < 1e2 * cat.tol else 3
-
-    return _usage_error("unknown verb")
+    report, ok = handler(cat, args, *inputs)
+    _emit(report, fmt)
+    return 0 if ok else 3
 
 
 def run(argv: list[str]) -> int:

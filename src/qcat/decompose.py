@@ -38,7 +38,6 @@ from .morphisms import (
 @dataclass
 class ReducedQSystem:
     parent: QSystem
-    projection: Morphism
     isometry: Morphism
     child: QSystem
     n_p_scalar: bool
@@ -89,7 +88,6 @@ def reduced_qsystem(
     child = _special_standard(QSystem(cat, theta_p, w1, x1), n_p)
     return ReducedQSystem(
         parent=q,
-        projection=p,
         isometry=s,
         child=child,
         n_p_scalar=scalar,

@@ -107,6 +107,8 @@ def test_centre_of_ising_q_is_trivial(ising, iq, tq):
         red = centre_qsystem(ising, iq, sign)
         assert abs(red.child.d - 1.0) < 1e-9
         assert qsystems_equivalent(ising, red.child, tq)
+    # the braiding sign is a keyword too, named as in centre_projections
+    assert abs(centre_qsystem(ising, iq, sign="-").child.d - 1.0) < 1e-9
 
 
 def test_centre_of_commutative_is_everything(ising, tq):

@@ -580,3 +580,83 @@ def test_category_outside_the_canonical_gauge_exit_three(tmp_path, capsys, verb)
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert "DataError: F('1', " in captured.err and "unit leg" in captured.err
+
+
+def _scale_x_re(data):
+    """Finite, but far outside the range the axiom residuals can square."""
+    for block in data["x"]["blocks"]:
+        block["re"] = [[1e300 * v for v in row] for row in block["re"]]
+
+
+def _no_bare_constant(token):
+    raise AssertionError(f"bare {token} in the JSON output")
+
+
+def test_non_finite_values_print_as_strings(tmp_path, capsys):
+    """Residuals that overflow print as "NaN" / "Infinity" strings, so the
+    output is RFC 8259 JSON that strict parsers accept."""
+    assert run(["check-qsystem", "ising", _ising_q_file(tmp_path, _scale_x_re)]) == 3
+    rep = json.loads(capsys.readouterr().out, parse_constant=_no_bare_constant)
+    assert rep["ok"] is False
+    assert {"NaN", "Infinity"} <= set(rep.values())
+
+
+# One minimal command per category verb on the ising fixture; {p} is the
+# identity of ising_q's theta, a projection document.
+SMOKE = {
+    "validate": ["validate", "ising"],
+    "modular": ["modular", "ising"],
+    "check-qsystem": ["check-qsystem", "ising", "ising_q"],
+    "centre": ["centre", "ising", "ising_q"],
+    "intermediate": ["intermediate", "ising", "ising_q", "{p}"],
+    "decompose": ["decompose", "ising", "trivial"],
+    "braided-product": ["braided-product", "ising", "trivial", "trivial"],
+    "canonical": ["canonical", "ising"],
+    "full-centre": ["full-centre", "ising", "trivial"],
+    "zmatrix": ["zmatrix", "ising", "trivial"],
+    "modules": ["modules", "ising", "trivial"],
+    "bimodules": ["bimodules", "ising", "trivial", "trivial"],
+    "boundary": ["boundary", "ising", "--A", "trivial", "--B", "trivial"],
+}
+
+
+def test_every_verb_has_a_smoke_case():
+    from qcat.cli import VERBS
+
+    assert set(SMOKE) == set(VERBS)
+
+
+@pytest.mark.parametrize("verb", sorted(SMOKE))
+def test_every_verb_exits_zero_with_json(tmp_path, capsys, verb):
+    from qcat.category import build_category
+    from qcat.fixtures import ising_category
+    from qcat.frobenius import ising_q
+    from qcat.morphisms import identity
+
+    pp = tmp_path / "p.json"
+    cat = build_category(ising_category())
+    pp.write_text(json.dumps(identity(cat, ising_q(cat).theta).as_json()))
+    assert run([a.format(p=pp) for a in SMOKE[verb]]) == 0
+    assert isinstance(_capture(capsys), dict)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_braided_product_verb(capsys, sign):
+    assert run(["braided-product", "ising", "ising_q", "ising_q", "--sign", sign]) == 0
+    rep = _capture(capsys)
+    assert abs(rep["d"] - 2.0) < 1e-9 and rep["axioms"]["ok"] is True
+    assert run(["braided-product", "ising", "trivial", "ising_q", "--sign", sign]) == 0
+    assert abs(_capture(capsys)["d"] - 2.0**0.5) < 1e-9
+
+
+@pytest.mark.parametrize("verb", sorted(SMOKE))
+def test_input_count_is_checked_before_any_file_is_read(tmp_path, capsys, verb):
+    """A wrong number of inputs is a usage error (exit 1) even when the
+    category file does not exist: no file is read first."""
+    from qcat.cli import VERBS
+
+    missing = str(tmp_path / "missing.json")
+    for inputs in ([], [missing] + ["ising_q"] * VERBS[verb][0]):
+        assert run([verb, *inputs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"usage: qcat {verb} ")
