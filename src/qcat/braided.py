@@ -82,11 +82,12 @@ def _embed_morphism(cat: CategoryData, prod: CategoryData, f: Morphism) -> Morph
 
 
 def opposite_product_category(cat: CategoryData) -> CategoryData:
-    """C x C^opp, cached on the category."""
+    """C x C^opp, cached on the category; it takes the category's current tol."""
     prod = getattr(cat, "_opp_product", None)
     if prod is None:
         prod = deligne_product(cat, cat, reverse_right=True)
         cat._opp_product = prod
+    prod.tol = cat.tol
     return prod
 
 
@@ -124,10 +125,10 @@ def _conj_hom_matrix(cat: CategoryData, rho: str, sigma: str, tau: str) -> np.nd
 def canonical_qsystem(cat: CategoryData) -> tuple[CategoryData, QSystem]:
     """The canonical commutative Q-system R in C x C^opp with
     Theta = sum_rho (rho, rhobar) and d_R = dim(C)^(1/2)."""
-    cached = getattr(cat, "_canonical_q", None)
-    if cached is not None:
-        return cached
     prod = opposite_product_category(cat)
+    q = getattr(cat, "_canonical_q", None)
+    if q is not None:
+        return prod, q
     words = [(pair_label(a, cat.dual[a]),) for a in cat.labels]
     theta = ObjectExpr.from_words(words)
     d_r = float(np.sqrt(cat.global_dim))
@@ -155,7 +156,7 @@ def canonical_qsystem(cat: CategoryData) -> tuple[CategoryData, QSystem]:
                 parts[(ir * n + isg, it)] = Morphism(prod, ObjectExpr.word(pt), cod, {pt: coeff * col})
     x = summand_matrix(prod, theta, theta @ theta, parts)
     q = QSystem(prod, theta, w, x)
-    cat._canonical_q = (prod, q)
+    cat._canonical_q = q
     return prod, q
 
 

@@ -49,8 +49,8 @@ class CategoryData:
     _f_moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # per (key, sign), the R-move table `_r_col` builds once from `rmat`, fixed likewise
     _r_moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the two factors of a Deligne product, whose F-symbols `fmat` gathers
-    _factors: tuple[CategoryData, CategoryData] | None = field(
+    # a Deligne product's two factors and the right one's braiding sign, read by `fmat` and `rmat`
+    _factors: tuple[CategoryData, CategoryData, str] | None = field(
         default=None, init=False, repr=False, compare=False
     )
     # a Deligne product's label -> (left, right) factor labels
@@ -113,13 +113,14 @@ class CategoryData:
         elif self._factors is None:
             raise SchemaError(f"missing F-symbol for {key}")
         else:
-            mat = _product_fmat(key, rows, cols, *self._factors, self.label_pairs)
+            mat = _product_fmat(key, rows, cols, *self._factors[:2], self.label_pairs)
         self.f_symbols[key] = mat
         return mat
 
     def rmat(self, a: str, b: str, c: str, sign: str = "+") -> np.ndarray:
         """R^{ab}_c as an N_{ba}^c x N_{ab}^c matrix; for sign '-', the
-        opposite braiding (R^{ba}_c)^dagger."""
+        opposite braiding (R^{ba}_c)^dagger.  An R-symbol that a Deligne product
+        computes from its factors is built on first use and kept in `r_symbols`."""
         if sign == "-":
             return self.rmat(b, a, c).conj().T
         if sign != "+":
@@ -133,7 +134,14 @@ class CategoryData:
             return np.zeros((n_ba, n_ab), dtype=complex)
         if self.unit in (a, b):
             return np.eye(n_ba, dtype=complex)
-        raise SchemaError(f"missing R-symbol for {key}")
+        if self._factors is None:
+            raise SchemaError(f"missing R-symbol for {key}")
+        cat_l, cat_r, sign_r = self._factors
+        (a1, a2), (b1, b2), (c1, c2) = (self.label_pairs[x] for x in key)
+        m1, m2 = cat_l.rmat(a1, b1, c1), cat_r.rmat(a2, b2, c2, sign_r)
+        # np.kron(m1, m2), by broadcasting as in `tensor`'s Kronecker blocks
+        mat = self.r_symbols[key] = (m1[:, None, :, None] * m2[None, :, None, :]).reshape(n_ba, n_ab)
+        return mat
 
     @property
     def global_dim(self) -> float:
@@ -351,7 +359,7 @@ def _check_schema(cat: CategoryData) -> None:
 
 
 def _derive(cat: CategoryData) -> None:
-    """Quantum dimensions (Perron-Frobenius) and twists."""
+    """Quantum dimensions (Perron-Frobenius) and twists of a presented category."""
     idx = {a: i for i, a in enumerate(cat.labels)}
     dims = {}
     for a in cat.labels:
@@ -373,8 +381,6 @@ def _derive(cat: CategoryData) -> None:
 def _unitarity_residual(mat: np.ndarray) -> float:
     if mat.shape[0] != mat.shape[1]:
         return float("inf")
-    if mat.size == 0:
-        return 0.0
     return float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))
 
 
@@ -415,12 +421,13 @@ def _admissible_tuples(cat: CategoryData) -> list[tuple[str, str, str, str]]:
 
 def validate_category(cat: CategoryData) -> ValidationReport:
     """Unitarity, pentagon, hexagons and dims.  Unitarity is checked on F^{abc}_d
-    for every admissible (a, b, c, d) through `fmat`, so a product checks them all."""
+    for every admissible (a, b, c, d) through `fmat` and on R^{ab}_c for every
+    fusion channel through `rmat`, so a product checks them all."""
     labels = cat.labels
     admissible = _admissible_tuples(cat)
     f_all, pent_all, hexp_all, hexm_all = axiom_residuals(cat, admissible)
     f_res = _worst(f_all)
-    r_res = _worst(_unitarity_residual(mat) for mat in cat.r_symbols.values())
+    r_res = _worst(_unitarity_residual(cat.rmat(*channel)) for channel in cat.fusion)
     pent, hexp, hexm = _worst(pent_all), _worst(hexp_all), _worst(hexm_all)
     dim_res = _worst(
         abs(cat.dims[a] * cat.dims[b] - sum(m * cat.dims[c] for c, m in cat.fuse(a, b)))
@@ -554,13 +561,15 @@ def _product_fmat(key, rows, cols, cat_l: CategoryData, cat_r: CategoryData, pai
 def deligne_product(cat_l: CategoryData, cat_r: CategoryData, reverse_right: bool = False) -> CategoryData:
     """C x D (Deligne product); with reverse_right, D carries the opposite braiding.
 
-    No F-symbol is built here: `fmat` gathers each one from the factors on
-    first use (`_product_fmat`).  R-symbols, dims and twists are built here.
+    Every datum is read off the factors: `fmat` and `rmat` gather each F- and
+    R-symbol on first use, dims are d_a d_b and twists theta_a theta_b, with
+    theta_b conjugated when D is reversed.
     """
     pairs = {pair_label(a, b): (a, b) for a in cat_l.labels for b in cat_r.labels}
     dual = {l: pair_label(cat_l.dual[a], cat_r.dual[b]) for l, (a, b) in pairs.items()}
     unit = pair_label(cat_l.unit, cat_r.unit)
     labels = tuple([unit] + sorted(l for l in dual if l != unit))
+    twists_r = {b: t.conjugate() if reverse_right else t for b, t in cat_r.twists.items()}
     prod = CategoryData(
         labels=labels,
         dual=dual,
@@ -571,22 +580,10 @@ def deligne_product(cat_l: CategoryData, cat_r: CategoryData, reverse_right: boo
         },
         f_symbols={},
         r_symbols={},
+        dims={l: cat_l.dims[pairs[l][0]] * cat_r.dims[pairs[l][1]] for l in labels},
+        twists={l: cat_l.twists[pairs[l][0]] * twists_r[pairs[l][1]] for l in labels},
         tol=max(cat_l.tol, cat_r.tol),
     )
-    prod._factors = (cat_l, cat_r)
+    prod._factors = (cat_l, cat_r, "-" if reverse_right else "+")
     prod.label_pairs = pairs
-    for la in labels:
-        a1, a2 = pairs[la]
-        for lb in labels:
-            b1, b2 = pairs[lb]
-            if unit in (la, lb):
-                continue
-            for lc, _ in prod.fuse(la, lb):
-                c1, c2 = pairs[lc]
-                m1, m2 = cat_l.rmat(a1, b1, c1), cat_r.rmat(a2, b2, c2, "-" if reverse_right else "+")
-                # np.kron(m1, m2), by broadcasting as in `tensor`'s Kronecker blocks
-                prod.r_symbols[(la, lb, lc)] = (m1[:, None, :, None] * m2[None, :, None, :]).reshape(
-                    m1.shape[0] * m2.shape[0], m1.shape[1] * m2.shape[1]
-                )
-    _derive(prod)
     return prod

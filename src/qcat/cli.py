@@ -210,8 +210,6 @@ def _bimodules(cat, args, qa_spec, qb_spec):
 
 
 def _boundary(cat, args):
-    if not args.qa or not args.qb:
-        raise SystemExit(_usage_error(f"{args.verb} {VERBS[args.verb][1]}"))
     qa = _load_q(cat, args.qa)
     qb = qa if args.qb == args.qa else _load_q(cat, args.qb)
     rep = boundary_conditions(cat, qa, qb)
@@ -323,11 +321,14 @@ def _dispatch(args) -> int:
         return 0 if not out else 4
 
     n, usage, handler = VERBS[args.verb]
-    cat_spec, *inputs = _need(args, n, f"{args.verb} {usage}")  # before any file is read
+    if len(args.inputs) != n or (args.verb == "boundary" and not (args.qa and args.qb)):
+        return _usage_error(f"{args.verb} {usage}")  # before any file is read
+    cat_spec, *inputs = args.inputs
     cat = _load_cat(cat_spec)
     if tol is not None:  # the one tolerance every check of this run reads
         cat.tol = tol
-    report, ok = handler(cat, args, *inputs)
+    with np.errstate(all="ignore"):  # an overflow shows in the report as "NaN" or "Infinity"
+        report, ok = handler(cat, args, *inputs)
     _emit(report, fmt)
     return 0 if ok else 3
 

@@ -171,6 +171,17 @@ def test_conjugate_vertex_matches_the_rotation_reference(name):
     assert max(cat.n(*channel) for channel in channels) == (2 if name == "rep_a4" else 1)
 
 
+def test_a_cached_product_takes_the_category_tolerance():
+    """The one tolerance of every check on a category and on its products:
+    C x C^opp, cached on the category, reads the category's tol afresh."""
+    cat = build_category(ising_category())
+    opposite_product_category(cat)
+    canonical_qsystem(cat)
+    cat.tol = 1e-6
+    assert opposite_product_category(cat).tol == 1e-6
+    assert full_centre(cat, ising_q(cat))[0].tol == 1e-6
+
+
 def test_embed_left_preserves_axioms(ising, iq):
     prod = opposite_product_category(ising)
     q = embed_left(ising, prod, iq)

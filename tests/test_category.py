@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import copy
 import itertools
 import json
 
@@ -11,6 +12,7 @@ from qcat.braided import canonical_qsystem, centre_projections, opposite_product
 from qcat.category import (
     CategoryData,
     _admissible_tuples,
+    _derive,
     _f_row,
     _worst,
     build_category,
@@ -318,6 +320,44 @@ def test_deligne_product_computes_no_f_symbol(ising):
     assert prod.fmat(*key) is mat
 
 
+def test_deligne_product_computes_no_r_symbol(ising, monkeypatch):
+    import qcat.category as category
+
+    def refuse(cat):
+        raise AssertionError("a Perron-Frobenius solve on a product")
+
+    monkeypatch.setattr(category, "_derive", refuse)
+    prod = deligne_product(ising, ising, reverse_right=True)
+    assert prod.r_symbols == {}
+    key = (pair_label("sig", "sig"), pair_label("sig", "sig"), pair_label("eps", "1"))
+    mat = prod.rmat(*key)
+    # computed once from the factors, then kept
+    assert list(prod.r_symbols) == [key]
+    assert prod.rmat(*key) is mat
+
+
+def test_product_dims_and_twists_are_read_off_the_factors(ising, z2):
+    """d_a d_b and theta_a theta_b (conjugated on a reversed right factor)
+    equal the Perron-Frobenius dims and the R-symbol twists of the product."""
+    from test_morphisms import MULT2
+
+    z3 = gauged_z3()
+    for cat_l, cat_r, reverse in (
+        (ising, ising, True),
+        (z3, z3, True),
+        (MULT2, z3, True),
+        (MULT2, MULT2, False),
+        (deligne_product(z2, z2), z2, False),
+    ):
+        prod = deligne_product(cat_l, cat_r, reverse_right=reverse)
+        ref = copy.copy(prod)
+        _derive(ref)
+        assert list(prod.dims) == list(prod.twists) == list(ref.dims) == list(prod.labels)
+        for l in prod.labels:
+            assert abs(prod.dims[l] - ref.dims[l]) < 1e-12, l
+            assert abs(prod.twists[l] - ref.twists[l]) < 1e-12, l
+
+
 def test_product_of_a_non_unitary_factor_fails_f_unitarity():
     data = gauged_z3_data()
     data["F"][0]["re"] = [[2 * x for x in row] for row in data["F"][0]["re"]]
@@ -354,11 +394,10 @@ def test_product_r_symbols_are_kronecker_products(ising):
     z3 = gauged_z3()
     for cat_l, cat_r in ((ising, ising), (z3, z3), (MULT2, z3), (MULT2, MULT2)):
         prod = deligne_product(cat_l, cat_r, reverse_right=True)
-        assert prod.r_symbols
-        for (la, lb, lc), mat in prod.r_symbols.items():
+        for la, lb, lc in prod.fusion:
             (a1, a2), (b1, b2), (c1, c2) = (prod.label_pairs[x] for x in (la, lb, lc))
             want = np.kron(cat_l.rmat(a1, b1, c1), cat_r.rmat(a2, b2, c2, "-"))
-            assert np.array_equal(mat, want), (la, lb, lc)
+            assert np.array_equal(prod.rmat(la, lb, lc), want), (la, lb, lc)
     assert any(m.shape == (2, 2) for m in MULT2.r_symbols.values())
 
 
@@ -769,8 +808,8 @@ def test_validation_gathers_each_f_symbol_once(monkeypatch):
 @pytest.mark.filterwarnings("error")
 def test_nan_r_symbol_of_a_product_fails_both_hexagons():
     prod = deligne_product(gauged_z3(), gauged_z3(), reverse_right=True)
-    key = next(k for k in sorted(prod.r_symbols) if prod.unit not in k[:2])
-    prod.r_symbols[key] = np.full_like(prod.r_symbols[key], np.nan)
+    key = next(k for k in sorted(prod.fusion) if prod.unit not in k[:2])
+    prod.r_symbols[key] = np.full_like(prod.rmat(*key), np.nan)
     rep = validate_category(prod)
     assert np.isnan(rep.hexagon_plus) and np.isnan(rep.hexagon_minus)
     assert rep.ok is False

@@ -596,7 +596,9 @@ def test_non_finite_values_print_as_strings(tmp_path, capsys):
     """Residuals that overflow print as "NaN" / "Infinity" strings, so the
     output is RFC 8259 JSON that strict parsers accept."""
     assert run(["check-qsystem", "ising", _ising_q_file(tmp_path, _scale_x_re)]) == 3
-    rep = json.loads(capsys.readouterr().out, parse_constant=_no_bare_constant)
+    captured = capsys.readouterr()
+    assert captured.err == ""  # numpy's overflow warnings stay off stderr
+    rep = json.loads(captured.out, parse_constant=_no_bare_constant)
     assert rep["ok"] is False
     assert {"NaN", "Infinity"} <= set(rep.values())
 
@@ -651,12 +653,16 @@ def test_braided_product_verb(capsys, sign):
 
 @pytest.mark.parametrize("verb", sorted(SMOKE))
 def test_input_count_is_checked_before_any_file_is_read(tmp_path, capsys, verb):
-    """A wrong number of inputs is a usage error (exit 1) even when the
-    category file does not exist: no file is read first."""
+    """A wrong number of inputs, or a boundary without --A or --B, is a usage
+    error (exit 1) even when the category file does not exist: no file is
+    read first."""
     from qcat.cli import VERBS
 
     missing = str(tmp_path / "missing.json")
-    for inputs in ([], [missing] + ["ising_q"] * VERBS[verb][0]):
+    cases = [[], [missing] + ["ising_q"] * VERBS[verb][0]]
+    if verb == "boundary":
+        cases += [[missing], [missing, "--A", "trivial"]]
+    for inputs in cases:
         assert run([verb, *inputs]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"usage: qcat {verb} ")
