@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherence import axiom_residuals
+from .coherence import axiom_residuals, unitarity_residuals
 from .errors import (
     DataError,
     ParseError,
@@ -96,25 +96,23 @@ class CategoryData:
         ]
 
     def fmat(self, a: str, b: str, c: str, d: str) -> np.ndarray:
-        """F^{abc}_d in the canonical row/column ordering.
-
-        A unit-leg identity, and an F-symbol that a Deligne product computes
-        from its factors, is built on first use and kept in `f_symbols`.
-        """
+        """F^{abc}_d in the canonical row/column ordering; zeros, kept nowhere,
+        when (ab)c -> d has no channel.  A unit-leg identity, and a Deligne
+        product's Kronecker gather (`_product_fmat`), is built on first use and
+        kept in `f_symbols`."""
         key = (a, b, c, d)
         if key in self.f_symbols:
             return self.f_symbols[key]
-        rows, cols = self.f_rows(a, b, c, d), self.f_cols(a, b, c, d)
-        if not rows or not cols:
-            return np.zeros((len(rows), len(cols)), dtype=complex)
-        if self.unit in (a, b, c):
-            # canonical gauge: unit-leg F-moves are trivial
-            mat = np.eye(len(rows), dtype=complex)
-        elif self._factors is None:
-            raise SchemaError(f"missing F-symbol for {key}")
+        if self._factors is not None and self.unit not in key[:3]:
+            mat = _product_fmat(key, *self._factors[:2], self.label_pairs)
         else:
-            mat = _product_fmat(key, rows, cols, *self._factors[:2], self.label_pairs)
-        self.f_symbols[key] = mat
+            rows, cols = self.f_rows(a, b, c, d), self.f_cols(a, b, c, d)
+            if rows and cols and self.unit not in key[:3]:
+                raise SchemaError(f"missing F-symbol for {key}")
+            # canonical gauge: unit-leg F-moves are trivial; no channel, an empty matrix
+            mat = np.eye(len(rows), len(cols), dtype=complex)
+        if mat.size:
+            self.f_symbols[key] = mat
         return mat
 
     def rmat(self, a: str, b: str, c: str, sign: str = "+") -> np.ndarray:
@@ -138,9 +136,7 @@ class CategoryData:
             raise SchemaError(f"missing R-symbol for {key}")
         cat_l, cat_r, sign_r = self._factors
         (a1, a2), (b1, b2), (c1, c2) = (self.label_pairs[x] for x in key)
-        m1, m2 = cat_l.rmat(a1, b1, c1), cat_r.rmat(a2, b2, c2, sign_r)
-        # np.kron(m1, m2), by broadcasting as in `tensor`'s Kronecker blocks
-        mat = self.r_symbols[key] = (m1[:, None, :, None] * m2[None, :, None, :]).reshape(n_ba, n_ab)
+        mat = self.r_symbols[key] = _kron(cat_l.rmat(a1, b1, c1), cat_r.rmat(a2, b2, c2, sign_r))
         return mat
 
     @property
@@ -326,28 +322,33 @@ def load_category(source) -> CategoryData:
 
 
 def _check_schema(cat: CategoryData) -> None:
-    unit = cat.unit
-    for a in cat.labels:
-        for b in cat.labels:
-            if cat.n(unit, a, b) != (1 if a == b else 0):
-                raise DataError(f"unit fusion law fails at ({a},{b})")
-            if cat.n(a, unit, b) != (1 if a == b else 0):
-                raise DataError(f"unit fusion law fails at ({a},{b})")
-            if cat.n(a, b, unit) != (1 if b == cat.dual[a] else 0):
-                raise DataError(f"dual fusion law fails at ({a},{b})")
-        if cat.dual[cat.dual[a]] != a:
-            raise DataError(f"dual is not an involution at {a}")
-    for a in cat.labels:
-        for b in cat.labels:
-            for c in cat.labels:
-                for d in cat.labels:
-                    lhs = sum(m * cat.n(e, c, d) for e, m in cat.fuse(a, b))
-                    rhs = sum(m * cat.n(a, f, d) for f, m in cat.fuse(b, c))
-                    if lhs != rhs:
-                        raise DataError(f"fusion not associative at ({a},{b},{c};{d})")
+    """Fusion laws on one int64 array N[a, b, c] = N_ab^c: unit and dual laws as
+    array comparisons, associativity sum_e N_ab^e N_ec^d = sum_f N_bc^f N_af^d as
+    two integer matrix products per a; a DataError names the first failing tuple, a before
+    b (the unit laws at (a, b) before the dual law, a's involution after every b).
+    Then the canonical gauge, and that every F and R the fusion rules demand resolves."""
+    labels, n = cat.labels, len(cat.labels)
+    idx = {l: i for i, l in enumerate(labels)}
+    fus = np.zeros((n, n, n), dtype=np.int64)
+    for (a, b, c), m in cat.fusion.items():
+        fus[idx[a], idx[b], idx[c]] = m
+    eye, dual = np.eye(n, dtype=np.int64), np.array([idx[cat.dual[a]] for a in labels])
+    laws = np.stack([fus[0] != eye, fus[:, 0] != eye, fus[:, :, 0] != eye[dual]], axis=2).reshape(n, 3 * n)
+    bad = np.flatnonzero(np.hstack([laws, (dual[dual] != np.arange(n))[:, None]]))
+    if bad.size:
+        a, j = np.unravel_index(bad[0], (n, 3 * n + 1))
+        if j == 3 * n:
+            raise DataError(f"dual is not an involution at {labels[a]}")
+        b, law = divmod(j, 3)
+        raise DataError(f"{'dual' if law == 2 else 'unit'} fusion law fails at ({labels[a]},{labels[b]})")
+    for a in range(n):  # [b, c, d] of both sides, n^3 entries at a time
+        bad = np.flatnonzero((fus[a] @ fus.reshape(n, n * n)).ravel() != (fus.reshape(n * n, n) @ fus[a]).ravel())
+        if bad.size:
+            b, c, d = (labels[i] for i in np.unravel_index(bad[0], (n,) * 3))
+            raise DataError(f"fusion not associative at ({labels[a]},{b},{c};{d})")
     # canonical gauge: a listed F- or R-symbol with a unit leg is the identity
-    listed = [(f"F{k}", m) for k, m in cat.f_symbols.items() if unit in k[:3]]
-    listed += [(f"R{k}", m) for k, m in cat.r_symbols.items() if unit in k[:2]]
+    listed = [(f"F{k}", m) for k, m in cat.f_symbols.items() if cat.unit in k[:3]]
+    listed += [(f"R{k}", m) for k, m in cat.r_symbols.items() if cat.unit in k[:2]]
     for what, mat in listed:
         if not np.max(np.abs(mat - np.eye(len(mat))), initial=0.0) <= cat.tol:
             raise DataError(f"{what} has a unit leg and is not the identity (canonical gauge)")
@@ -412,22 +413,25 @@ def _worst(residuals) -> float:
 
 def _admissible_tuples(cat: CategoryData) -> list[tuple[str, str, str, str]]:
     """Every (a, b, c, d) with a fusion channel (ab)c -> d, in label order."""
-    out = []
-    for a, b, c in itertools.product(cat.labels, repeat=3):
-        reached = {d for e, _ in cat.fuse(a, b) for d, _ in cat.fuse(e, c)}
-        out += [(a, b, c, d) for d in cat.labels if d in reached]
-    return out
+    order = {l: i for i, l in enumerate(cat.labels)}
+    return [
+        (a, b, c, d)
+        for a, b, c in itertools.product(cat.labels, repeat=3)
+        for d in sorted({d for e, _ in cat.fuse(a, b) for d, _ in cat.fuse(e, c)}, key=order.__getitem__)
+    ]
 
 
 def validate_category(cat: CategoryData) -> ValidationReport:
     """Unitarity, pentagon, hexagons and dims.  Unitarity is checked on F^{abc}_d
     for every admissible (a, b, c, d) through `fmat` and on R^{ab}_c for every
-    fusion channel through `rmat`, so a product checks them all."""
+    fusion channel through `rmat`, so a product checks them all; each as one
+    stacked product per matrix size (`unitarity_residuals`)."""
     labels = cat.labels
     admissible = _admissible_tuples(cat)
     f_all, pent_all, hexp_all, hexm_all = axiom_residuals(cat, admissible)
     f_res = _worst(f_all)
-    r_res = _worst(_unitarity_residual(cat.rmat(*channel)) for channel in cat.fusion)
+    rs = [cat.rmat(*channel) for channel in cat.fusion]
+    r_res = _worst(unitarity_residuals(np.concatenate([r.ravel() for r in rs]), *np.array([r.shape for r in rs]).T))
     pent, hexp, hexm = _worst(pent_all), _worst(hexp_all), _worst(hexm_all)
     dim_res = _worst(
         abs(cat.dims[a] * cat.dims[b] - sum(m * cat.dims[c] for c, m in cat.fuse(a, b)))
@@ -506,56 +510,41 @@ def pair_label(a: str, b: str) -> str:
     return a + PAIR_SEP + b
 
 
-def _factor_positions(
-    basis: list[tuple[str, int, int]],
-    basis_l: list[tuple[str, int, int]],
-    basis_r: list[tuple[str, int, int]],
-    n_inner_r,
-    n_outer_r,
-    pairs: dict[str, tuple[str, str]],
-) -> tuple[list[int], list[int]]:
-    """Positions in the factor bases of each product basis vector (x, i, j).
-
-    A product multiplicity index is i = i_l * n_r + i_r, with n_r the right
-    factor's multiplicity at that vertex (`n_inner_r(x_r)` for i,
-    `n_outer_r(x_r)` for j), as in `np.kron`.
-    """
-    idx_l = {t: k for k, t in enumerate(basis_l)}
-    idx_r = {t: k for k, t in enumerate(basis_r)}
-    pos_l, pos_r = [], []
-    for x, i, j in basis:
-        x_l, x_r = pairs[x]
-        i_l, i_r = divmod(i, n_inner_r(x_r))
-        j_l, j_r = divmod(j, n_outer_r(x_r))
-        pos_l.append(idx_l[(x_l, i_l, j_l)])
-        pos_r.append(idx_r[(x_r, i_r, j_r)])
-    return pos_l, pos_r
+def _kron(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """np.kron(m1, m2) of two matrices as an owning array, by broadcasting as
+    in `tensor`'s Kronecker blocks: entry (i1 r2 + i2, j1 k2 + j2) is m1[i1, j1] m2[i2, j2]."""
+    (r1, k1), (r2, k2) = m1.shape, m2.shape
+    out = np.empty((r1 * r2, k1 * k2), dtype=complex)
+    np.multiply(m1[:, None, :, None], m2[None, :, None, :], out=out.reshape(r1, r2, k1, k2))
+    return out
 
 
-def _product_fmat(key, rows, cols, cat_l: CategoryData, cat_r: CategoryData, pairs) -> np.ndarray:
-    """F^{key} of C x D, with product bases `rows` and `cols`: one gather per
-    factor, F1[rows_l, cols_l] * F2[rows_r, cols_r]; `pairs` maps a product
-    label to its factor labels."""
+def _kron_order(basis_l: list, basis_r: list, unit: str) -> list[int]:
+    """The Kronecker position i_l * len(basis_r) + i_r of each pair of factor
+    basis vectors (x_l, i_l', j_l'), (x_r, i_r', j_r'), in product-basis order:
+    by product label x_l|x_r (unit first, then by name), then i_l', i_r',
+    j_l', j_r', as a product multiplicity index is i = i_l' n_r + i_r'."""
+    keyed = [
+        ((x != unit, x, i_l, i_r, j_l, j_r), pos)
+        for pos, ((x_l, i_l, j_l), (x_r, i_r, j_r)) in enumerate(itertools.product(basis_l, basis_r))
+        for x in (pair_label(x_l, x_r),)
+    ]
+    return [pos for _, pos in sorted(keyed)]
+
+
+def _product_fmat(key, cat_l: CategoryData, cat_r: CategoryData, pairs) -> np.ndarray:
+    """F^{key} of C x D, for a key with no unit leg: the Kronecker product
+    F1 (x) F2 of the factors' F-symbols, its rows and columns taken in
+    product-basis order (`_kron_order`); a 1 x 1 or empty one needs no order.
+    `pairs` maps a product label to its factor labels."""
     (a1, a2), (b1, b2), (c1, c2), (d1, d2) = (pairs[x] for x in key)
-    rows_l, rows_r = _factor_positions(
-        rows,
-        cat_l.f_rows(a1, b1, c1, d1),
-        cat_r.f_rows(a2, b2, c2, d2),
-        lambda e2: cat_r.n(a2, b2, e2),
-        lambda e2: cat_r.n(e2, c2, d2),
-        pairs,
-    )
-    cols_l, cols_r = _factor_positions(
-        cols,
-        cat_l.f_cols(a1, b1, c1, d1),
-        cat_r.f_cols(a2, b2, c2, d2),
-        lambda f2: cat_r.n(b2, c2, f2),
-        lambda f2: cat_r.n(a2, f2, d2),
-        pairs,
-    )
-    f1 = cat_l.fmat(a1, b1, c1, d1)
-    f2 = cat_r.fmat(a2, b2, c2, d2)
-    return f1.take(rows_l, 0).take(cols_l, 1) * f2.take(rows_r, 0).take(cols_r, 1)
+    mat = _kron(cat_l.fmat(a1, b1, c1, d1), cat_r.fmat(a2, b2, c2, d2))
+    if mat.size <= 1:
+        return mat
+    unit = pair_label(cat_l.unit, cat_r.unit)
+    rows = _kron_order(cat_l.f_rows(a1, b1, c1, d1), cat_r.f_rows(a2, b2, c2, d2), unit)
+    cols = _kron_order(cat_l.f_cols(a1, b1, c1, d1), cat_r.f_cols(a2, b2, c2, d2), unit)
+    return mat[np.ix_(rows, cols)]
 
 
 def deligne_product(cat_l: CategoryData, cat_r: CategoryData, reverse_right: bool = False) -> CategoryData:

@@ -60,6 +60,22 @@ def _tree_gaps(keys: np.ndarray, vals: np.ndarray, span: int) -> tuple[np.ndarra
     return tree, np.abs(np.add.reduceat(vals[order], start))
 
 
+def unitarity_residuals(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """max |M M^dagger - 1| of each rows[i] x cols[i] matrix M, laid end to end
+    in `vals` row by row; inf for a non-square one.  The matrices of each size
+    are one stacked product."""
+    size = rows * cols
+    start = size.cumsum() - size  # each matrix's first entry
+    out = np.full(len(size), np.inf)
+    square = np.flatnonzero(rows == cols)
+    by_size = square[rows[square].argsort()]
+    for s, lo, count in zip(*_runs(rows[by_size])):
+        sel = by_size[lo : lo + count]
+        m = vals[start[sel, None] + np.arange(s * s)].reshape(-1, s, s)
+        out[sel] = np.abs(m @ m.conj().swapaxes(1, 2) - np.eye(s)).max(axis=(1, 2))
+    return out
+
+
 class _Kernel:
     """A category's F- and R-moves as flat arrays in label indices, and the
     pentagon and hexagon residuals they give.
@@ -108,14 +124,7 @@ class _Kernel:
         row, col = np.divmod(pos, n_rows[key])
         fval = np.concatenate([np.ravel(f) for f in fmats]).astype(complex)
         self.f = (self.row_code[row_start[key] + row], cols[4:, col_start[key] + col], fval)
-        # F F^dagger - 1 on the F-symbols of each size at once
-        self.f_unitarity = np.empty(len(keys))
-        start = size.cumsum() - size  # each key's first entry
-        by_size = n_rows.argsort()
-        for s, lo, count in zip(*_runs(n_rows[by_size])):
-            sel = by_size[lo : lo + count]
-            f = fval[start[sel, None] + np.arange(s * s)].reshape(-1, s, s)
-            self.f_unitarity[sel] = np.abs(f @ f.conj().swapaxes(1, 2) - np.eye(s)).max(axis=(1, 2))
+        self.f_unitarity = unitarity_residuals(fval, n_rows, n_rows)
         # R^{xy}_z column i moves to rows j; the - braiding (R^{yx}_z)^dagger swaps x, y and i, j
         key, pos = _expand(n_ab * n_ba)
         ri, rj = np.divmod(pos, n_ba[key])

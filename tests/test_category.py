@@ -67,6 +67,55 @@ def test_schema_errors():
         load_category("{not json")
 
 
+def _ising_with_fusion_rules(*rules) -> dict:
+    """The Ising document with N_ab^c = m for each (a, b, c, m), without its
+    F- and R-symbols, whose shapes no longer match; the fusion laws are
+    checked before any symbol is resolved."""
+    data = ising_category()
+    kept = [r for r in data["fusion"] if all(r[:3] != list(rule[:3]) for rule in rules)]
+    return {**data, "fusion": kept + [list(rule) for rule in rules], "F": [], "R": []}
+
+
+def _gauged_z3_with(dual=(), rules=()) -> dict:
+    """The gauged Z3 document with some duals replaced and fusion rules added."""
+    data = gauged_z3_data()
+    data["dual"].update(dual)
+    data["fusion"] += rules
+    return data
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # two unit-law failures: the first in label order, (eps, sig) before (sig, eps), is named
+        (
+            lambda: _ising_with_fusion_rules(("sig", "1", "eps", 1), ("eps", "1", "sig", 1)),
+            "unit fusion law fails at (eps,sig)",
+        ),
+        # a dual-law failure at (eps, eps) comes before the unit-law failure at (sig, eps)
+        (
+            lambda: _ising_with_fusion_rules(("eps", "eps", "1", 0), ("sig", "1", "eps", 1)),
+            "dual fusion law fails at (eps,eps)",
+        ),
+        # dual(1) = 2 but dual(2) = 2: the involution fails at 1 before the dual law at (2, 1)
+        (lambda: _gauged_z3_with(dual={"2": "2"}), "dual is not an involution at 1"),
+        # N_11^1 = 1: every listed F-symbol keeps its 1 x 1 shape
+        (lambda: _gauged_z3_with(rules=[["1", "1", "1", 1]]), "fusion not associative at (1,1,2;0)"),
+    ],
+    ids=["unit", "dual", "involution", "associativity"],
+)
+def test_fusion_law_errors_name_the_first_failing_tuple(tmp_path, capsys, doc, message):
+    from qcat.cli import run
+
+    with pytest.raises(DataError) as err:
+        build_category(doc())
+    assert str(err.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc()))
+    assert run(["validate", str(path)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_unreadable_path_raises_parse_error(tmp_path):
     with pytest.raises(ParseError):
         load_category(str(tmp_path / "missing" / "cat.json"))
@@ -239,12 +288,36 @@ def reference_product_f(cat_l, cat_r, prod):
     return out
 
 
-@pytest.mark.parametrize("factor", ["ising", "gauged_z3"])
-def test_deligne_product_f_symbols_match_reference(factor, ising):
-    cat = ising if factor == "ising" else gauged_z3()
-    prod = deligne_product(cat, cat, reverse_right=True)
-    assert set(prod.labels) == {pair_label(a, b) for a in cat.labels for b in cat.labels}
-    ref = reference_product_f(cat, cat, prod)
+def _renamed(doc, old: str, new: str):
+    """A category document with the label `old` renamed `new` everywhere."""
+    if isinstance(doc, dict):
+        return {_renamed(k, old, new): _renamed(v, old, new) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_renamed(x, old, new) for x in doc]
+    return new if doc == old else doc
+
+
+@pytest.mark.parametrize("factor", ["ising", "ising_unit_u", "gauged_z3", "mult2_z3", "mult2_mult2", "z2z2_z2"])
+def test_deligne_product_f_symbols_match_reference(factor, ising, z2):
+    from test_morphisms import MULT2
+
+    z3 = gauged_z3()
+    ising_u = build_category(_renamed(ising_category(), "1", "u"))
+    cat_l, cat_r = {
+        "ising": (ising, ising),
+        # the unit u|u sorts after every other product label by name, yet comes first
+        "ising_unit_u": (ising_u, ising_u),
+        "gauged_z3": (z3, z3),
+        # fusion multiplicity 2 on the left: the alpha_l, alpha_r part of the basis order
+        "mult2_z3": (MULT2, z3),
+        # multiplicity 2 on both sides, F-symbols up to 25 x 25
+        "mult2_mult2": (MULT2, MULT2),
+        # labels such as 1|g|1: the order of nested product labels
+        "z2z2_z2": (deligne_product(z2, z2), z2),
+    }[factor]
+    prod = deligne_product(cat_l, cat_r, reverse_right=True)
+    assert set(prod.labels) == {pair_label(a, b) for a in cat_l.labels for b in cat_r.labels}
+    ref = reference_product_f(cat_l, cat_r, prod)
     # the reference keys are the admissible tuples without a unit leg, in label order
     assert list(ref) == [t for t in _admissible_tuples(prod) if prod.unit not in t[:3]]
     for key, mat in ref.items():
@@ -253,6 +326,8 @@ def test_deligne_product_f_symbols_match_reference(factor, ising):
         assert np.max(np.abs(prod.fmat(*key) - mat)) < 1e-14, key
     # the product kept exactly the F-symbols that were asked for
     assert list(prod.f_symbols) == list(ref)
+    # the largest F-symbol compared
+    assert max(len(mat) for mat in ref.values()) == {"ising": 4, "ising_unit_u": 4, "mult2_z3": 5, "mult2_mult2": 25}.get(factor, 1)
 
 
 def test_deligne_product_validates(ising):
@@ -356,6 +431,35 @@ def test_product_dims_and_twists_are_read_off_the_factors(ising, z2):
         for l in prod.labels:
             assert abs(prod.dims[l] - ref.dims[l]) < 1e-12, l
             assert abs(prod.twists[l] - ref.twists[l]) < 1e-12, l
+
+
+def test_product_fmat_on_a_non_admissible_key_keeps_nothing(ising):
+    """Zeros of the basis shape, and no entry in `f_symbols`, on every key
+    without a unit leg that has no fusion channel (ab)c -> d."""
+    prod = deligne_product(ising, ising, reverse_right=True)
+    admissible = set(_admissible_tuples(prod))
+    keys = [t for t in itertools.product(prod.labels, repeat=4) if t not in admissible and prod.unit not in t[:3]]
+    # among them keys whose left or right factor key alone is admissible
+    assert any(ising.fmat(*(prod.label_pairs[x][0] for x in key)).size for key in keys)
+    assert any(ising.fmat(*(prod.label_pairs[x][1] for x in key)).size for key in keys)
+    for key in keys:
+        mat = prod.fmat(*key)
+        assert mat.shape == (len(prod.f_rows(*key)), len(prod.f_cols(*key))), key
+        assert not mat.any(), key
+    assert prod.f_symbols == {}
+
+
+def test_a_product_keeps_owning_arrays(ising):
+    """Every F- and R-symbol a product keeps after validation owns its data:
+    no view whose base stays alive beside it."""
+    from test_morphisms import MULT2
+
+    for cat_l, cat_r in ((ising, ising), (MULT2, gauged_z3()), (MULT2, MULT2)):
+        prod = deligne_product(cat_l, cat_r, reverse_right=True)
+        validate_category(prod)
+        assert len(prod.r_symbols) == len([c for c in prod.fusion if prod.unit not in c[:2]])
+        for key, mat in [*prod.f_symbols.items(), *prod.r_symbols.items()]:
+            assert mat.flags.owndata and mat.base is None, key
 
 
 def test_product_of_a_non_unitary_factor_fails_f_unitarity():
