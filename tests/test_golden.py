@@ -1,5 +1,6 @@
 """Golden CLI reports: the JSON of fixed `qcat` commands must match the stored
-reports under `qcat diff --tol 1e-10`.  Two gates: the Ising fixture
+reports under `qcat diff --tol 1e-10`, with every JSON object's keys in the
+stored order.  Two gates: the Ising fixture
 (tests/golden/ising) and a gauged Z3 with non-self-dual labels, whose category
 file is tests/golden/gauged_z3/category.json (tests/golden/gauged_z3).
 
@@ -32,6 +33,9 @@ TOL = 1e-10
 # eigenvector phases from `range_isometry` may move between correct versions.
 COMMANDS = {
     "validate": ["validate", "ising"],
+    "modular": ["modular", "ising"],
+    "check-qsystem-ising_q": ["check-qsystem", "ising", "ising_q"],
+    "braided-product-ising_q-ising_q": ["braided-product", "ising", "ising_q", "ising_q"],
     "canonical": ["canonical", "ising"],
     "centre": ["centre", "ising", "ising_q"],
     "full-centre": ["full-centre", "ising", "ising_q"],
@@ -48,6 +52,7 @@ COMMANDS = {
 
 GAUGED_Z3_COMMANDS = {
     "validate": ["validate", GAUGED_Z3],
+    "modular": ["modular", GAUGED_Z3],
     "canonical": ["canonical", GAUGED_Z3],
     "full-centre-trivial": ["full-centre", GAUGED_Z3, "trivial"],
     "zmatrix-trivial": ["zmatrix", GAUGED_Z3, "trivial"],
@@ -65,6 +70,19 @@ def _check(gate: str, name: str, capsys) -> None:
     differences: list[str] = []
     _diff(golden, live, TOL, "", differences)
     assert differences == []
+    _assert_key_order(golden, live, "")
+
+
+def _assert_key_order(golden, live, path: str) -> None:
+    """Every JSON object of live lists its keys in the golden order, which
+    `_diff` does not compare."""
+    if isinstance(golden, dict):
+        assert list(live) == list(golden), f"key order at {path or 'the top'}"
+        for k in golden:
+            _assert_key_order(golden[k], live[k], f"{path}{k}.")
+    elif isinstance(golden, list):
+        for i, (g, v) in enumerate(zip(golden, live)):
+            _assert_key_order(g, v, f"{path}{i}.")
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
