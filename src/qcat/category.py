@@ -148,11 +148,11 @@ class CategoryData:
 class ModularData:
     labels: tuple[str, ...]
     dims: np.ndarray
+    global_dim: float
     twists: np.ndarray
+    omega: complex
     s_matrix: np.ndarray
     t_matrix: np.ndarray
-    omega: complex
-    global_dim: float
     charge_conjugation: np.ndarray
     is_modular: bool
 
@@ -168,19 +168,6 @@ class ValidationReport:
     dim_residual: float
     worst_pentagon: tuple | None = None
     worst_hexagon: tuple | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "f_unitarity": self.f_unitarity,
-            "r_unitarity": self.r_unitarity,
-            "pentagon": self.pentagon,
-            "hexagon_plus": self.hexagon_plus,
-            "hexagon_minus": self.hexagon_minus,
-            "dim_residual": self.dim_residual,
-            "worst_pentagon": list(self.worst_pentagon) if self.worst_pentagon else None,
-            "worst_hexagon": list(self.worst_hexagon) if self.worst_hexagon else None,
-        }
 
 
 def _json_int(x) -> bool:
@@ -380,8 +367,6 @@ def _derive(cat: CategoryData) -> None:
 
 
 def _unitarity_residual(mat: np.ndarray) -> float:
-    if mat.shape[0] != mat.shape[1]:
-        return float("inf")
     return float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))
 
 
@@ -496,11 +481,11 @@ def modular_data(cat: CategoryData) -> ModularData:
     return ModularData(
         labels=labels,
         dims=d,
+        global_dim=cat.global_dim,
         twists=kappa,
+        omega=omega,
         s_matrix=s,
         t_matrix=t,
-        omega=omega,
-        global_dim=cat.global_dim,
         charge_conjugation=conj_perm,
         is_modular=is_modular,
     )

@@ -7,6 +7,7 @@ failure, 4 numeric inconsistency.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -37,9 +38,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _round(obj):
-    """Normalize a report tree to 12 significant digits for stable output; a
-    non-finite float becomes the string "NaN", "Infinity" or "-Infinity",
-    since RFC 8259 JSON has no such numbers."""
+    """The one JSON encoder of reports: a dict, list or tuple item by item, a
+    complex number as [re, im], an ndarray as nested lists, an object with
+    `as_json` (an object, morphism or module) by its document and a report
+    dataclass field by field, in declaration order.  Numbers keep 12
+    significant digits for stable output; a non-finite float becomes the
+    string "NaN", "Infinity" or "-Infinity", since RFC 8259 JSON has no such
+    numbers."""
     if isinstance(obj, dict):
         return {k: _round(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -53,10 +58,16 @@ def _round(obj):
         return x if math.isfinite(x) else json.dumps(x)
     if isinstance(obj, (complex, np.complexfloating)):
         return [_round(obj.real), _round(obj.imag)]
-    return obj
+    if isinstance(obj, str) or obj is None:
+        return obj
+    if isinstance(obj, np.ndarray):
+        return _round(obj.tolist())
+    if hasattr(obj, "as_json"):
+        return _round(obj.as_json())
+    return {f.name: _round(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
 
 
-def _emit(report: dict, fmt: str) -> None:
+def _emit(report, fmt: str) -> None:
     report = _round(report)
     if fmt == "json":
         print(json.dumps(report, indent=1, allow_nan=False))
@@ -100,18 +111,17 @@ def _load_q(cat, spec: str, check: bool = True):
     if check:
         rep = check_qsystem(cat, q)
         if not rep.ok:
-            failing = ", ".join(f"{k} {v:g}" for k, v in rep.residuals().items() if not v < rep.tol)
+            failing = ", ".join(f"{k} {v:g}" for k, v in vars(rep).items() if k not in ("d", "ok") and not v < cat.tol)
             raise AxiomError(f"the Q-system in {spec} fails its axioms: {failing}")
     return q
 
 
 def _qsystem_summary(cat, q) -> dict:
-    rep = check_qsystem(cat, q)
     comm, comm_res = check_commutative(cat, q)
     return {
-        "theta": q.theta.as_json(),
+        "theta": q.theta,
         "d": q.d,
-        "axioms": rep.as_dict(),
+        "axioms": check_qsystem(cat, q),
         "commutative": comm,
         "commutativity_residual": comm_res,
     }
@@ -120,7 +130,7 @@ def _qsystem_summary(cat, q) -> dict:
 def _reduced_summary(cat, red) -> dict:
     out = _qsystem_summary(cat, red.child)
     out["n_p_scalar"] = red.n_p_scalar
-    out["n_p_spectrum"] = list(red.n_p_spectrum)
+    out["n_p_spectrum"] = red.n_p_spectrum
     return out
 
 
@@ -131,30 +141,18 @@ def _reduced_summary(cat, red) -> dict:
 
 def _validate(cat, args):
     rep = validate_category(cat)
-    return rep.as_dict(), rep.ok
+    return rep, rep.ok
 
 
 def _modular(cat, args):
-    md = modular_data(cat)
-    return {
-        "labels": list(md.labels),
-        "dims": md.dims.tolist(),
-        "global_dim": md.global_dim,
-        "twists": [[v.real, v.imag] for v in md.twists],
-        "omega": [md.omega.real, md.omega.imag],
-        "s_matrix": [[[v.real, v.imag] for v in row] for row in md.s_matrix],
-        "t_matrix": [[[v.real, v.imag] for v in row] for row in md.t_matrix],
-        "charge_conjugation": md.charge_conjugation.tolist(),
-        "is_modular": md.is_modular,
-    }, True
+    return modular_data(cat), True
 
 
 def _check_qsystem(cat, args, q_spec):
     q = _load_q(cat, q_spec, check=False)
     rep = check_qsystem(cat, q)
-    out = rep.as_dict()
-    out["commutative"], out["commutativity_residual"] = check_commutative(cat, q, args.sign)
-    return out, rep.ok
+    comm, comm_res = check_commutative(cat, q, args.sign)
+    return {**vars(rep), "commutative": comm, "commutativity_residual": comm_res}, rep.ok
 
 
 def _centre(cat, args, q_spec):
@@ -179,14 +177,14 @@ def _decompose(cat, args, q_spec):
 def _braided_product(cat, args, qa_spec, qb_spec):
     q = braided_product(cat, _load_q(cat, qa_spec), _load_q(cat, qb_spec), args.sign)
     out = _qsystem_summary(cat, q)
-    return out, out["axioms"]["ok"]
+    return out, out["axioms"].ok
 
 
 def _canonical(cat, args):
     prod, qr = canonical_qsystem(cat)
     out = _qsystem_summary(prod, qr)
-    out["product_labels"] = list(prod.labels)
-    return out, out["axioms"]["ok"]
+    out["product_labels"] = prod.labels
+    return out, out["axioms"].ok
 
 
 def _full_centre(cat, args, q_spec):
@@ -196,24 +194,24 @@ def _full_centre(cat, args, q_spec):
 
 def _zmatrix(cat, args, q_spec):
     z, info = z_matrix(cat, _load_q(cat, q_spec))
-    return {"z": z.tolist(), **info}, max(info["s_commutator"], info["t_commutator"]) < 1e2 * cat.tol
+    return {"z": z, **info}, max(info["s_commutator"], info["t_commutator"]) < 1e2 * cat.tol
 
 
 def _modules(cat, args, q_spec):
     mods = enumerate_modules(cat, _load_q(cat, q_spec), args.side)
-    return {"count": len(mods), "modules": [m.as_json() for m in mods]}, True
+    return {"count": len(mods), "modules": mods}, True
 
 
 def _bimodules(cat, args, qa_spec, qb_spec):
     mods = enumerate_bimodules(cat, _load_q(cat, qa_spec), _load_q(cat, qb_spec))
-    return {"count": len(mods), "bimodules": [m.as_json() for m in mods]}, True
+    return {"count": len(mods), "bimodules": mods}, True
 
 
 def _boundary(cat, args):
     qa = _load_q(cat, args.qa)
     qb = qa if args.qb == args.qa else _load_q(cat, args.qb)
     rep = boundary_conditions(cat, qa, qb)
-    return rep.as_dict(), max(rep.residuals.values()) < 1e2 * cat.tol
+    return rep, max(rep.residuals.values()) < 1e2 * cat.tol
 
 
 # verb -> (number of inputs, the category among them; usage after the verb; handler)
@@ -271,7 +269,7 @@ def _diff(a, b, tol: float, path: str, out: list) -> None:
         return
     if isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            out.append(f"{path}: length {len(a)} vs {len(b)}")
+            out.append(f"{path.rstrip('.')}: length {len(a)} vs {len(b)}")
             return
         for i, (x, y) in enumerate(zip(a, b)):
             _diff(x, y, tol, f"{path}{i}.", out)

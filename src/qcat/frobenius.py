@@ -66,25 +66,7 @@ class AxiomReport:
     standard_w: float
     standard_x: float
     d: float
-    tol: float
-
-    def residuals(self) -> dict:
-        return {
-            "unit": self.unit,
-            "associativity": self.associativity,
-            "frobenius": self.frobenius,
-            "special": self.special,
-            "standard_w": self.standard_w,
-            "standard_x": self.standard_x,
-        }
-
-    @property
-    def ok(self) -> bool:
-        """Every residual below tol; a NaN residual fails."""
-        return all(r < self.tol for r in self.residuals().values())
-
-    def as_dict(self) -> dict:
-        return {**self.residuals(), "d": self.d, "ok": self.ok}
+    ok: bool
 
 
 def _check_shapes(q: QSystem) -> None:
@@ -109,18 +91,16 @@ def check_qsystem(cat: CategoryData, q: QSystem) -> AxiomReport:
     lam = _mean_eigen(n)
     special = (n - lam * idt).max_abs()
     d = q.d
-    standard_w = abs(complex(compose(w.adjoint(), w).scalar()) - d)
-    standard_x = (n - d * idt).max_abs()
-    return AxiomReport(
-        unit=float(np.maximum(unit_l, unit_r)),
-        associativity=asso,
-        frobenius=float(np.maximum(frob_l, frob_r)),
-        special=special,
-        standard_w=standard_w,
-        standard_x=standard_x,
-        d=d,
-        tol=cat.tol,
-    )
+    residuals = {
+        "unit": float(np.maximum(unit_l, unit_r)),
+        "associativity": asso,
+        "frobenius": float(np.maximum(frob_l, frob_r)),
+        "special": special,
+        "standard_w": abs(complex(compose(w.adjoint(), w).scalar()) - d),
+        "standard_x": (n - d * idt).max_abs(),
+    }
+    # every residual below cat.tol; a NaN residual fails
+    return AxiomReport(**residuals, d=d, ok=all(r < cat.tol for r in residuals.values()))
 
 
 def _mean_eigen(f: Morphism) -> complex:
@@ -377,11 +357,10 @@ def qsystems_equivalent(cat: CategoryData, q1: QSystem, q2: QSystem) -> bool:
 
 
 def _polish_unitary(f: Morphism) -> Morphism:
+    """The nearest unitary, block by block; every block is square and
+    nonempty, as u is polished only between objects of equal sector dims."""
     blocks = {}
     for c, b in f.blocks.items():
-        if b.size == 0 or b.shape[0] != b.shape[1]:
-            blocks[c] = b
-            continue
         uu, _, vvh = np.linalg.svd(b)
         blocks[c] = uu @ vvh
     return Morphism(f.cat, f.dom, f.cod, blocks)

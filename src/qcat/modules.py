@@ -72,20 +72,7 @@ class ModuleReport:
     representation: float
     standard: float
     e_projection: float
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return all(r < self.tol for r in (self.unit, self.representation, self.standard, self.e_projection))
-
-    def as_dict(self) -> dict:
-        return {
-            "unit": self.unit,
-            "representation": self.representation,
-            "standard": self.standard,
-            "e_projection": self.e_projection,
-            "ok": self.ok,
-        }
+    ok: bool
 
 
 def validate_module(cat: CategoryData, mod: Module) -> ModuleReport:
@@ -107,7 +94,8 @@ def validate_module(cat: CategoryData, mod: Module) -> ModuleReport:
     standard = (compose(mod.m.adjoint(), mod.m) - d * id_beta).max_abs()
     e = (1.0 / d) * compose(mod.m, mod.m.adjoint())
     e_proj = float(np.max([(compose(e, e) - e).max_abs(), (e - e.adjoint()).max_abs()]))
-    return ModuleReport(unit=unit, representation=float(rep), standard=standard, e_projection=e_proj, tol=1e2 * cat.tol)
+    ok = all(r < 1e2 * cat.tol for r in (unit, rep, standard, e_proj))
+    return ModuleReport(unit=unit, representation=float(rep), standard=standard, e_projection=e_proj, ok=ok)
 
 
 def free_module(cat: CategoryData, q, rho: ObjectExpr, side: str = "left") -> Module:
@@ -351,22 +339,6 @@ class BoundaryReport:
     residuals: dict
     cross_check: str
     pairings: np.ndarray
-
-    def as_dict(self) -> dict:
-        return {
-            "bimodules": [m.as_json() for m in self.bimodules],
-            "idempotents": [i.as_json() for i in self.idempotents],
-            "smT": [[_c(v) for v in row] for row in self.smT],
-            "smT_columns": self.smT_columns,
-            "c_matrix": [[_c(v) for v in row] for row in self.c_matrix],
-            "residuals": self.residuals,
-            "cross_check": self.cross_check,
-            "pairings": [[_c(v) for v in row] for row in self.pairings],
-        }
-
-
-def _c(v: complex) -> list[float]:
-    return [float(np.real(v)), float(np.imag(v))]
 
 
 def boundary_conditions(cat: CategoryData, qa: QSystem, qb: QSystem) -> BoundaryReport:

@@ -107,9 +107,6 @@ class Morphism:
     def adjoint(self) -> "Morphism":
         return Morphism(self.cat, self.cod, self.dom, {c: b.conj().T for c, b in self.blocks.items()})
 
-    def __matmul__(self, other: "Morphism") -> "Morphism":
-        return compose(self, other)
-
     def __add__(self, other: "Morphism") -> "Morphism":
         if self.dom != other.dom or self.cod != other.cod:
             raise ShapeError("addition of morphisms with different shapes")
@@ -342,19 +339,27 @@ class Engine:
         recouplings: dict[str, list[tuple[int, int, np.ndarray]]] = {e: [] for e in groups}
         for i, w1 in enumerate(x.summands):
             for j, w2 in enumerate(y.summands):
-                (span, place), t1, t2 = self._blocks(w1, w2), self.trees(w1), self.trees(w2)
-                for e, s in self.split(w1, w2).items():
-                    g, o = groups[e], order[e]
-                    if s is not None:
-                        recouplings[e].append((len(o), len(o) + span[e], s))
-                    # the entries in `_blocks` order: channel (c, d), then i1, i2, mu
-                    for c, d in place[e]:
-                        n1, n2, m, ny = t1[c], t2[d], self.cat.n(c, d, e), offs_y[d][-1]
+                split, t2 = self.split(w1, w2), self.trees(w2)
+                first = {e: len(order[e]) for e in split}
+                # the entries in `_blocks` order: channel (c, d), then i1, i2, mu
+                for c, n1 in self.trees(w1).items():
+                    for d, n2 in t2.items():
+                        ny = offs_y[d][-1]
                         r = offs_x[c][i] * ny + offs_y[d][j]
-                        if n1 == n2 == m == 1:  # the common case: one entry, and no list built for it
-                            o.append(g[c, d, 0] + r)
-                            continue
-                        o += [g[c, d, mu] + r + i1 * ny + i2 for i1 in range(n1) for i2 in range(n2) for mu in range(m)]
+                        for e, m in self.cat.fuse(c, d):
+                            g = groups[e]
+                            if n1 == n2 == m == 1:  # the common case: one entry, and no list built for it
+                                order[e].append(g[c, d, 0] + r)
+                                continue
+                            order[e] += [
+                                g[c, d, mu] + r + i1 * ny + i2
+                                for i1 in range(n1)
+                                for i2 in range(n2)
+                                for mu in range(m)
+                            ]
+                for e, s in split.items():
+                    if s is not None:
+                        recouplings[e].append((first[e], len(order[e]), s))
         out = {
             e: _SectorIndex(size[e], g, np.array(order[e], dtype=np.intp), tuple(recouplings[e]))
             for e, g in self._in_label_order(groups).items()

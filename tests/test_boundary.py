@@ -8,7 +8,7 @@ import pytest
 import qcat.modules as modules
 from qcat.braided import full_centre
 from qcat.category import build_category
-from qcat.cli import _diff, _load_cat, _load_q, run
+from qcat.cli import _diff, _load_cat, _load_q, _round, run
 from qcat.errors import ConsistencyError, MismatchError
 from qcat.fixtures import ising_category
 from qcat.frobenius import frobenius_conj, ising_q, trivial_qsystem_in
@@ -234,12 +234,12 @@ def test_a_wrong_idempotent_raises(ising, tq, monkeypatch, scale, message):
 def test_one_full_centre_when_a_is_b(ising, builder, monkeypatch):
     """boundary(A, A) computes Z[A] once, and reports what two separately
     built copies of A give."""
-    apart = boundary_conditions(ising, builder(ising), builder(ising)).as_dict()
+    apart = _round(boundary_conditions(ising, builder(ising), builder(ising)))
     calls = []
     real = modules.full_centre
     monkeypatch.setattr(modules, "full_centre", lambda cat, q: calls.append(q) or real(cat, q))
     q = builder(ising)
-    shared = boundary_conditions(ising, q, q).as_dict()
+    shared = _round(boundary_conditions(ising, q, q))
     assert len(calls) == 1
     differences: list[str] = []
     _diff(apart, shared, 1e-12, "", differences)

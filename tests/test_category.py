@@ -336,7 +336,7 @@ def test_deligne_product_validates(ising):
     assert abs(prod.global_dim - 16.0) < 1e-9
     assert prod.label_pairs[pair_label("sig", "eps")] == ("sig", "eps")
     rep = validate_category(prod)
-    assert rep.ok, rep.as_dict()
+    assert rep.ok, rep
     z3 = gauged_z3()
     assert validate_category(z3).ok
     assert validate_category(deligne_product(z3, z3, reverse_right=True)).ok

@@ -135,6 +135,27 @@ def test_malformed_category_exit_two(tmp_path, capsys, damage):
     assert "ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        pytest.param(_set("labels", value=[]), "empty label list", id="no-labels"),
+        pytest.param(_set("labels", value=["1", "sig", "eps", "sig"]), "duplicate labels", id="duplicate-label"),
+        pytest.param(_set("dual", "x", value="1"), "dual maps a label that is not in labels", id="extra-dual-key"),
+        pytest.param(_set("F", 0, "rows", value=5), "bad basis listing", id="rows-a-number"),
+    ],
+)
+def test_malformed_category_names_its_fault(tmp_path, capsys, damage, message):
+    from qcat.fixtures import ising_category
+
+    data = ising_category()
+    damage(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "ParseError" in err and message in err
+
+
 @pytest.mark.parametrize("doc", [[1, 2], 5, "ising"])
 def test_category_document_that_is_not_an_object_exit_two(tmp_path, capsys, doc):
     path = tmp_path / "cat.json"
@@ -298,6 +319,30 @@ def test_diff_verb(tmp_path, capsys):
     assert run(["diff", str(a), str(c)]) == 4
     rep = _capture(capsys)
     assert rep["differences"]
+
+
+@pytest.mark.parametrize(
+    "a, b, difference",
+    [
+        pytest.param({"x": 1}, {"x": 1, "y": 2}, "y: only in one report", id="key-in-one-report"),
+        pytest.param({"y": [1, 2]}, {"y": [1, 2, 3]}, "y: length 2 vs 3", id="length"),
+        pytest.param({"s": "a"}, {"s": "b"}, "s: 'a' vs 'b'", id="string"),
+    ],
+)
+def test_diff_names_each_difference(tmp_path, capsys, a, b, difference):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, doc in zip(paths, (a, b)):
+        path.write_text(json.dumps(doc))
+    assert run(["diff", *map(str, paths)]) == 4
+    assert _capture(capsys)["differences"] == [difference]
+
+
+def test_diff_of_incompatible_types_is_a_schema_mismatch(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"s": "a"}))
+    b.write_text(json.dumps({"s": 1}))
+    assert run(["diff", str(a), str(b)]) == 2
+    assert "SchemaMismatch: s: incompatible types" in capsys.readouterr().err
 
 
 def test_intermediate_verb(tmp_path, capsys):
@@ -490,6 +535,25 @@ def test_bad_tol_env_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("QCAT_TOL", "abc")
     assert run(["validate", "ising"]) == 1
     assert "tolerance" in capsys.readouterr().err
+
+
+def test_a_valid_tol_reaches_the_checks(tmp_path, capsys, monkeypatch):
+    """One F entry moved by 1e-6 fails validation at the file's tol (1e-9)
+    and passes at 1e-4, from --tol and from QCAT_TOL."""
+    from qcat.fixtures import ising_category
+
+    data = ising_category()
+    assert data["F"][0]["abc_d"] == ["sig", "sig", "sig", "sig"]
+    data["F"][0]["re"][0][0] += 1e-6
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(data))
+    assert run(["validate", str(path)]) == 3
+    assert _capture(capsys)["ok"] is False
+    assert run(["validate", str(path), "--tol", "1e-4"]) == 0
+    assert _capture(capsys)["ok"] is True
+    monkeypatch.setenv("QCAT_TOL", "1e-4")
+    assert run(["validate", str(path)]) == 0
+    assert _capture(capsys)["ok"] is True
 
 
 @pytest.mark.parametrize(

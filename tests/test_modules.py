@@ -293,7 +293,7 @@ def test_group_qsystem_has_one_bimodule_per_group_element(n):
     cat = build_category(zn_data(n, lambda a, b: 1))
     g = group_qsystem(cat, n)
     rep = check_qsystem(cat, g)
-    assert rep.ok, rep.as_dict()
+    assert rep.ok, rep
     # CPU time of this process, which other load on the machine does not inflate
     start = time.process_time()
     mods = enumerate_bimodules(cat, g, g)
